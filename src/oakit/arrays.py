@@ -57,7 +57,10 @@ class MixedArray:
 
     def __post_init__(self) -> None:
         levels = tuple(int(d) for d in self.levels)
-        cells = np.ascontiguousarray(self.cells, dtype=np.int64)
+        cells = np.asarray(self.cells)
+        if cells.dtype.kind not in "iu":  # float, bool, complex, ... would be cast silently
+            raise ParameterError(f"cells must have an integer dtype, got {cells.dtype}")
+        cells = np.ascontiguousarray(cells, dtype=np.int64)
         if cells.ndim != 2:
             raise ParameterError(f"cells must be 2-D, got shape {cells.shape}")
         r, n = cells.shape
@@ -82,7 +85,7 @@ class MixedArray:
 
     @classmethod
     def from_rows(cls, levels: Sequence[int], rows: Iterable[Sequence[int]]) -> "MixedArray":
-        return cls(tuple(levels), np.array(list(rows), dtype=np.int64))
+        return cls(tuple(levels), np.array(list(rows)))
 
     @property
     def runs(self) -> int:

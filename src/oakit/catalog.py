@@ -1,12 +1,21 @@
 """Seed registry, family registry, and the named state fixtures.
 
-Seeds are never invented: each one is either produced by a deterministic
-generator (algebraic construction or canonical backtracking search) or must
-be imported from a file.  Materializing a seed always runs its declared
-predicate, so a corrupted generator can never feed a build silently; the
-results are memoized per process.  Family entries reproduce the cataloged
-constructions: building one re-verifies the expected certificate exactly,
-and the emitted bytes are deterministic from run to run.
+Seeds are never invented.  Each one is produced by a deterministic
+generator (an algebraic construction), stored as package data, or must be
+imported from a file.  The stored seeds are the results of canonical
+backtracking searches: ``seeds/<name>.moa`` is a moa v1 file whose ``#``
+header records the generating call and, for ``search_moa``, its node count.
+Every seed declares a predicate (runs, levels, strength, and a distance
+floor for arrays; rows, order and strength for schemes), and materializing
+a seed always checks it before the result is memoized per process, so a
+corrupted generator or seed file can never feed a build silently.  A stored
+seed is read on first use, never at import, and a missing or failing file
+raises VerificationError; no search runs in its place.  ``regenerate`` on a
+search seed's entry re-runs its search and renders the stored file.
+
+Family entries reproduce the cataloged constructions: building one
+re-verifies the expected certificate exactly, and the emitted bytes are
+deterministic from run to run.
 """
 
 from __future__ import annotations
@@ -25,11 +34,13 @@ from .constructions import (
     two_uniform_prime_power,
     trivial_moa,
 )
-from .errors import MissingSeedError, ParameterError, VerificationError
+from .errors import MissingSeedError, OakitError, ParameterError, VerificationError
+from .formats import parse_any, serialize_array, serialize_scheme
 from .quantum import SparseState, emit_state, verify_k_uniform
 from .search import SearchResult, SearchSpec, search_moa, search_scheme
 
 __all__ = [
+    "SeedPredicate",
     "SeedEntry",
     "FamilyEntry",
     "seed_array",
@@ -47,33 +58,98 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class SeedPredicate:
+    """What a seed must satisfy before it is cached.
+
+    An array seed has ``runs`` rows over ``levels``, strength ``strength``
+    and, if ``min_distance`` is set, at least that minimal distance.  A
+    scheme seed has ``runs`` rows, one ``levels`` entry (its order) per
+    column and the strength tag ``strength``; a DifferenceScheme's tag is
+    checked against its expansion when it is constructed, which
+    ``parse_any`` always does.
+    """
+
+    kind: str  # "array" | "scheme"
+    runs: int
+    levels: tuple[int, ...]
+    strength: int
+    min_distance: int | None = None
+
+    def violation(self, obj) -> str | None:
+        """Why ``obj`` fails the predicate, or None if it holds."""
+        if self.kind == "scheme":
+            if not isinstance(obj, DifferenceScheme):
+                return "not a difference scheme"
+            found = (obj.rows, (obj.order,) * obj.cols, obj.strength)
+            declared = (self.runs, self.levels, self.strength)
+            if found != declared:
+                return f"(rows, levels, strength) is {found}, declared {declared}"
+            return None
+        if not isinstance(obj, MixedArray):
+            return "not an array"
+        if (obj.runs, obj.levels) != (self.runs, self.levels):
+            return f"shape is {obj.runs} x {obj.levels}, declared {self.runs} x {self.levels}"
+        report = verify_strength(obj, self.strength)
+        if not report.holds:
+            return f"strength {self.strength} fails at columns {report.witness.columns}"
+        if self.min_distance is not None:
+            md = min_distance(obj)
+            if md < self.min_distance:
+                return f"minimal distance {md} is below {self.min_distance}"
+        return None
+
+
+@dataclass(frozen=True)
 class SeedEntry:
+    """A named seed and the predicate it is checked against.
+
+    ``build`` makes a generator seed.  A search seed is stored as package
+    data in ``seeds/<name>.moa``; its ``regenerate`` re-runs the search and
+    renders that file, provenance header included.
+    """
+
     name: str
     description: str
     origin: str  # "generator" | "search" | "import-required"
+    predicate: SeedPredicate | None = None
     build: Callable[[], object] | None = None
+    regenerate: Callable[[], str] | None = None
 
 
-def _search_moa_seed(runs, levels, strength, w=None, budget=20_000_000):
-    def build():
-        result = search_moa(
-            SearchSpec(runs, tuple(levels), strength, min_distance=w, node_budget=budget)
-        )
+def _provenance(name: str, description: str, *lines: str) -> str:
+    return "".join(f"# {line}\n" for line in (f"seed {name}: {description}", *lines))
+
+
+def _search_moa_seed(name, description, runs, levels, strength, w):
+    spec = SearchSpec(runs, levels, strength, min_distance=w, node_budget=20_000_000)
+
+    def regenerate() -> str:
+        result = search_moa(spec)
         if not result.found:
-            raise VerificationError(
-                f"seed search failed ({result.status}) for "
-                f"MOA({runs}, {levels}, {strength})"
-            )
-        return result.array
+            raise VerificationError(f"seed {name!r}: search ended {result.status}")
+        header = _provenance(
+            name, description, f"generated by search_moa({spec!r})", f"nodes {result.nodes}"
+        )
+        return header + serialize_array(result.array, strength)
 
-    return build
+    predicate = SeedPredicate("array", runs, spec.levels, strength, w)
+    return SeedEntry(name, description, "search", predicate, regenerate=regenerate)
 
 
-def _scheme_18_5_3():
-    scheme = search_scheme(18, 5, 3, 3, node_budget=50_000_000)
-    if isinstance(scheme, SearchResult):
-        raise VerificationError(f"scheme search failed: {scheme.status}")
-    return scheme
+def _search_scheme_seed(name, description, rows, cols, order, strength, budget):
+    call = (
+        f"search_scheme(rows={rows}, cols={cols}, order={order}, "
+        f"strength={strength}, node_budget={budget})"
+    )
+
+    def regenerate() -> str:
+        scheme = search_scheme(rows, cols, order, strength, node_budget=budget)
+        if isinstance(scheme, SearchResult):
+            raise VerificationError(f"seed {name!r}: search ended {scheme.status}")
+        return _provenance(name, description, f"generated by {call}") + serialize_scheme(scheme)
+
+    predicate = SeedPredicate("scheme", rows, (order,) * cols, strength)
+    return SeedEntry(name, description, "search", predicate, regenerate=regenerate)
 
 
 _SEEDS: dict[str, SeedEntry] = {}
@@ -88,33 +164,31 @@ _register_seed(
         "scheme-3x3x3",
         "difference scheme D(3,3,3): the multiplication table of Z_3",
         "generator",
-        lambda: ds_linear(3, 1),
+        SeedPredicate("scheme", 3, (3, 3, 3), 2),
+        build=lambda: ds_linear(3, 1),
     )
 )
 _register_seed(
-    SeedEntry(
+    _search_scheme_seed(
         "scheme-18x5-over-3",
         "strength-3 difference scheme on 18 rows and 5 ternary columns",
-        "search",
-        _scheme_18_5_3,
+        18, 5, 3, 3, budget=50_000_000,
     )
 )
 # MD >= 2 is impossible for this profile (canonical search exhausts), so the
 # seed asks only for distinct rows.
 _register_seed(
-    SeedEntry(
+    _search_moa_seed(
         "moa-12-3x2^4",
         "MOA(12, 5, 3^1 2^4, 2) with distinct rows",
-        "search",
-        _search_moa_seed(12, (3, 2, 2, 2, 2), 2, w=1),
+        12, (3, 2, 2, 2, 2), 2, w=1,
     )
 )
 _register_seed(
-    SeedEntry(
+    _search_moa_seed(
         "moa-6-6x3x2",
         "MOA(6, 3, 6^1 3^1 2^1, 1) with minimal distance 2 (the AME seed)",
-        "search",
-        _search_moa_seed(6, (6, 3, 2), 1, w=2),
+        6, (6, 3, 2), 1, w=2,
     )
 )
 _register_seed(
@@ -122,7 +196,8 @@ _register_seed(
         "moa-36-3^2x2^2",
         "MOA(36, 4, 3^2 2^2, 2): the full factorial host for the 3^2 x 2^n family",
         "generator",
-        lambda: _trivial_host((3, 3, 2, 2)),
+        SeedPredicate("array", 36, (3, 3, 2, 2), 2),
+        build=lambda: trivial_moa((3, 3, 2, 2)),
     )
 )
 _register_seed(
@@ -130,15 +205,10 @@ _register_seed(
         "moa-108-3^3x2^2",
         "MOA(108, 5, 3^3 2^2, 2): the full factorial host for the 3^3 x 2^n family",
         "generator",
-        lambda: _trivial_host((3, 3, 3, 2, 2)),
+        SeedPredicate("array", 108, (3, 3, 3, 2, 2), 2),
+        build=lambda: trivial_moa((3, 3, 3, 2, 2)),
     )
 )
-
-
-def _trivial_host(levels):
-    from .constructions import trivial_moa
-
-    return trivial_moa(levels)
 _register_seed(
     SeedEntry(
         "scheme-12x6-over-6",
@@ -161,6 +231,20 @@ def seed_entries() -> list[SeedEntry]:
     return [_SEEDS[name] for name in sorted(_SEEDS)]
 
 
+def _load_stored(name: str):
+    """Parse the search seed ``name`` from its package-data file."""
+    from importlib.resources import files  # deferred: seeds load on first use
+
+    try:
+        text = (files(__package__) / "seeds" / f"{name}.moa").read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise VerificationError(f"seed {name!r}: stored file seeds/{name}.moa is missing") from exc
+    try:
+        return parse_any(text)
+    except OakitError as exc:
+        raise VerificationError(f"seed {name!r}: stored file is invalid: {exc}") from exc
+
+
 def _materialize(name: str):
     if name not in _SEEDS:
         raise ParameterError(f"unknown seed {name!r}")
@@ -171,8 +255,12 @@ def _materialize(name: str):
             "supply it with --seed FILE"
         )
     if name not in _SEED_CACHE:
-        assert entry.build is not None
-        _SEED_CACHE[name] = entry.build()
+        assert entry.predicate is not None
+        obj = _load_stored(name) if entry.origin == "search" else entry.build()
+        problem = entry.predicate.violation(obj)
+        if problem is not None:
+            raise VerificationError(f"seed {name!r} fails its predicate: {problem}")
+        _SEED_CACHE[name] = obj
     return _SEED_CACHE[name]
 
 
@@ -228,11 +316,7 @@ def _table3_replacement(levels):
     )
 
 
-def _table5_builder(seed: DifferenceScheme | None):
-    if seed is None:
-        raise MissingSeedError(
-            "entry needs the difference scheme D(12, 6, 6); import it with --seed"
-        )
+def _table5_builder(seed: DifferenceScheme):
     return two_uniform_from_scheme(12, 6, 6, scheme=seed)
 
 

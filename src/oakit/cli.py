@@ -50,6 +50,17 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _ints(text: str, what: str) -> tuple[int, ...]:
+    return tuple(_int(x, what) for x in text.split(","))
+
+
 def _read_array(path: str):
     return parse_array(Path(path).read_text(encoding="utf-8"))
 
@@ -120,24 +131,24 @@ def _cmd_construct(args) -> int:
         missing = [k for k in keys if k not in params]
         if missing:
             raise ParameterError(f"pipeline {args.pipeline} needs params {missing}")
-        array, cert = fn(**{k: int(params[k]) for k in keys})
+        array, cert = fn(**{k: _int(params[k], k) for k in keys})
     elif args.pipeline == "thm7":
         if "k" not in params or "factors" not in params:
             raise ParameterError("pipeline thm7 needs k=... factors=a,b[,c]")
-        factors = [int(x) for x in params["factors"].split(",")]
+        factors = list(_ints(params["factors"], "factors"))
         plan = None
         if "split" in params:
             column, _, levels = params["split"].partition(":")
-            plan = [(int(column), tuple(int(x) for x in levels.split(",")))]
-        array, cert = k_uniform_product(int(params["k"]), factors, plan)
+            plan = [(_int(column, "split column"), _ints(levels, "split levels"))]
+        array, cert = k_uniform_product(_int(params["k"], "k"), factors, plan)
     elif args.pipeline == "thm8":
         for key in ("N", "M", "d"):
             if key not in params:
                 raise ParameterError("pipeline thm8 needs N=... M=... d=...")
         replacement = _read_array(params["replace_with"]) if "replace_with" in params else None
-        keep = int(params["scheme_keep"]) if "scheme_keep" in params else None
+        keep = _int(params["scheme_keep"], "scheme_keep") if "scheme_keep" in params else None
         array, cert = two_uniform_from_scheme(
-            int(params["N"]), int(params["M"]), int(params["d"]),
+            _int(params["N"], "N"), _int(params["M"], "M"), _int(params["d"], "d"),
             replacement=replacement, scheme_keep=keep,
         )
     else:
@@ -203,7 +214,7 @@ def _cmd_uniformity(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    levels = tuple(int(x) for x in args.levels.split(","))
+    levels = _ints(args.levels, "--levels")
     spec = SearchSpec(
         args.runs, levels, args.strength,
         min_distance=args.min_distance, node_budget=args.budget,
@@ -231,7 +242,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_feasible(args) -> int:
-    levels = tuple(int(x) for x in args.levels.split(","))
+    levels = _ints(args.levels, "--levels")
     verdict = five_column_feasibility(levels)
     sys.stdout.write(
         dump_json(

@@ -128,7 +128,7 @@ def test_criterion_4():
 
 @criterion(5, "24-run index-scheme family and the special 3^1 2^8 array in < 10 s")
 def test_criterion_5():
-    catalog._SEED_CACHE.pop("moa-12-3x2^4", None)  # timing must include the search
+    catalog._SEED_CACHE.pop("moa-12-3x2^4", None)  # timing includes materialization
     start = time.perf_counter()
     base, cert = two_uniform_from_scheme(12, 12, 2)
     assert base.runs == 24 and base.profile() == "12^1 2^12"

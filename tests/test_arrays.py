@@ -50,6 +50,23 @@ class TestMixedArray:
         with pytest.raises(ParameterError):
             MixedArray((2,), np.zeros((0, 1), dtype=int))  # no rows
 
+    @pytest.mark.parametrize("dtype", [float, bool, complex])
+    def test_non_integer_dtype_rejected(self, dtype):
+        with pytest.raises(ParameterError, match="integer dtype"):
+            MixedArray((2, 2), np.array([[0, 1], [1, 0]], dtype=dtype))
+
+    def test_float_cell_is_not_truncated(self):
+        with pytest.raises(ParameterError, match="integer dtype"):
+            MixedArray((2, 2), [[0, 1.7], [1, 0]])
+        with pytest.raises(ParameterError, match="integer dtype"):
+            MixedArray.from_rows((2, 2), [[0, 1.7], [1, 0]])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_integer_dtypes_and_int_lists_accepted(self, dtype):
+        arr = MixedArray((2, 2), np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert arr.cells.dtype == np.int64
+        assert np.array_equal(arr.cells, MixedArray((2, 2), [[0, 1], [1, 0]]).cells)
+
     def test_profile_uses_descending_levels(self):
         arr = MixedArray.from_rows((2, 3, 2), [[0, 0, 0]])
         assert arr.profile() == "3^1 2^2"

@@ -129,6 +129,22 @@ class TestConstructReplaceSearch:
         assert code == 2 and json.loads(out)["search"]["status"] == "infeasible"
 
 
+class TestParameterParsing:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "thm1", "--params", "m=1", "n=x"),
+            ("construct", "thm7", "--params", "k=2", "factors=3,4", "split=abc"),
+            ("search", "--runs", "4", "--levels", "2,x", "--strength", "1"),
+            ("feasible", "--levels", "2,x"),
+        ],
+        ids=["construct-n", "construct-split", "search-levels", "feasible-levels"],
+    )
+    def test_non_integer_exits_4(self, argv, capsys):
+        code, _, err = run(capsys, *argv)
+        assert code == 4 and "must be an integer" in err
+
+
 class TestFeasibleAndCatalog:
     def test_feasible(self, capsys):
         code, out, _ = run(capsys, "feasible", "--levels", "3,2,2,2,2")
