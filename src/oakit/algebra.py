@@ -26,16 +26,12 @@ from .arrays import MixedArray, concat_columns, verify_strength
 from .errors import ConstructionError, ParameterError, VerificationError
 
 __all__ = [
-    "CyclicGroup",
     "AdditiveGroup",
     "additive_group",
     "cyclic_group",
     "gf_additive_group",
     "FiniteField",
     "finite_field",
-    "gf_add",
-    "gf_mul",
-    "gf_inv",
     "is_prime",
     "prime_power_decomposition",
     "HadamardMatrix01",
@@ -104,26 +100,13 @@ def cyclic_group(d: int) -> AdditiveGroup:
     return AdditiveGroup(d, "mod", (idx[:, None] + idx[None, :]) % d)
 
 
-#: alias kept for the common case: the group (Z_d, +)
-CyclicGroup = cyclic_group
-
-
 def gf_additive_group(q: int) -> AdditiveGroup:
     """Additive group of GF(q) on base-p integer labels (carry-free addition)."""
-    p, m = _require_prime_power(q)
+    _, m = _require_prime_power(q)
     if m == 1:
         return cyclic_group(q)
     idx = np.arange(q)
-    digits_a = idx[:, None]
-    table = np.zeros((q, q), dtype=np.int64)
-    pk = 1
-    for _ in range(m):
-        da = (idx[:, None] // pk) % p
-        db = (idx[None, :] // pk) % p
-        table += ((da + db) % p) * pk
-        pk *= p
-    _ = digits_a
-    return AdditiveGroup(q, "gf", table)
+    return AdditiveGroup(q, "gf", finite_field(q).add(idx[:, None], idx[None, :]))
 
 
 def additive_group(d: int, tag: str = "mod") -> AdditiveGroup:
@@ -177,13 +160,98 @@ def _require_prime_power(q: int) -> tuple[int, int]:
     return pm
 
 
-class FiniteField:
-    """GF(p^m) with elements encoded as integers 0..q-1 in base p.
+def _prime_factors(n: int) -> list[int]:
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
 
-    The modulus is the lexicographically smallest monic irreducible
-    polynomial of degree m over GF(p) (smallest when read as the integer
-    p^m + c_{m-1} p^{m-1} + ... + c_0), which makes element labels
-    reproducible across builds.  For m = 1 arithmetic is plain mod p.
+
+# Polynomials over GF(p) are little-endian coefficient lists with no trailing
+# zeros; the zero polynomial is [].
+
+
+def _poly_rem(a: list[int], f: list[int], p: int) -> list[int]:
+    a = a[:]
+    df = len(f) - 1
+    lead_inv = pow(f[-1], p - 2, p)
+    for i in range(len(a) - 1, df - 1, -1):
+        c = a[i] * lead_inv % p
+        if c:
+            for j in range(df + 1):
+                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
+    del a[df:]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_rem(out, f, p)
+
+
+def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _poly_mulmod(result, result, f, p)
+        if bit == "1":
+            result = _poly_mulmod(result, a, f, p)
+    return result
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    return a
+
+
+def _is_irreducible(f: list[int], p: int) -> bool:
+    """Rabin's test for a monic f of degree m >= 2 over GF(p).
+
+    f is irreducible iff x^(p^m) = x mod f and gcd(x^(p^(m/r)) - x, f) = 1
+    for every prime r dividing m.
+    """
+    m = len(f) - 1
+    maximal = {m // r for r in _prime_factors(m)}
+    frob = [0, 1]  # x^(p^d) mod f
+    for d in range(1, m + 1):
+        frob = _poly_powmod(frob, p, f, p)
+        if d in maximal:
+            diff = frob + [0] * (2 - len(frob))
+            diff[1] = (diff[1] - 1) % p
+            while diff and diff[-1] == 0:
+                diff.pop()
+            if len(_poly_gcd(f, diff, p)) > 1:
+                return False
+    return frob == [0, 1]
+
+
+class FiniteField:
+    """GF(p^m) for q = p^m <= 2^16, elements encoded as integers 0..q-1 in base p.
+
+    Label a stands for the polynomial sum_i a_i x^i over GF(p), where a_i is
+    the i-th base-p digit of a, so addition and subtraction are digit-wise
+    mod p.  The modulus is the smallest monic irreducible polynomial of
+    degree m over GF(p) when read as the integer p^m + c_{m-1} p^{m-1} + ...
+    + c_0, found with Rabin's test in gcd form; this makes element labels
+    reproducible across builds.  For m = 1 the modulus is x and arithmetic
+    is plain mod p.
+
+    Multiplication goes through the smallest primitive element g (by
+    label): ``exp[i]`` is g^i, stored for i < 2(q - 1) so that a sum of two
+    logs needs no reduction, and ``log[g^i]`` is i.  Both tables take O(q)
+    memory; orders above 2^16 are refused.  Every operation works
+    elementwise on Python ints and on numpy integer arrays alike (table
+    lookups return numpy integers), and 0^0 = 1.
     """
 
     def __init__(self, q: int):
@@ -192,150 +260,85 @@ class FiniteField:
         p, m = _require_prime_power(q)
         self.p, self.m, self.q = p, m, q
         self.modulus = self._smallest_irreducible() if m > 1 else (0, 1)
-        self._mul_table: np.ndarray | None = None
-        self._inv_table: list[int] | None = None
-        if q <= 1024:
-            self._build_tables()
+        modulus = list(self.modulus)
+        primitive = next(
+            g
+            for g in range(1, q)
+            if all(
+                _poly_powmod(self._poly(g), (q - 1) // r, modulus, p) != [1]
+                for r in _prime_factors(q - 1)
+            )
+        )
+        # label -> label * g, as the GF(p)-linear map on digit vectors
+        digit_weights = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // digit_weights % p
+        g = self._poly(primitive)
+        images = np.array(
+            [
+                (_poly_mulmod([0] * i + [1], g, modulus, p) + [0] * m)[:m]
+                for i in range(m)
+            ],
+            dtype=np.int64,
+        )
+        times_g = (digits @ images % p @ digit_weights).tolist()
+        exp = [1] * (q - 1)
+        for i in range(1, q - 1):
+            exp[i] = times_g[exp[i - 1]]
+        self._exp = np.array(exp * 2, dtype=np.int64)
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[self._exp[: q - 1]] = np.arange(q - 1)
 
-    # -- encoding ----------------------------------------------------------
-    def _vec(self, a: int) -> list[int]:
+    def _poly(self, a: int) -> list[int]:
         out = []
-        for _ in range(self.m):
+        while a:
             out.append(a % self.p)
             a //= self.p
-        return out  # coefficient of x^i at index i
-
-    def _enc(self, vec: Sequence[int]) -> int:
-        a = 0
-        for c in reversed(vec):
-            a = a * self.p + (c % self.p)
-        return a
-
-    # -- modulus selection --------------------------------------------------
-    def _poly_mod_reduce(self, coeffs: list[int], modulus: list[int]) -> list[int]:
-        # both little-endian; modulus monic of degree m
-        p, m = self.p, len(modulus) - 1
-        coeffs = coeffs[:]
-        for i in range(len(coeffs) - 1, m - 1, -1):
-            c = coeffs[i] % p
-            if c:
-                for j in range(m + 1):
-                    coeffs[i - m + j] = (coeffs[i - m + j] - c * modulus[j]) % p
-        return [c % p for c in coeffs[:m]]
-
-    def _is_irreducible(self, modulus: list[int]) -> bool:
-        # no roots, and x^(p^m) == x mod f while x^(p^d) != x for proper d | m
-        p, m = self.p, len(modulus) - 1
-
-        def poly_pow_x(e: int) -> list[int]:
-            # compute x^e mod f by square and multiply on exponent bits
-            result = [1] + [0] * (m - 1)
-            base = ([0, 1] + [0] * (m - 1))[: max(2, m)]
-            base = self._poly_mod_reduce(base + [0], modulus) if m == 1 else base[:m]
-            e_bits = bin(e)[2:]
-            for bit in e_bits:
-                result = self._poly_mul_mod(result, result, modulus)
-                if bit == "1":
-                    result = self._poly_mul_mod(result, base, modulus)
-            return result
-
-        x_poly = [0, 1] + [0] * (m - 2) if m >= 2 else [0]
-        if poly_pow_x(p**m) != x_poly:
-            return False
-        for d in range(1, m):
-            if m % d == 0 and is_prime(m // d) is False and d != 1:
-                continue
-            if m % d == 0:
-                if poly_pow_x(p**d) == x_poly:
-                    return False
-        return True
-
-    def _poly_mul_mod(self, a: list[int], b: list[int], modulus: list[int]) -> list[int]:
-        p = self.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        return self._poly_mod_reduce(out, modulus)
+        return out
 
     def _smallest_irreducible(self) -> tuple[int, ...]:
         p, m = self.p, self.m
         for tail in range(p**m):
-            coeffs = []
-            t = tail
-            for _ in range(m):
-                coeffs.append(t % p)
-                t //= p
-            modulus = coeffs + [1]  # monic, little-endian
-            if self._is_irreducible(modulus):
+            modulus = [tail // p**i % p for i in range(m)] + [1]
+            if _is_irreducible(modulus, p):
                 return tuple(modulus)
         raise ConstructionError(f"no irreducible polynomial found for GF({p}^{m})")
 
     # -- arithmetic ----------------------------------------------------------
-    def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        return self._enc([(x + y) % self.p for x, y in zip(self._vec(a), self._vec(b))])
+    def _digitwise(self, a, b, sign: int):
+        out = 0
+        pk = 1
+        for _ in range(self.m):
+            out = out + (a // pk + sign * (b // pk)) % self.p * pk
+            pk *= self.p
+        return out
 
-    def sub(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a - b) % self.p
-        return self._enc([(x - y) % self.p for x, y in zip(self._vec(a), self._vec(b))])
+    def add(self, a, b):
+        return self._digitwise(a, b, 1)
 
-    def neg(self, a: int) -> int:
+    def sub(self, a, b):
+        return self._digitwise(a, b, -1)
+
+    def neg(self, a):
         return self.sub(0, a)
 
-    def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[a, b])
-        return self._mul_raw(a, b)
+    def mul(self, a, b):
+        return self._exp[self._log[a] + self._log[b]] * ((a != 0) & (b != 0))
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a * b) % self.p
-        prod_ = self._poly_mul_mod(self._vec(a), self._vec(b), list(self.modulus))
-        return self._enc(prod_)
-
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e > 0:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def inv(self, a):
+        if not np.all(a):
             raise ParameterError("0 has no inverse")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
 
-    def _build_tables(self) -> None:
-        q = self.q
-        table = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            for b in range(a, q):
-                v = self._mul_raw(a, b)
-                table[a, b] = v
-                table[b, a] = v
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            inv[int(np.flatnonzero(table[a] == 1)[0])] = a
-        self._inv_table = inv
+    def pow(self, a, e: int):
+        n = self.q - 1
+        return self._exp[self._log[a] * (e % n) % n] * (a != 0) + ((a == 0) & (e == 0))
 
     def elements(self) -> range:
         return range(self.q)
 
-    def quadratic_character(self, a: int) -> int:
-        """+1 for nonzero squares, -1 for non-squares, 0 for 0."""
-        if a == 0:
-            return 0
-        return 1 if self.pow(a, (self.q - 1) // 2) == 1 else -1
+    def quadratic_character(self, a):
+        """+1 for nonzero squares, -1 for non-squares, 0 for 0 (Euler's criterion, odd q)."""
+        return (2 * (self.pow(a, (self.q - 1) // 2) == 1) - 1) * (a != 0)
 
 
 _FIELD_CACHE: dict[int, FiniteField] = {}
@@ -345,18 +348,6 @@ def finite_field(q: int) -> FiniteField:
     if q not in _FIELD_CACHE:
         _FIELD_CACHE[q] = FiniteField(q)
     return _FIELD_CACHE[q]
-
-
-def gf_add(q: int, a: int, b: int) -> int:
-    return finite_field(q).add(a, b)
-
-
-def gf_mul(q: int, a: int, b: int) -> int:
-    return finite_field(q).mul(a, b)
-
-
-def gf_inv(q: int, a: int) -> int:
-    return finite_field(q).inv(a)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +410,8 @@ def _sylvester(m: int) -> np.ndarray:
 
 def _jacobsthal(q: int) -> np.ndarray:
     gf = finite_field(q)
-    chars = np.array([gf.quadratic_character(a) for a in range(q)], dtype=np.int64)
-    sub = np.array([[gf.sub(a, b) for b in range(q)] for a in range(q)])
-    return chars[sub]
+    idx = np.arange(q)
+    return gf.quadratic_character(gf.sub(idx[:, None], idx[None, :]))
 
 
 def _paley1(q: int) -> np.ndarray:
@@ -628,23 +618,11 @@ def ds_linear(d: int, n: int) -> DifferenceScheme:
     if n < 1:
         raise ParameterError(f"extension count must be >= 1, got {n}")
     gf = finite_field(d)
-    size = d**n
-
-    def digits(m: int) -> list[int]:
-        out = []
-        for _ in range(n):
-            out.append(m % d)
-            m //= d
-        return list(reversed(out))
-
-    vectors = [digits(m) for m in range(size)]
-    cells = np.zeros((size, size), dtype=np.int64)
-    for i, x in enumerate(vectors):
-        for j, y in enumerate(vectors):
-            acc = 0
-            for xi, yi in zip(x, y):
-                acc = gf.add(acc, gf.mul(xi, yi))
-            cells[i, j] = acc
+    index = np.arange(d**n)
+    cells = 0
+    for i in range(n):
+        digit = index // d**i % d
+        cells = gf.add(cells, gf.mul(digit[:, None], digit[None, :]))
     return DifferenceScheme(cells, d, 2, gf_additive_group(d), verify=True)
 
 
@@ -659,12 +637,9 @@ def ds_poly3(d: int) -> DifferenceScheme:
     if p == 2:
         raise ParameterError(f"order must be odd, got {d}")
     gf = finite_field(d)
-    cells = np.zeros((d * d, d), dtype=np.int64)
-    for a in range(d):
-        for b in range(d):
-            row = a * d + b
-            for c in range(d):
-                cells[row, c] = gf.add(gf.mul(a, c), gf.mul(b, gf.mul(c, c)))
+    row = np.arange(d * d)[:, None]
+    c = np.arange(d)[None, :]
+    cells = gf.mul(c, gf.add(row // d, gf.mul(row % d, c)))  # c * (a + b*c)
     try:
         return DifferenceScheme(cells, d, 3, gf_additive_group(d), verify=True)
     except VerificationError as exc:

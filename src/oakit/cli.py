@@ -3,7 +3,7 @@
 Machine output (moa v1 text or oakit-report-v1 / certificate JSON) goes to
 stdout; human-readable summaries go to stderr.  Exit codes: 0 success,
 2 verification failure or negative search verdict, 3 missing seed,
-4 parameter or format error.
+4 parameter or format error, including argparse usage errors.
 """
 
 from __future__ import annotations
@@ -356,7 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is our verification code
+        if exc.code == 0:  # --help
+            raise
+        return EXIT_PARAMETER
     try:
         return args.fn(args)
     except MissingSeedError as exc:

@@ -461,6 +461,23 @@ def _single_replacement(
 # polynomial-evaluation arrays
 
 
+def _evaluations(q: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every polynomial of degree < k over GF(q), evaluated at every element.
+
+    Row m is the polynomial whose coefficient of x^j is the j-th base-q digit
+    of m; returns the (q^k, q) evaluations, by Horner's rule, and the
+    coefficient columns.
+    """
+    gf = finite_field(q)
+    m = np.arange(q**k)[:, None]
+    coeffs = [m // q**j % q for j in range(k)]
+    e = np.arange(q)[None, :]
+    values = 0
+    for c in reversed(coeffs):
+        values = gf.add(gf.mul(values, e), c)
+    return values, coeffs
+
+
 def bush_oa(q: int, k: int, columns: int | None = None) -> MixedArray:
     """OA(q^k, q+1, q, k) by evaluating degree-<k polynomials over GF(q).
 
@@ -478,25 +495,8 @@ def bush_oa(q: int, k: int, columns: int | None = None) -> MixedArray:
         raise ParameterError(
             f"need q >= 2k - 1 for the irredundancy guarantee, got q={q}, k={k}"
         )
-    gf = finite_field(q)
-    runs = q**k
-    cells = np.zeros((runs, q + 1), dtype=np.int64)
-    powers = [[gf.pow(e, j) for j in range(k)] for e in range(q)]
-    for m in range(runs):
-        coeffs = []
-        t = m
-        for _ in range(k):
-            coeffs.append(t % q)
-            t //= q
-        for e in range(q):
-            acc = 0
-            pw = powers[e]
-            for j, c in enumerate(coeffs):
-                if c:
-                    acc = gf.add(acc, gf.mul(c, pw[j]))
-            cells[m, e] = acc
-        cells[m, q] = coeffs[k - 1]
-    array = MixedArray((q,) * (q + 1), cells)
+    values, coeffs = _evaluations(q, k)
+    array = MixedArray((q,) * (q + 1), np.hstack([values, coeffs[k - 1]]))
     if columns is not None:
         if not 1 <= columns <= q + 1:
             raise ParameterError(f"columns must be in 1..{q + 1}")
@@ -515,18 +515,8 @@ def bush_oa_even(q: int) -> MixedArray:
     pm = prime_power_decomposition(q)
     if pm is None or pm[0] != 2:
         raise ParameterError(f"{q} must be an even prime power")
-    gf = finite_field(q)
-    runs = q**3
-    cells = np.zeros((runs, q + 2), dtype=np.int64)
-    for m in range(runs):
-        c0, c1, c2 = m % q, (m // q) % q, m // (q * q)
-        for e in range(q):
-            acc = gf.add(c0, gf.mul(c1, e))
-            acc = gf.add(acc, gf.mul(c2, gf.mul(e, e)))
-            cells[m, e] = acc
-        cells[m, q] = c1
-        cells[m, q + 1] = c2
-    array = MixedArray((q,) * (q + 2), cells)
+    values, coeffs = _evaluations(q, 3)
+    array = MixedArray((q,) * (q + 2), np.hstack([values, coeffs[1], coeffs[2]]))
     report = verify_strength(array, 3)
     if not report.holds:
         raise ConstructionError("even-characteristic strength-3 construction failed")
@@ -700,6 +690,19 @@ def _two_uniform_chain(
         return _delete_and_verify(stage, drop, 2, construction, seeds, notes)
 
 
+def _two_uniform_from_host(
+    host: MixedArray, d: int, m: int, n: int, construction: str, seed_name: str | None
+) -> tuple[MixedArray, ConstructionCertificate]:
+    """Check a host over levels d and 2, keep its first m d-level columns, chain."""
+    d_cols = [j for j, lv in enumerate(host.levels) if lv == d]
+    if len(d_cols) < m or any(lv not in (2, d) for lv in host.levels):
+        raise ParameterError(f"host must be an array over levels {d} and 2")
+    if len(d_cols) > m:
+        host = delete_columns(host, d_cols[m:])
+    seeds = (seed_name or "caller-host",)
+    return _two_uniform_chain(host, host.ncols - m, n, construction, seeds)
+
+
 def two_uniform_3m2n(
     m: int,
     n: int,
@@ -734,15 +737,9 @@ def two_uniform_3m2n(
             raise ParameterError(
                 f"no built-in host for m = {m}; pass a strength-2 host array"
             )
-    three_cols = sum(1 for d in host.levels if d == 3)
-    if three_cols < m or any(d not in (2, 3) for d in host.levels):
-        raise ParameterError("host must be an array over levels 3 and 2")
-    if three_cols > m:
-        extra = [j for j, d in enumerate(host.levels) if d == 3][m:]
-        host = delete_columns(host, extra)
-    two_cols = host.ncols - m
-    seeds = (host_seed_name or "caller-host",)
-    return _two_uniform_chain(host, two_cols, n, f"two_uniform_3m2n(m={m}, n={n})", seeds)
+    return _two_uniform_from_host(
+        host, 3, m, n, f"two_uniform_3m2n(m={m}, n={n})", host_seed_name
+    )
 
 
 def two_uniform_dm2n(
@@ -768,15 +765,8 @@ def two_uniform_dm2n(
             raise ParameterError(
                 f"no built-in host for d = {d}, m = {m}; pass a strength-2 host"
             )
-    d_cols = sum(1 for lv in host.levels if lv == d)
-    if d_cols < m or any(lv not in (2, d) for lv in host.levels):
-        raise ParameterError(f"host must be an array over levels {d} and 2")
-    if d_cols > m:
-        extra = [j for j, lv in enumerate(host.levels) if lv == d][m:]
-        host = delete_columns(host, extra)
-    seeds = (host_seed_name or "caller-host",)
-    return _two_uniform_chain(
-        host, host.ncols - m, n, f"two_uniform_dm2n(d={d}, m={m}, n={n})", seeds
+    return _two_uniform_from_host(
+        host, d, m, n, f"two_uniform_dm2n(d={d}, m={m}, n={n})", host_seed_name
     )
 
 

@@ -91,3 +91,65 @@ def naive_k_uniform(rows, levels, k) -> bool:
                 if rho[i][j] != (target if i == j else 0):
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# finite fields: polynomials over GF(p) as little-endian coefficient lists
+
+
+def _naive_poly_mod(a, g, p):
+    """Remainder of a modulo the monic polynomial g over GF(p)."""
+    a = list(a)
+    dg = len(g) - 1
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = a[i] % p
+        if c:
+            for j, gj in enumerate(g):
+                a[i - dg + j] = (a[i - dg + j] - c * gj) % p
+    return [c % p for c in a[:dg]]
+
+
+def _naive_monic(p, d):
+    """Monic degree-d polynomials over GF(p), ordered by their integer value."""
+    for tail in range(p**d):
+        yield [tail // p**i % p for i in range(d)] + [1]
+
+
+def naive_smallest_irreducible(p, m):
+    """Smallest monic irreducible polynomial of degree m over GF(p), by trial division."""
+    for f in _naive_monic(p, m):
+        if all(
+            any(_naive_poly_mod(f, g, p))
+            for d in range(1, m // 2 + 1)
+            for g in _naive_monic(p, d)
+        ):
+            return tuple(f)
+    raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
+
+
+def naive_gf_add(a, b, p, m):
+    """Digit-wise sum of two base-p field labels."""
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(m))
+
+
+def naive_gf_mul(a, b, p, modulus):
+    """Schoolbook polynomial product of two field labels, reduced by the modulus."""
+    m = len(modulus) - 1
+    da = [a // p**i % p for i in range(m)]
+    db = [b // p**i % p for i in range(m)]
+    product_ = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            product_[i + j] += x * y
+    return sum(c * p**i for i, c in enumerate(_naive_poly_mod(product_, modulus, p)))
+
+
+def naive_gf_pow(a, e, p, modulus):
+    """a^e by square-and-multiply over naive_gf_mul; 0^0 = 1."""
+    out = 1
+    while e:
+        if e & 1:
+            out = naive_gf_mul(out, a, p, modulus)
+        a = naive_gf_mul(a, a, p, modulus)
+        e >>= 1
+    return out

@@ -5,6 +5,7 @@ import pytest
 
 from oakit.algebra import (
     column_vector,
+    FiniteField,
     cyclic_group,
     ds_linear,
     ds_poly3,
@@ -23,6 +24,12 @@ from oakit.algebra import (
 from oakit.arrays import MixedArray, distance_spectrum, min_distance, verify_strength
 from oakit.constructions import bush_oa
 from oakit.errors import ParameterError, VerificationError
+from oracles import (
+    naive_gf_add,
+    naive_gf_mul,
+    naive_gf_pow,
+    naive_smallest_irreducible,
+)
 
 
 class TestFiniteFields:
@@ -53,6 +60,51 @@ class TestFiniteFields:
         assert np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]])
         for a in range(1, q):
             assert gf.mul(a, gf.inv(a)) == 1
+
+    def test_modulus_is_smallest_irreducible(self):
+        # GF(729) used to pick the reducible x^6 + x + 1 (root 1 over GF(3))
+        for q in range(2, 4097):
+            pm = prime_power_decomposition(q)
+            if pm is not None:
+                assert FiniteField(q).modulus == naive_smallest_irreducible(*pm), q
+        assert finite_field(729).modulus == (2, 1, 0, 0, 0, 0, 1)
+
+    @pytest.mark.parametrize("q", [729, 1024, 3**10, 65521, 1 << 16])
+    def test_arithmetic_matches_polynomial_oracle(self, q):
+        gf = finite_field(q)
+        p, m, modulus = gf.p, gf.m, gf.modulus
+        rng = np.random.default_rng(q)
+        a = np.concatenate([[0, 0, 1, q - 1], rng.integers(0, q, size=60)])
+        b = np.concatenate([[0, 5, 0, q - 1], rng.integers(0, q, size=60)])
+        e = np.concatenate([[0, 3, 0, q - 1], rng.integers(0, 3 * q, size=60)])
+        for x, y, n in zip(a.tolist(), b.tolist(), e.tolist()):
+            assert gf.add(x, y) == naive_gf_add(x, y, p, m)
+            assert gf.add(gf.sub(x, y), y) == x and gf.add(x, gf.neg(x)) == 0
+            assert gf.mul(x, y) == naive_gf_mul(x, y, p, modulus)
+            assert gf.pow(x, n) == naive_gf_pow(x, n, p, modulus)
+            if x:
+                assert naive_gf_mul(x, int(gf.inv(x)), p, modulus) == 1
+                if q % 2:
+                    square = naive_gf_pow(x, (q - 1) // 2, p, modulus) == 1
+                    assert gf.quadratic_character(x) == (1 if square else -1)
+        # numpy arguments give the scalar results elementwise, with broadcasting
+        pairs = list(zip(a.tolist(), b.tolist()))
+        for op in (gf.add, gf.sub, gf.mul):
+            assert op(a, b).tolist() == [op(x, y) for x, y in pairs]
+        for n in (0, 7):
+            assert gf.pow(a, n).tolist() == [gf.pow(x, n) for x in a.tolist()]
+        chi = gf.quadratic_character(a)
+        assert chi.tolist() == [gf.quadratic_character(x) for x in a.tolist()]
+        nonzero = np.where(a == 0, 1, a)
+        assert gf.inv(nonzero).tolist() == [gf.inv(x) for x in nonzero.tolist()]
+        table = gf.mul(a[:8, None], b[None, :8])
+        assert table.tolist() == [[gf.mul(x, y) for y in b[:8].tolist()] for x in a[:8].tolist()]
+        with pytest.raises(ParameterError):
+            gf.inv(a)
+
+    def test_order_cap(self):
+        with pytest.raises(ParameterError, match="exceeds 2"):
+            FiniteField((1 << 16) + 1)
 
     def test_not_prime_power(self):
         with pytest.raises(ParameterError):

@@ -144,6 +144,26 @@ class TestParameterParsing:
         code, _, err = run(capsys, *argv)
         assert code == 4 and "must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--runs", "x", "--levels", "2,2", "--strength", "1"),
+            ("verify", "f.moa", "--strength", "2", "--bogus"),
+            ("search", "--levels", "2,2", "--strength", "1"),
+            ("nope",),
+            (),
+        ],
+        ids=["invalid-int", "unknown-option", "missing-required", "unknown-command", "empty"],
+    )
+    def test_usage_error_exits_4(self, argv, capsys):
+        code, _, err = run(capsys, *argv)
+        assert code == 4 and "usage:" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "usage:" in capsys.readouterr().out
+
 
 class TestFeasibleAndCatalog:
     def test_feasible(self, capsys):

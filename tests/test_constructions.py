@@ -279,6 +279,19 @@ class TestFamilies:
         with pytest.raises(ParameterError):
             two_uniform_3m2n(4, 30)
 
+    def test_caller_host_checked_and_trimmed(self):
+        from oakit.catalog import seed_array
+
+        with pytest.raises(ParameterError, match="over levels 3 and 2"):
+            two_uniform_3m2n(1, 9, host=trivial_moa((4, 2)))
+        with pytest.raises(ParameterError, match="over levels 5 and 2"):
+            two_uniform_dm2n(5, 1, 9, host=trivial_moa((4, 2)))
+        # the 36-run host over 3^2 2^2 loses its second ternary column
+        arr, cert = two_uniform_3m2n(
+            1, 21, host=seed_array("moa-36-3^2x2^2"), host_seed_name="moa-36"
+        )
+        assert arr.profile() == "3^1 2^21" and cert.seeds == ("moa-36",)
+
     def test_d4_family(self):
         arr, cert = two_uniform_dm2n(4, 1, 7)
         assert arr.profile() == "4^1 2^7" and cert.measured_md >= 3
