@@ -337,7 +337,13 @@ class FiniteField:
         return range(self.q)
 
     def quadratic_character(self, a):
-        """+1 for nonzero squares, -1 for non-squares, 0 for 0 (Euler's criterion, odd q)."""
+        """+1 for nonzero squares, -1 for non-squares, 0 for 0.
+
+        Euler's criterion for odd q; in characteristic 2 squaring is a
+        bijection, so every nonzero element is a square.
+        """
+        if self.p == 2:
+            return (a != 0) * 1
         return (2 * (self.pow(a, (self.q - 1) // 2) == 1) - 1) * (a != 0)
 
 

@@ -4,7 +4,7 @@ Seeds are never invented.  Each one is produced by a deterministic
 generator (an algebraic construction), stored as package data, or must be
 imported from a file.  The stored seeds are the results of canonical
 backtracking searches: ``seeds/<name>.moa`` is a moa v1 file whose ``#``
-header records the generating call and, for ``search_moa``, its node count.
+header records the generating call and its node count.
 Every seed declares a predicate (runs, levels, strength, and a distance
 floor for arrays; rows, order and strength for schemes), and materializing
 a seed always checks it before the result is memoized per process, so a
@@ -37,7 +37,7 @@ from .constructions import (
 from .errors import MissingSeedError, OakitError, ParameterError, VerificationError
 from .formats import parse_any, serialize_array, serialize_scheme
 from .quantum import SparseState, emit_state, verify_k_uniform
-from .search import SearchResult, SearchSpec, search_moa, search_scheme
+from .search import SearchSpec, search_moa, search_scheme
 
 __all__ = [
     "SeedPredicate",
@@ -120,20 +120,24 @@ def _provenance(name: str, description: str, *lines: str) -> str:
     return "".join(f"# {line}\n" for line in (f"seed {name}: {description}", *lines))
 
 
-def _search_moa_seed(name, description, runs, levels, strength, w):
-    spec = SearchSpec(runs, levels, strength, min_distance=w, node_budget=20_000_000)
-
+def _search_seed(name, description, predicate, call, search, render) -> SeedEntry:
     def regenerate() -> str:
-        result = search_moa(spec)
+        result = search()
         if not result.found:
             raise VerificationError(f"seed {name!r}: search ended {result.status}")
-        header = _provenance(
-            name, description, f"generated by search_moa({spec!r})", f"nodes {result.nodes}"
-        )
-        return header + serialize_array(result.array, strength)
+        header = _provenance(name, description, f"generated by {call}", f"nodes {result.nodes}")
+        return header + render(result.array)
 
-    predicate = SeedPredicate("array", runs, spec.levels, strength, w)
     return SeedEntry(name, description, "search", predicate, regenerate=regenerate)
+
+
+def _search_moa_seed(name, description, runs, levels, strength, w):
+    spec = SearchSpec(runs, levels, strength, min_distance=w, node_budget=20_000_000)
+    return _search_seed(
+        name, description, SeedPredicate("array", runs, spec.levels, strength, w),
+        f"search_moa({spec!r})", lambda: search_moa(spec),
+        lambda array: serialize_array(array, strength),
+    )
 
 
 def _search_scheme_seed(name, description, rows, cols, order, strength, budget):
@@ -141,15 +145,11 @@ def _search_scheme_seed(name, description, rows, cols, order, strength, budget):
         f"search_scheme(rows={rows}, cols={cols}, order={order}, "
         f"strength={strength}, node_budget={budget})"
     )
-
-    def regenerate() -> str:
-        scheme = search_scheme(rows, cols, order, strength, node_budget=budget)
-        if isinstance(scheme, SearchResult):
-            raise VerificationError(f"seed {name!r}: search ended {scheme.status}")
-        return _provenance(name, description, f"generated by {call}") + serialize_scheme(scheme)
-
-    predicate = SeedPredicate("scheme", rows, (order,) * cols, strength)
-    return SeedEntry(name, description, "search", predicate, regenerate=regenerate)
+    return _search_seed(
+        name, description, SeedPredicate("scheme", rows, (order,) * cols, strength),
+        call, lambda: search_scheme(rows, cols, order, strength, node_budget=budget),
+        serialize_scheme,
+    )
 
 
 _SEEDS: dict[str, SeedEntry] = {}

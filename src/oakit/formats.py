@@ -149,19 +149,25 @@ def parse_any(text: str):
             raise FormatError(f"non-integer symbol in row {line!r}") from exc
     if len(rows) != runs:
         raise FormatError(f"declared {runs} rows, found {len(rows)}")
-    cells = np.array(rows, dtype=np.int64)
+    try:
+        cells = np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError("symbol outside the int64 range") from exc
     kind = header.get("kind")
     if kind is None:
         return MixedArray(levels, cells)
     from .algebra import DifferenceScheme, HadamardMatrix01, additive_group
 
-    parts = kind.split()
+    parts = kind.split() or [""]
     if parts[0] == "hadamard":
         return HadamardMatrix01(len(rows), cells)
     if parts[0] == "ds":
         if len(parts) not in (3, 4):
             raise FormatError(f"malformed kind line {kind!r}")
-        d, t = int(parts[1]), int(parts[2])
+        try:
+            d, t = int(parts[1]), int(parts[2])
+        except ValueError as exc:
+            raise FormatError(f"malformed kind line {kind!r}") from exc
         tag = parts[3] if len(parts) == 4 else "mod"
         if set(levels) != {d}:
             raise FormatError("difference scheme levels must all equal its order")

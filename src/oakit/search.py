@@ -1,17 +1,25 @@
 """Backtracking search for small arrays, schemes, and partitions.
 
-The searcher fills rows top-down, cell by cell, under a canonical form that
-touches every isomorphism class at least once: the first row is all zeros
-(per-column symbol relabeling), rows are lexicographically nondecreasing
-(row permutation), and columns of equal level are lexicographically
-nondecreasing as vectors (column permutation).  Pruning uses exact partial
-tuple counters for every k-column subset plus a running distance floor
-against completed rows.  Depth-first order with ascending symbols makes the
-first result, and therefore every verdict, deterministic.
+One engine, ``_backtrack``, fills rows top-down, cell by cell, under a
+canonical form that touches every isomorphism class at least once: the
+first row is all zeros (per-column symbol relabeling), rows are
+lexicographically nondecreasing (row permutation), and columns with the
+same symbol range are lexicographically nondecreasing as vectors (column
+permutation).  Pruning uses exact partial counters plus an optional running
+distance floor against completed rows.  Depth-first order with ascending
+symbols makes the first result, the node count, and therefore every
+verdict, deterministic.
+
+The engine knows nothing of what it searches for; three tables set it up.
+``search_moa`` counts the raw tuple on every t-subset of columns.
+``search_scheme`` counts, on every 2-subset (and t-subset when t > 2), the
+differences of the earlier columns against the last one, which are what a
+column shift leaves invariant, and pins its first column to zero by giving
+it a single symbol.
 
 A search that exhausts the canonical space proves nonexistence; running out
-of node budget is reported distinctly.  Returned arrays are always re-checked
-by the exact oracles; the searcher never self-certifies.
+of node budget is reported distinctly.  Returned arrays and schemes are
+always re-checked by the exact oracles; the searcher never self-certifies.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -67,7 +76,7 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # "found" | "exhausted" | "budget" | "infeasible"
-    array: MixedArray | None = None
+    array: MixedArray | DifferenceScheme | None = None
     nodes: int = 0
     reason: str | None = None
 
@@ -100,129 +109,91 @@ class _Budget:
         return True
 
 
-def _prepare_counters(levels: tuple[int, ...], runs: int, sizes: list[int]):
-    """Tuple counters for every subset of each size, grouped by last column."""
-    n = len(levels)
-    lams: list[int] = []
-    counters: list[np.ndarray] = []
-    by_last: list[list[tuple[tuple[int, ...], int, list[int]]]] = [[] for _ in range(n)]
-    si = 0
-    for size in sizes:
-        for subset in combinations(range(n), size):
-            dims = [levels[j] for j in subset]
-            d_prod = prod(dims)
-            lams.append(runs // d_prod)
-            counters.append([0] * d_prod)
-            radix: list[int] = []
-            m = 1
-            for d in reversed(dims):
-                radix.append(m)
-                m *= d
-            by_last[subset[-1]].append((subset, si, list(reversed(radix))))
-            si += 1
-    return by_last, counters, lams
+def _backtrack(
+    runs: int,
+    hi: tuple[int, ...],
+    counters: list[tuple[tuple[int, ...], tuple[int, ...], int, int]],
+    key: list[list[int]],
+    last: list[int],
+    floor: int | None,
+    node_budget: int | None,
+    finish: Callable[[np.ndarray], MixedArray | DifferenceScheme],
+) -> SearchResult:
+    """The canonical search; ``finish`` checks the found int64 rows and wraps them.
 
+    Column j takes the symbols below ``hi[j]``.  A counter ``(columns, radix,
+    size, lam)`` holds ``size`` tallies, each of which must end at exactly
+    ``lam``.  Placing v in its last column adds one to the tally at
+    ``last[v] + sum(key[v][row[c]] * m)`` over the other (head) columns c and
+    their radix m.  ``floor`` bounds the distance between finished rows.
+    """
+    n = len(hi)
+    budget = _Budget(node_budget)
+    cells = [[0] * n for _ in range(runs)]
+    tallies: list[tuple[list[int], int]] = []
+    by_last: list[list[tuple[list[tuple[int, int]], list[int], int]]] = [[] for _ in range(n)]
+    for columns, radix, size, lam in counters:
+        tally = [0] * size
+        tally[last[0] + key[0][0] * sum(radix)] = 1  # the all-zero first row
+        tallies.append((tally, lam))
+        by_last[columns[-1]].append((list(zip(columns[:-1], radix)), tally, lam))
 
-class _ArraySearcher:
-    """Row-by-row canonical search shared by the MOA search."""
-
-    def __init__(self, spec: SearchSpec):
-        self.spec = spec
-        self.n = len(spec.levels)
-        self.levels = spec.levels
-        self.r = spec.runs
-        self.w = spec.min_distance
-        self.cells = [[0] * self.n] + [[-1] * self.n for _ in range(self.r - 1)]
-        if spec.strength >= 1:
-            self.by_last, self.counters, self.lams = _prepare_counters(
-                spec.levels, spec.runs, [spec.strength]
-            )
-            for lst in self.by_last:
-                for _subset, si, _radix in lst:
-                    self.counters[si][0] += 1  # the forced all-zero first row
-        else:
-            self.by_last = [[] for _ in range(self.n)]
-            self.counters, self.lams = [], []
-        self.budget = _Budget(spec.node_budget)
-
-    def run(self) -> bool:
-        if self.r == 1:
-            return True
-        return self._fill_row(1)
-
-    def _fill_row(self, i: int) -> bool:
-        if i == self.r:
-            return True
-        pd = [0] * i
-        return self._place(i, 0, pd)
-
-    def _starved(self, rows_done: int) -> bool:
-        # a tuple whose deficit exceeds the rows still to come can never
+    def starved(rows_done: int) -> bool:
+        # a tally whose deficit exceeds the rows still to come can never
         # reach its exact count
-        left = self.r - rows_done
-        for counter, lam in zip(self.counters, self.lams):
-            floor = lam - left
-            if floor > 0:
-                for c in counter:
-                    if c < floor:
-                        return True
-        return False
+        left = runs - rows_done
+        return any(lam > left and min(tally) < lam - left for tally, lam in tallies)
 
-    def _place(self, i: int, j: int, pd: list[int]) -> bool:
-        if j == self.n:
-            if self._starved(i + 1):
-                return False
-            return self._fill_row(i + 1)
-        cells, levels = self.cells, self.levels
+    def fill_row(i: int) -> bool:
+        return i == runs or place(i, 0, [0] * i)
+
+    def place(i: int, j: int, pd: list[int]) -> bool:
+        if j == n:
+            return not starved(i + 1) and fill_row(i + 1)
         row, prev = cells[i], cells[i - 1]
-        lo = prev[j] if all(row[c] == prev[c] for c in range(j)) else 0
-        if j and levels[j] == levels[j - 1]:
-            # equal-level columns must be lexicographically nondecreasing
-            if all(cells[p][j - 1] == cells[p][j] for p in range(i)):
-                lo = max(lo, row[j - 1])
-        w, counters, lams = self.w, self.counters, self.lams
-        touched = self.by_last[j]
-        remaining = self.n - j - 1
-        for v in range(lo, levels[j]):
-            if not self.budget.tick():
+        lo = prev[j] if row[:j] == prev[:j] else 0
+        # columns with the same symbol range stay lexicographically nondecreasing
+        if j and hi[j] == hi[j - 1] and all(cells[p][j - 1] == cells[p][j] for p in range(i)):
+            lo = max(lo, row[j - 1])
+        touched = by_last[j]
+        remaining = n - j - 1
+        for v in range(lo, hi[j]):
+            if not budget.tick():
                 return False
             row[j] = v
+            kv = key[v]
             ok = True
-            bumped: list[tuple[int, int]] = []
-            for subset, si, radix in touched:
-                code = 0
-                for c, m in zip(subset, radix):
-                    code += row[c] * m
-                if counters[si][code] >= lams[si]:
+            bumped: list[tuple[list[int], int]] = []
+            for head, tally, lam in touched:
+                code = last[v]
+                for c, m in head:
+                    code += kv[row[c]] * m
+                if tally[code] >= lam:
                     ok = False
                     break
-                counters[si][code] += 1
-                bumped.append((si, code))
-            if ok and w is not None:
-                for p in range(i):
-                    if cells[p][j] != v:
-                        pd[p] += 1
-                for p in range(i):
-                    if pd[p] + remaining < w:
-                        ok = False
-                        break
-                if ok:
-                    ok = self._place(i, j + 1, pd)
+                tally[code] += 1
+                bumped.append((tally, code))
+            if ok and floor is not None:
+                moved = [p for p in range(i) if cells[p][j] != v]
+                for p in moved:
+                    pd[p] += 1
+                ok = all(d + remaining >= floor for d in pd) and place(i, j + 1, pd)
                 if not ok:
-                    for p in range(i):
-                        if cells[p][j] != v:
-                            pd[p] -= 1
+                    for p in moved:
+                        pd[p] -= 1
             elif ok:
-                ok = self._place(i, j + 1, pd)
+                ok = place(i, j + 1, pd)
             if ok:
                 return True
-            for si, code in bumped:
-                counters[si][code] -= 1
-            if self.budget.hit:
-                row[j] = -1
+            for tally, code in bumped:
+                tally[code] -= 1
+            if budget.hit:
                 return False
-        row[j] = -1
         return False
+
+    if fill_row(1):
+        return SearchResult("found", finish(np.array(cells, dtype=np.int64)), budget.nodes)
+    return SearchResult("budget" if budget.hit else "exhausted", nodes=budget.nodes)
 
 
 def search_moa(spec: SearchSpec) -> SearchResult:
@@ -241,23 +212,29 @@ def search_moa(spec: SearchSpec) -> SearchResult:
                 reason=f"distance floor {spec.min_distance} exceeds "
                 f"{len(spec.levels)} columns",
             )
-    searcher = _ArraySearcher(spec)
-    if searcher.run():
-        array = MixedArray(spec.levels, np.array(searcher.cells, dtype=np.int64))
-        _certify(array, spec)
-        return SearchResult("found", array, nodes=searcher.budget.nodes)
-    if searcher.budget.hit:
-        return SearchResult("budget", nodes=searcher.budget.nodes)
-    return SearchResult("exhausted", nodes=searcher.budget.nodes)
+    levels = spec.levels
+    counters = []
+    if spec.strength:  # strength 0 counts nothing
+        for columns in combinations(range(len(levels)), spec.strength):
+            dims = [levels[c] for c in columns]
+            radix = tuple(prod(dims[p + 1 :]) for p in range(len(dims) - 1))
+            counters.append((columns, radix, prod(dims), spec.runs // prod(dims)))
+    symbols = list(range(max(levels, default=0)))  # the tallies count raw tuples
+    return _backtrack(
+        spec.runs, levels, counters, [symbols] * len(symbols), symbols,
+        spec.min_distance, spec.node_budget,
+        lambda cells: _certify(MixedArray(levels, cells), spec),
+    )
 
 
-def _certify(array: MixedArray, spec: SearchSpec) -> None:
+def _certify(array: MixedArray, spec: SearchSpec) -> MixedArray:
     report = verify_strength(array, spec.strength)
     if not report.holds:
         raise VerificationError("search produced an array failing the strength oracle")
     if spec.min_distance is not None and array.runs > 1:
         if min_distance(array) < spec.min_distance:
             raise VerificationError("search produced an array below the distance floor")
+    return array
 
 
 def search_scheme(
@@ -267,7 +244,7 @@ def search_scheme(
     strength: int,
     group: AdditiveGroup | None = None,
     node_budget: int | None = None,
-) -> DifferenceScheme | SearchResult:
+) -> SearchResult:
     """Search for a difference scheme D_t(rows, cols, order).
 
     Canonical form: first row and first column all zero (row and column
@@ -275,7 +252,8 @@ def search_scheme(
     lexicographically nondecreasing.  Counters track shift-normalized
     difference tuples: for every t-subset of columns, each (t-1)-tuple of
     differences against the subset's last column must occur exactly
-    rows / order^(t-1) times (and rows / order for pairs).
+    rows / order^(t-1) times (and rows / order for pairs).  A found scheme
+    is the result's ``array``.
     """
     group = group or cyclic_group(order)
     if group.order != order:
@@ -288,93 +266,23 @@ def search_scheme(
         )
     if cols < strength:
         return SearchResult("infeasible", reason="fewer columns than the strength")
-    neg = [group.neg(x) for x in range(order)]
-    table = [list(map(int, row)) for row in group.table]
+    counters = []
+    for size in sorted({2, strength}):
+        radix = tuple(order**p for p in range(size - 2, -1, -1))
+        for columns in combinations(range(cols), size):
+            counters.append((columns, radix, order ** (size - 1), rows // order ** (size - 1)))
+    symbols = np.arange(order)
+    differences = group.sub(symbols[None, :], symbols[:, None]).tolist()  # [v][x] = x - v
 
-    sizes = [2] if strength == 2 else [2, strength]
-    lams: list[int] = []
-    counters: list[np.ndarray] = []
-    by_last: list[list[tuple[tuple[int, ...], int, list[int]]]] = [[] for _ in range(cols)]
-    si = 0
-    for size in sizes:
-        for subset in combinations(range(cols), size):
-            lams.append(rows // order ** (size - 1))
-            counters.append([0] * order ** (size - 1))
-            radix = [order**p for p in range(size - 2, -1, -1)]
-            by_last[subset[-1]].append((subset, si, radix))
-            si += 1
+    def finish(matrix: np.ndarray) -> DifferenceScheme:
+        if not is_difference_scheme(matrix, order, strength, group).holds:
+            raise VerificationError("scheme search result failed the expansion oracle")
+        return DifferenceScheme(matrix, order, strength, group, verify=False)
 
-    cells = [[0] * cols] + [[-1] * cols for _ in range(rows - 1)]
-    for lst in by_last:
-        for _subset, si_, _radix in lst:
-            counters[si_][0] += 1
-    budget = _Budget(node_budget)
-
-    def starved(rows_done: int) -> bool:
-        left = rows - rows_done
-        for counter, lam in zip(counters, lams):
-            floor = lam - left
-            if floor > 0:
-                for c in counter:
-                    if c < floor:
-                        return True
-        return False
-
-    def place(i: int, j: int) -> bool:
-        if j == cols:
-            if starved(i + 1):
-                return False
-            return fill_row(i + 1)
-        row, prev = cells[i], cells[i - 1]
-        if j == 0:
-            choices: range | list[int] = [0]
-        else:
-            lo = prev[j] if all(row[c] == prev[c] for c in range(j)) else 0
-            if all(cells[p][j - 1] == cells[p][j] for p in range(i)):
-                lo = max(lo, row[j - 1])
-            choices = range(lo, order)
-        for v in choices:
-            if not budget.tick():
-                return False
-            row[j] = v
-            ok = True
-            bumped: list[tuple[int, int]] = []
-            nv = neg[v]
-            for subset, si_, radix in by_last[j]:
-                code = 0
-                for c, m in zip(subset[:-1], radix):
-                    code += table[row[c]][nv] * m
-                if counters[si_][code] >= lams[si_]:
-                    ok = False
-                    break
-                counters[si_][code] += 1
-                bumped.append((si_, code))
-            if ok:
-                ok = place(i, j + 1)
-            if ok:
-                return True
-            for si_, code in bumped:
-                counters[si_][code] -= 1
-            if budget.hit:
-                row[j] = -1
-                return False
-        row[j] = -1
-        return False
-
-    def fill_row(i: int) -> bool:
-        if i == rows:
-            return True
-        return place(i, 0)
-
-    if not fill_row(1):
-        if budget.hit:
-            return SearchResult("budget", nodes=budget.nodes)
-        return SearchResult("exhausted", nodes=budget.nodes)
-    matrix = np.array(cells, dtype=np.int64)
-    report = is_difference_scheme(matrix, order, strength, group)
-    if not report.holds:
-        raise VerificationError("scheme search result failed the expansion oracle")
-    return DifferenceScheme(matrix, order, strength, group, verify=False)
+    return _backtrack(
+        rows, (1,) + (order,) * (cols - 1), counters, differences, [0] * order,
+        None, node_budget, finish,
+    )
 
 
 def search_partition(array: MixedArray, block_count: int):

@@ -102,6 +102,14 @@ class TestFiniteFields:
         with pytest.raises(ParameterError):
             gf.inv(a)
 
+    @pytest.mark.parametrize("q", [2, 4, 8, 64, 1024, 3, 9, 25, 729])
+    def test_quadratic_character_matches_squares(self, q):
+        gf = finite_field(q)
+        squares = {naive_gf_mul(y, y, gf.p, gf.modulus) for y in range(1, q)}
+        expected = [0] + [1 if x in squares else -1 for x in range(1, q)]
+        assert [gf.quadratic_character(x) for x in range(q)] == expected
+        assert gf.quadratic_character(np.arange(q)).tolist() == expected
+
     def test_order_cap(self):
         with pytest.raises(ParameterError, match="exceeds 2"):
             FiniteField((1 << 16) + 1)

@@ -105,6 +105,12 @@ class TestStoredSeeds:
             catalog._materialize(name)
         assert name not in catalog._SEED_CACHE
 
+    def test_symbol_past_int64_raises(self, seed_dir):
+        name = "moa-6-6x3x2"
+        (seed_dir / f"{name}.moa").write_text(_with_last_row(_stored(name), "5 2 " + "9" * 20))
+        with pytest.raises(VerificationError, match="'moa-6-6x3x2': stored file is invalid"):
+            seed_array(name)
+
     def test_valid_array_of_the_wrong_shape_fails_the_predicate(self, seed_dir):
         (seed_dir / "moa-6-6x3x2.moa").write_text(_stored("moa-12-3x2^4"))
         with pytest.raises(VerificationError, match="'moa-6-6x3x2' fails its predicate"):

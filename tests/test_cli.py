@@ -47,6 +47,21 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "/nonexistent.moa", "--strength", "2")
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("", "9" * 20),  # symbol past int64
+            ("kind \n", "0"),  # empty kind
+            ("kind ds x 2\n", "0"),  # non-integer order
+            ("kind ds 2 y\n", "0"),  # non-integer strength
+        ],
+    )
+    def test_damaged_file_exits_4(self, tmp_path, capsys, header, row):
+        path = tmp_path / "damaged.moa"
+        path.write_text(f"moa v1\n{header}runs 1\nlevels 2\nrows:\n{row}\n")
+        code, _, err = run(capsys, "verify", str(path), "--strength", "1")
+        assert code == 4 and err.startswith("error: ")
+
 
 class TestDistanceStateUniformity:
     def test_distance(self, fixture_file, capsys):

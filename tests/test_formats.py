@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oakit.algebra import DifferenceScheme, ds_linear, hadamard01
 from oakit.arrays import MixedArray, distance_spectrum, is_irredundant, verify_strength
 from oakit.constructions import trivial_moa
-from oakit.errors import FormatError
+from oakit.errors import FormatError, OakitError
 from oakit.formats import (
     parse_any,
     parse_array,
@@ -53,6 +53,44 @@ def test_comments_allowed_before_rows():
 def test_malformed_documents(text):
     with pytest.raises(FormatError):
         parse_array(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "moa v1\nruns 1\nlevels 2\nrows:\n" + "9" * 20 + "\n",  # symbol past int64
+        "moa v1\nruns 1\nlevels 2\nrows:\n-" + "9" * 20 + "\n",  # and below it
+        "moa v1\nkind \nruns 1\nlevels 2\nrows:\n0\n",  # empty kind
+        "moa v1\nkind ds x 2\nruns 1\nlevels 2\nrows:\n0\n",  # non-integer order
+        "moa v1\nkind ds 2 y\nruns 1\nlevels 2\nrows:\n0\n",  # non-integer strength
+    ],
+)
+def test_damaged_documents_raise_format_error(text):
+    with pytest.raises(FormatError):
+        parse_any(text)
+
+
+_VALID_DOCUMENTS = [
+    serialize_array(trivial_moa((3, 2)), strength=2),
+    serialize_scheme(ds_linear(3, 1)),
+    serialize_scheme(ds_linear(4, 1)),
+    serialize_hadamard(hadamard01(4)),
+]
+_PIECES = ["0", "1", "2", "7", "-", " ", "\n", "#", "x", "kind ", "ds ", " gf", "rows:", "9" * 20]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_mutated_documents_raise_only_oakit_errors(data):
+    text = data.draw(st.sampled_from(_VALID_DOCUMENTS))
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = data.draw(st.integers(0, len(text)))
+        cut = data.draw(st.integers(0, 3))
+        text = text[:pos] + data.draw(st.sampled_from(_PIECES)) + text[pos + cut :]
+    try:
+        parse_any(text)
+    except OakitError:
+        pass
 
 
 def test_scheme_round_trip_cyclic():

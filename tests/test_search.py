@@ -1,16 +1,15 @@
 """Canonical backtracking search: soundness, completeness, determinism."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
-from oakit.algebra import ds_linear, expand
+from oakit.algebra import ds_linear, expand, is_difference_scheme
 from oakit.arrays import MixedArray, min_distance, verify_strength
 from oakit.errors import ParameterError
 from oakit.search import (
     NonexistenceResult,
-    SearchResult,
     SearchSpec,
     exhaustive_nonexistence,
     search_moa,
@@ -84,21 +83,62 @@ class TestCompleteness:
         return rec(0, [])
 
 
+class TestSchemeCompleteness:
+    """The scheme search's canonical form must keep a member of every class."""
+
+    @pytest.mark.parametrize(
+        "rows,cols,order,t,nodes",
+        [
+            (4, 3, 2, 2, 16),
+            (4, 5, 2, 2, 39),
+            (3, 4, 3, 2, 8),
+            (6, 4, 2, 2, 210),
+            (4, 3, 2, 3, 12),
+            (8, 3, 2, 3, 24),
+        ],
+    )
+    def test_verdict_matches_brute_force(self, rows, cols, order, t, nodes):
+        result = search_scheme(rows, cols, order, t)
+        assert result.found == self._brute_force_exists(rows, cols, order, t)
+        assert result.status in ("found", "exhausted")
+        assert result.nodes == nodes
+        if result.found:
+            assert is_difference_scheme(result.array.cells, order, t).holds
+
+    @staticmethod
+    def _brute_force_exists(rows, cols, order, t) -> bool:
+        # adding a constant to a row leaves the expansion unchanged, so rows
+        # that start with 0 reach every scheme
+        candidates = [(0,) + rest for rest in product(range(order), repeat=cols - 1)]
+        return any(
+            is_difference_scheme(np.array(picked), order, t).holds
+            for picked in combinations_with_replacement(candidates, rows)
+        )
+
+
+class TestNodeCounts:
+    @pytest.mark.parametrize(
+        "spec,nodes", [(SearchSpec(8, (4, 2, 2), 2), 33), (SearchSpec(9, (3, 3, 3), 2), 87)]
+    )
+    def test_moa_node_counts_are_pinned(self, spec, nodes):
+        assert search_moa(spec).nodes == nodes
+
+
 class TestSearchScheme:
     def test_small_scheme(self):
-        scheme = search_scheme(6, 3, 3, 2)
-        assert not isinstance(scheme, SearchResult)
-        assert verify_strength(expand(scheme), 2).holds
+        result = search_scheme(6, 3, 3, 2)
+        assert result.found
+        assert verify_strength(expand(result.array), 2).holds
 
     def test_infeasible_when_rows_do_not_divide(self):
         result = search_scheme(9, 4, 2, 2)
-        assert isinstance(result, SearchResult) and result.status == "infeasible"
+        assert result.status == "infeasible" and result.array is None
 
     def test_determinism(self):
         a = search_scheme(12, 4, 2, 3)
         b = search_scheme(12, 4, 2, 3)
-        assert not isinstance(a, SearchResult)
-        assert np.array_equal(a.cells, b.cells)
+        assert a.found
+        assert np.array_equal(a.array.cells, b.array.cells) and a.nodes == b.nodes
 
 
 class TestSearchPartition:
