@@ -16,18 +16,18 @@ then disagree in exactly n/2 places.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 from typing import Sequence
 
 import numpy as np
 
-from .arrays import MixedArray, concat_columns, verify_strength
+from .arrays import MixedArray, StrengthReport, StrengthWitness, concat_columns, verify_strength
 from .errors import ConstructionError, ParameterError, VerificationError
 
 __all__ = [
     "AdditiveGroup",
-    "additive_group",
     "cyclic_group",
     "gf_additive_group",
     "FiniteField",
@@ -42,7 +42,6 @@ __all__ = [
     "ds_poly3",
     "kronecker_sum",
     "expand",
-    "expand_scheme",
     "juxtapose_scheme_raw",
     "repeat_rows_each",
     "tile_rows",
@@ -56,65 +55,57 @@ __all__ = [
 # groups
 
 
+def _digitwise(a, b, sign: int, p: int, m: int):
+    """a + sign * b in GF(p^m): base-p digit by digit mod p, elementwise."""
+    out = 0
+    pk = 1
+    for _ in range(m):
+        out = out + (a // pk + sign * (b // pk)) % p * pk
+        pk *= p
+    return out
+
+
 @dataclass(frozen=True)
 class AdditiveGroup:
-    """A finite abelian group on symbols 0..order-1, given by its table."""
+    """A finite abelian group on the symbols 0..order-1, computed, not tabulated.
+
+    Tag "mod" is the cyclic group Z_order.  Tag "gf" is the additive group
+    of GF(order), order a prime power up to 2^16, on the field's base-p
+    labels; a prime order is cyclic either way, so there the tag becomes
+    "mod".  ``add`` and ``sub`` work elementwise on ints and numpy arrays.
+    """
 
     order: int
-    tag: str  # "mod" (cyclic) or "gf" (elementary abelian)
-    table: np.ndarray = field(repr=False)
+    tag: str
+
+    def __post_init__(self) -> None:
+        if self.tag not in ("mod", "gf"):
+            raise ParameterError(f"unknown group tag {self.tag!r}")
+        if self.tag == "gf" and _require_prime_power(self.order)[1] == 1:
+            object.__setattr__(self, "tag", "mod")
+        if self.tag == "gf" and self.order > 1 << 16:
+            raise ParameterError(f"field order {self.order} exceeds 2^16")
+        if self.order < 2:
+            raise ParameterError(f"group order must be >= 2, got {self.order}")
 
     def add(self, a, b):
-        return self.table[a, b]
-
-    def neg(self, a: int) -> int:
-        row = self.table[a]
-        return int(np.flatnonzero(row == 0)[0])
+        if self.tag == "mod":
+            return (a + b) % self.order
+        return _digitwise(a, b, 1, *prime_power_decomposition(self.order))
 
     def sub(self, a, b):
-        if np.isscalar(a) and np.isscalar(b):
-            return self.table[a, self.neg(int(b))]
-        negs = np.array([self.neg(x) for x in range(self.order)])
-        return self.table[a, negs[b]]
-
-    def check_axioms(self) -> None:
-        """Exhaustive associativity/identity/inverse check (use for order <= 64)."""
-        d = self.order
-        t = self.table
-        if not np.array_equal(t[0], np.arange(d)) or not np.array_equal(t[:, 0], np.arange(d)):
-            raise VerificationError("0 is not the identity")
-        for a in range(d):
-            if 0 not in t[a]:
-                raise VerificationError(f"{a} has no inverse")
-        # associativity: t[t[a,b],c] == t[a,t[b,c]]
-        left = t[t, :]  # shape (d, d, d): left[a, b, c]
-        right = t[:, t].transpose(0, 1, 2)
-        if not np.array_equal(left, right):
-            raise VerificationError("operation is not associative")
+        if self.tag == "mod":
+            return (a - b) % self.order
+        return _digitwise(a, b, -1, *prime_power_decomposition(self.order))
 
 
 def cyclic_group(d: int) -> AdditiveGroup:
-    if d < 2:
-        raise ParameterError(f"group order must be >= 2, got {d}")
-    idx = np.arange(d)
-    return AdditiveGroup(d, "mod", (idx[:, None] + idx[None, :]) % d)
+    return AdditiveGroup(d, "mod")
 
 
 def gf_additive_group(q: int) -> AdditiveGroup:
     """Additive group of GF(q) on base-p integer labels (carry-free addition)."""
-    _, m = _require_prime_power(q)
-    if m == 1:
-        return cyclic_group(q)
-    idx = np.arange(q)
-    return AdditiveGroup(q, "gf", finite_field(q).add(idx[:, None], idx[None, :]))
-
-
-def additive_group(d: int, tag: str = "mod") -> AdditiveGroup:
-    if tag == "mod":
-        return cyclic_group(d)
-    if tag == "gf":
-        return gf_additive_group(d)
-    raise ParameterError(f"unknown group tag {tag!r}")
+    return AdditiveGroup(q, "gf")
 
 
 # ---------------------------------------------------------------------------
@@ -304,19 +295,11 @@ class FiniteField:
         raise ConstructionError(f"no irreducible polynomial found for GF({p}^{m})")
 
     # -- arithmetic ----------------------------------------------------------
-    def _digitwise(self, a, b, sign: int):
-        out = 0
-        pk = 1
-        for _ in range(self.m):
-            out = out + (a // pk + sign * (b // pk)) % self.p * pk
-            pk *= self.p
-        return out
-
     def add(self, a, b):
-        return self._digitwise(a, b, 1)
+        return _digitwise(a, b, 1, self.p, self.m)
 
     def sub(self, a, b):
-        return self._digitwise(a, b, -1)
+        return _digitwise(a, b, -1, self.p, self.m)
 
     def neg(self, a):
         return self.sub(0, a)
@@ -332,9 +315,6 @@ class FiniteField:
     def pow(self, a, e: int):
         n = self.q - 1
         return self._exp[self._log[a] * (e % n) % n] * (a != 0) + ((a == 0) & (e == 0))
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def quadratic_character(self, a):
         """+1 for nonzero squares, -1 for non-squares, 0 for 0.
@@ -538,13 +518,9 @@ class DifferenceScheme:
     verify: bool = True
 
     def __post_init__(self) -> None:
-        cells = np.ascontiguousarray(self.cells, dtype=np.int64)
-        if cells.ndim != 2:
-            raise ParameterError("scheme matrix must be 2-D")
+        cells = _scheme_cells(self.cells, self.order)
         if self.group.order != self.order:
             raise ParameterError("group order does not match scheme order")
-        if cells.min() < 0 or cells.max() >= self.order:
-            raise ParameterError("scheme entries out of range")
         if self.strength < 2:
             raise ParameterError("scheme strength tag must be >= 2")
         cells.setflags(write=False)
@@ -573,33 +549,34 @@ class DifferenceScheme:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DifferenceScheme):
             return NotImplemented
-        return (
-            self.order == other.order
-            and self.group.tag == other.group.tag
-            and np.array_equal(self.cells, other.cells)
-        )
+        return self.group == other.group and np.array_equal(self.cells, other.cells)
 
     __hash__ = None  # type: ignore[assignment]
 
 
-def expand_scheme(
-    cells: np.ndarray, d: int, group: AdditiveGroup | None = None
-) -> MixedArray:
+def _scheme_cells(candidate, d: int) -> np.ndarray:
+    cells = np.ascontiguousarray(candidate, dtype=np.int64)
+    if cells.ndim != 2 or not cells.size:
+        raise ParameterError(f"scheme matrix must be 2-D and nonempty, got shape {cells.shape}")
+    if cells.min() < 0 or cells.max() >= d:
+        raise ParameterError("scheme entries out of range")
+    return cells
+
+
+def _expansion(cells: np.ndarray, group: AdditiveGroup) -> MixedArray:
+    d = group.order
+    r, c = cells.shape
+    out = group.add(cells[:, None, :], np.arange(d)[None, :, None]).reshape(r * d, c)
+    return MixedArray((d,) * c, out)
+
+
+def expand(scheme: DifferenceScheme) -> MixedArray:
     """D (+) (d): every scheme row shifted by every group element.
 
     Output row d*i + s is row i shifted by s, so the rows of one scheme row
     stay consecutive (the canonical strength-1 partition blocks).
     """
-    group = group or cyclic_group(d)
-    cells = np.asarray(cells, dtype=np.int64)
-    r, c = cells.shape
-    shifts = np.arange(d)
-    out = group.table[cells[:, None, :], shifts[None, :, None]].reshape(r * d, c)
-    return MixedArray((d,) * c, out)
-
-
-def expand(scheme: DifferenceScheme) -> MixedArray:
-    return expand_scheme(scheme.cells, scheme.order, scheme.group)
+    return _expansion(scheme.cells, scheme.group)
 
 
 def is_difference_scheme(
@@ -607,11 +584,20 @@ def is_difference_scheme(
     d: int,
     t: int,
     group: AdditiveGroup | None = None,
-):
-    """Operational test: D is a strength-t scheme iff D (+) (d) has strength t."""
-    cells = np.asarray(candidate, dtype=np.int64)
-    expanded = expand_scheme(cells, d, group)
-    return verify_strength(expanded, t)
+) -> StrengthReport:
+    """Operational test: D is a strength-t scheme iff D (+) (d) has strength t.
+
+    When d^(t-1) does not divide the row count, the expansion's divisibility
+    witness on columns 0..t-1 is returned without expanding it.
+    """
+    cells = _scheme_cells(candidate, d)
+    rows, cols = cells.shape
+    if t > cols:
+        raise ParameterError(f"strength {t} exceeds column count {cols}")
+    if t >= 1 and rows % d ** (t - 1):
+        witness = StrengthWitness(tuple(range(t)), None, None, Fraction(rows * d, d**t))
+        return StrengthReport(t, False, None, witness)
+    return verify_strength(_expansion(cells, group or cyclic_group(d)), t)
 
 
 def ds_linear(d: int, n: int) -> DifferenceScheme:
@@ -666,9 +652,9 @@ def kronecker_sum(a: MixedArray, b: MixedArray, group: AdditiveGroup) -> MixedAr
     d = group.order
     if set(a.levels) != {d} or set(b.levels) != {d}:
         raise ParameterError(f"both operands must be over {d} levels")
-    out = group.table[
-        a.cells[:, None, :, None], b.cells[None, :, None, :]
-    ].reshape(a.runs * b.runs, a.ncols * b.ncols)
+    out = group.add(a.cells[:, None, :, None], b.cells[None, :, None, :]).reshape(
+        a.runs * b.runs, a.ncols * b.ncols
+    )
     return MixedArray((d,) * (a.ncols * b.ncols), out)
 
 

@@ -3,7 +3,8 @@
 Machine output (moa v1 text or oakit-report-v1 / certificate JSON) goes to
 stdout; human-readable summaries go to stderr.  Exit codes: 0 success,
 2 verification failure or negative search verdict, 3 missing seed,
-4 parameter or format error, including argparse usage errors.
+4 parameter or format error, including argparse usage errors and files
+that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .constructions import (
     two_uniform_from_scheme,
     two_uniform_prime_power,
 )
-from .errors import MissingSeedError, OakitError, ParameterError, VerificationError
+from .errors import FormatError, MissingSeedError, OakitError, ParameterError, VerificationError
 from .formats import (
     dump_json,
     parse_any,
@@ -61,8 +62,15 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
     return tuple(_int(x, what) for x in text.split(","))
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_array(path: str):
-    return parse_array(Path(path).read_text(encoding="utf-8"))
+    return parse_array(_read_text(path))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -70,6 +78,15 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
+
+
+def _emit(array, cert, out: str | None) -> None:
+    """moa v1 to stdout or ``out``; with ``out``, the certificate goes to ``out.cert.json``."""
+    if not cert.verified:
+        raise VerificationError("refusing to emit an unverified array")
+    _write_or_print(serialize_array(array, strength=cert.strength), out)
+    if out:
+        Path(out + ".cert.json").write_text(dump_json(cert.to_json()), encoding="utf-8")
 
 
 def _cmd_verify(args) -> int:
@@ -156,13 +173,7 @@ def _cmd_construct(args) -> int:
             f"unknown pipeline {args.pipeline!r}; choose from "
             f"{sorted(_PIPELINES) + ['thm7', 'thm8']}"
         )
-    if not cert.verified and not args.unverified:
-        raise VerificationError("refusing to emit an unverified array")
-    _write_or_print(serialize_array(array, strength=cert.strength), args.output)
-    if args.output:
-        Path(args.output + ".cert.json").write_text(
-            dump_json(cert.to_json()), encoding="utf-8"
-        )
+    _emit(array, cert, args.output)
     _say(f"built {array!r}, min distance {cert.measured_md}")
     return EXIT_OK
 
@@ -172,12 +183,7 @@ def _cmd_replace(args) -> int:
     replacement = _read_array(args.with_file)
     plan = ReplacementPlan((ColumnReplacement(args.column, replacement),))
     out, cert = expansive_replace(array, plan, args.strength)
-    cert = certify(out, cert)
-    _write_or_print(serialize_array(out, strength=cert.strength), args.output)
-    if args.output:
-        Path(args.output + ".cert.json").write_text(
-            dump_json(cert.to_json()), encoding="utf-8"
-        )
+    _emit(out, certify(out, cert), args.output)
     _say(f"replaced column {args.column}: {out!r}")
     return EXIT_OK
 
@@ -278,13 +284,9 @@ def _cmd_catalog(args) -> int:
         raise ParameterError("catalog build needs an entry id")
     seed = None
     if args.seed:
-        seed = parse_any(Path(args.seed).read_text(encoding="utf-8"))
+        seed = parse_any(_read_text(args.seed))
     array, cert = catalog.catalog_build(args.id, seed=seed)
-    _write_or_print(serialize_array(array, strength=cert.strength), args.output)
-    if args.output:
-        Path(args.output + ".cert.json").write_text(
-            dump_json(cert.to_json()), encoding="utf-8"
-        )
+    _emit(array, cert, args.output)
     _say(f"{args.id}: built {array!r}, min distance {cert.measured_md}")
     return EXIT_OK
 
@@ -310,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pipeline")
     p.add_argument("--params", nargs="*", metavar="key=value")
     p.add_argument("-o", "--output")
-    p.add_argument("--unverified", action="store_true")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("replace", help="expansive replacement of one column")
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     except OakitError as exc:
         _say(f"error: {exc}")
         return EXIT_PARAMETER
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input or unwritable output path
         _say(f"error: {exc}")
         return EXIT_PARAMETER
 

@@ -15,12 +15,14 @@ schemes and Hadamard matrices use the same layout with an extra header line
 directly after the version line: ``kind ds <d> <t>`` (with an optional
 trailing group tag ``mod`` or ``gf``; absent means ``mod``) or
 ``kind hadamard``.  Serialization is bit-exact canonical: single spaces, no
-trailing whitespace, LF endings.
+trailing whitespace, LF endings, integers as ``str(int)`` prints them
+(ASCII decimal; no ``+``, ``_`` or leading zeros), and parsing insists on it.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -122,6 +124,16 @@ def _parse_header(text: str):
     return header, lines[pos:]
 
 
+# tokens with str(int(token)) == token, at most the 19 digits of an int64
+_INTS = re.compile(r"(?:0|-?[1-9][0-9]{0,18})(?: (?:0|-?[1-9][0-9]{0,18}))*")
+
+
+def _ints(text: str, what: str) -> list[int]:
+    if not _INTS.fullmatch(text):
+        raise FormatError(f"{what} must be canonical int64 decimals, got {text!r}")
+    return [int(x) for x in text.split(" ")]
+
+
 def parse_any(text: str):
     """Parse a moa v1 document; returns the kind-appropriate object.
 
@@ -131,47 +143,36 @@ def parse_any(text: str):
     header, row_lines = _parse_header(text)
     if "runs" not in header or "levels" not in header:
         raise FormatError("missing runs or levels header")
-    try:
-        runs = int(header["runs"])
-        levels = tuple(int(x) for x in header["levels"].split())
-    except ValueError as exc:
-        raise FormatError("runs/levels must be integers") from exc
-    rows = []
+    runs = _ints(header["runs"], "runs")
+    levels = tuple(_ints(header["levels"], "levels"))
     for line in row_lines:
         if line.startswith("#"):
             raise FormatError("comments are only allowed before rows:")
-        parts = line.split(" ")
-        if len(parts) != len(levels) or line != " ".join(parts):
+        if not _INTS.fullmatch(line) or line.count(" ") != len(levels) - 1:
             raise FormatError(f"malformed row {line!r}")
-        try:
-            rows.append([int(x) for x in parts])
-        except ValueError as exc:
-            raise FormatError(f"non-integer symbol in row {line!r}") from exc
-    if len(rows) != runs:
-        raise FormatError(f"declared {runs} rows, found {len(rows)}")
+    if runs != [len(row_lines)]:
+        raise FormatError(f"declared {header['runs']} rows, found {len(row_lines)}")
     try:
-        cells = np.array(rows, dtype=np.int64)
+        cells = np.array(" ".join(row_lines).split(), dtype=np.int64)
     except OverflowError as exc:
         raise FormatError("symbol outside the int64 range") from exc
+    cells = cells.reshape(len(row_lines), len(levels))
     kind = header.get("kind")
     if kind is None:
         return MixedArray(levels, cells)
-    from .algebra import DifferenceScheme, HadamardMatrix01, additive_group
+    from .algebra import AdditiveGroup, DifferenceScheme, HadamardMatrix01
 
     parts = kind.split() or [""]
     if parts[0] == "hadamard":
-        return HadamardMatrix01(len(rows), cells)
+        return HadamardMatrix01(len(row_lines), cells)
     if parts[0] == "ds":
         if len(parts) not in (3, 4):
             raise FormatError(f"malformed kind line {kind!r}")
-        try:
-            d, t = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FormatError(f"malformed kind line {kind!r}") from exc
+        d, t = _ints(f"{parts[1]} {parts[2]}", "scheme order and strength")
         tag = parts[3] if len(parts) == 4 else "mod"
         if set(levels) != {d}:
             raise FormatError("difference scheme levels must all equal its order")
-        return DifferenceScheme(cells, d, t, additive_group(d, tag), verify=True)
+        return DifferenceScheme(cells, d, t, AdditiveGroup(d, tag), verify=True)
     raise FormatError(f"unknown kind {parts[0]!r}")
 
 

@@ -64,6 +64,8 @@ class SearchSpec:
             raise ParameterError("levels must all be >= 2")
         if not 0 <= self.strength <= len(self.levels):
             raise ParameterError("strength out of range")
+        if any(x is not None and x < 0 for x in (self.min_distance, self.node_budget)):
+            raise ParameterError("distance floor and node budget must be >= 0")
 
     def divisibility_obstruction(self) -> tuple[int, ...] | None:
         """First k-subset whose level product does not divide the run count."""
@@ -260,6 +262,8 @@ def search_scheme(
         raise ParameterError("group order mismatch")
     if strength < 2:
         raise ParameterError("scheme strength must be >= 2")
+    if node_budget is not None and node_budget < 0:
+        raise ParameterError("node budget must be >= 0")
     if rows % order ** (strength - 1):
         return SearchResult(
             "infeasible", reason=f"{rows} rows not divisible by {order}^{strength - 1}"

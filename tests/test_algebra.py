@@ -121,10 +121,29 @@ class TestFiniteFields:
         assert prime_power_decomposition(49) == (7, 2)
 
     def test_group_axioms(self):
-        cyclic_group(6).check_axioms()
-        cyclic_group(64).check_axioms()
-        gf_additive_group(9).check_axioms()
-        gf_additive_group(8).check_axioms()
+        # add/sub are arithmetic, not tables: check them on ints and on
+        # broadcast arrays against (a +- b) % d and the digit-wise oracle
+        rng = np.random.default_rng(3)
+        for group in (cyclic_group(6), cyclic_group(64), *map(gf_additive_group, (8, 9, 729))):
+            d, pm = group.order, prime_power_decomposition(group.order)
+
+            def naive_add(x, y):
+                return (x + y) % d if group.tag == "mod" else naive_gf_add(x, y, *pm)
+
+            a = np.arange(d) if d <= 64 else rng.integers(0, d, 40)
+            b = a if d <= 64 else rng.integers(0, d, 30)
+            sums = [[naive_add(x, y) for y in b.tolist()] for x in a.tolist()]
+            assert group.add(a[:, None], b[None, :]).tolist() == sums
+            assert [[group.add(x, y) for y in b.tolist()] for x in a.tolist()] == sums
+            diffs = group.sub(a[:, None], b[None, :]).tolist()
+            assert [[group.sub(x, y) for y in b.tolist()] for x in a.tolist()] == diffs
+            assert [[naive_add(z, y) for z, y in zip(row, b.tolist())] for row in diffs] == [
+                [x] * len(b) for x in a.tolist()
+            ]
+            if group.tag == "mod":
+                assert diffs == ((a[:, None] - b[None, :]) % d).tolist()
+            assert np.array_equal(group.add(a, 0), a) and not group.sub(a, a).any()
+        assert gf_additive_group(9).tag == "gf" and gf_additive_group(7) == cyclic_group(7)
 
 
 class TestHadamard:
@@ -191,6 +210,22 @@ class TestDifferenceSchemes:
     def test_ds_poly3_rejects_even(self):
         with pytest.raises(ParameterError):
             ds_poly3(4)
+
+    @pytest.mark.parametrize("rows, d, t", [(1, 6, 2), (2, 4, 2), (6, 2, 3), (3, 3, 3)])
+    def test_divisibility_witness_matches_the_expansion(self, rows, d, t):
+        # rows % d^(t-1) != 0: answered without expanding, with the report
+        # verify_strength gives on the expansion built here by hand
+        cells = np.arange(rows * 3).reshape(rows, 3) % d
+        shifted = (cells[:, None, :] + np.arange(d)[None, :, None]) % d
+        report = verify_strength(MixedArray((d,) * 3, shifted.reshape(rows * d, 3)), t)
+        assert not report.holds and report.witness.symbols is None
+        assert is_difference_scheme(cells, d, t) == report
+
+    def test_out_of_range_or_empty_matrix_rejected(self):
+        with pytest.raises(ParameterError):
+            is_difference_scheme([[0, 5]], 3, 2)
+        with pytest.raises(ParameterError):
+            is_difference_scheme(np.zeros((2, 0), dtype=int), 2, 2)
 
     def test_corrupted_scheme_rejected_at_construction(self):
         from oakit.algebra import DifferenceScheme

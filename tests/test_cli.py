@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oakit.cli import main
 from oakit.constructions import trivial_moa
@@ -61,6 +62,88 @@ class TestVerify:
         path.write_text(f"moa v1\n{header}runs 1\nlevels 2\nrows:\n{row}\n")
         code, _, err = run(capsys, "verify", str(path), "--strength", "1")
         assert code == 4 and err.startswith("error: ")
+
+
+class TestUnreadablePaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "{dir}", "--strength", "1"),
+            ("state", "{dir}"),
+            ("verify", "{latin1}", "--strength", "1"),
+            ("replace", "{array}", "--column", "0", "--with", "{dir}"),
+            ("catalog", "build", "table5/12^1x6^6", "--seed", "{latin1}"),
+            ("construct", "thm8", "--params", "N=4", "M=4", "d=2", "replace_with={dir}"),
+            ("construct", "thm8", "--params", "N=4", "M=4", "d=2", "-o", "{dir}"),
+            ("catalog", "build", "thm1/3^1x2^9", "-o", "{missing}/out.moa"),
+        ],
+        ids=[
+            "verify-dir", "state-dir", "verify-latin1", "replace-with-dir",
+            "catalog-seed-latin1", "construct-replace-with-dir", "construct-o-dir",
+            "catalog-o-missing-dir",
+        ],
+    )
+    def test_exits_4(self, tmp_path, capsys, argv):
+        array = tmp_path / "a.moa"
+        array.write_text(serialize_array(trivial_moa((2, 2))))
+        latin1 = tmp_path / "latin1.moa"
+        latin1.write_bytes(b"moa v1\nruns 1\nlevels 2\nrows:\n\xff\n")
+        paths = {"dir": tmp_path, "latin1": latin1, "array": array, "missing": tmp_path / "no"}
+        code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 4 and err.startswith("error: ")
+
+
+# One command line per subcommand, well-formed when {path} is a readable
+# array file; the test below fills in a path and damages the line.
+# cor2, thm2, thm4 and thm7 are left out: parameters as small as 4 already
+# ask them for arrays of billions of cells.
+_ARGV_TEMPLATES = [
+    "verify {path} --strength 1 --irredundant 1",
+    "distance {path}",
+    "construct thm1 --params m=1 n=2 -o out.moa",
+    "construct thm8 --params N=4 M=4 d=2 replace_with={path}",
+    "replace {path} --column 0 --with {path} --strength 1 -o out.moa",
+    "state {path} --format json",
+    "uniformity {path} --k 1",
+    "search --runs 4 --levels 2,2 --strength 1 --min-distance 1 --budget 10 -o out.moa",
+    "feasible --levels 3,2,2,2,2",
+    "catalog build thm1/3^1x2^9 --seed {path} -o out.moa",
+    "catalog list",
+]
+_TOKENS = [
+    "verify", "construct", "catalog", "build", "thm3", "thm8", "table5/12^1x6^6", "nope",
+    "ket", "x", "", "2,3,2", "6,3,2", "--strength", "--params", "-o", "--column",
+    "--with", "--k", "--runs", "--levels", "--min-distance", "--budget", "--seed",
+]
+_KEYS = ["m", "n", "N", "M", "d", "scheme_keep"]
+
+
+def test_malformed_argv_exits_with_documented_codes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # so that every -o lands in tmp_path
+    array = tmp_path / "a.moa"
+    array.write_text(serialize_array(trivial_moa((2, 2))))
+    latin1 = tmp_path / "latin1.moa"
+    latin1.write_bytes(b"moa v1\nruns 1\nlevels 2\nrows:\n\xff\n")
+    paths = [str(array), str(latin1), str(tmp_path), str(tmp_path / "missing.moa")]
+    small = st.integers(-1, 8)
+    token = st.one_of(
+        st.sampled_from(_TOKENS + paths),
+        small.map(str),
+        st.builds("{}={}".format, st.sampled_from(_KEYS), small),
+        st.sampled_from(paths).map("replace_with={}".format),
+    )
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(_ARGV_TEMPLATES), st.sampled_from(paths), st.data())
+    def check(template, path, data):
+        argv = template.format(path=path).split(" ")
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(argv)))
+            cut = data.draw(st.integers(0, 1))
+            argv[pos : pos + cut] = [data.draw(token)]
+        assert main(argv) in (0, 2, 3, 4)
+
+    check()
 
 
 class TestDistanceStateUniformity:
@@ -136,6 +219,13 @@ class TestConstructReplaceSearch:
         )
         assert code == 0
         assert parse_array(out_path.read_text()).runs == 6
+
+    @pytest.mark.parametrize("option", ["--budget", "--min-distance"])
+    def test_search_negative_parameter_exits_4(self, capsys, option):
+        code, _, err = run(
+            capsys, "search", "--runs", "4", "--levels", "2,2", "--strength", "1", option, "-1",
+        )
+        assert code == 4 and err.startswith("error: ")
 
     def test_search_negative_verdict(self, capsys):
         code, out, _ = run(

@@ -1,13 +1,22 @@
 """moa v1 round-trips and the JSON report schema."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oakit.algebra import DifferenceScheme, ds_linear, hadamard01
-from oakit.arrays import MixedArray, distance_spectrum, is_irredundant, verify_strength
+from oakit.arrays import (
+    MixedArray,
+    StrengthWitness,
+    distance_spectrum,
+    is_irredundant,
+    verify_strength,
+)
 from oakit.constructions import trivial_moa
-from oakit.errors import FormatError, OakitError
+from oakit.errors import FormatError, OakitError, VerificationError
 from oakit.formats import (
     parse_any,
     parse_array,
@@ -48,6 +57,14 @@ def test_comments_allowed_before_rows():
         "moa v1\nruns 1\nlevels 2\nrows:\n 0\n",         # leading whitespace
         "moa v1\nруны 1\nlevels 2\nrows:\n0\n",          # malformed header key
         "moa v1\nruns 1\nlevels 2\n0\n",                 # missing rows:
+        "moa v1\nruns 1\nlevels 2\nrows:\n+1\n",        # integers must read
+        "moa v1\nruns 1\nlevels 2\nrows:\n0_0\n",       # as str(int(token))
+        "moa v1\nruns 1\nlevels 2\nrows:\n\u0661\n",     # Arabic-Indic one
+        "moa v1\nruns 1\nlevels 2\nrows:\n01\n",
+        "moa v1\nruns 1\nlevels 2\nrows:\n-0\n",
+        "moa v1\nruns +1\nlevels 2\nrows:\n0\n",
+        "moa v1\nruns 1\nlevels 0_2\nrows:\n0\n",
+        "moa v1\nruns 1\nlevels 2  2\nrows:\n0 0\n",
     ],
 )
 def test_malformed_documents(text):
@@ -63,11 +80,32 @@ def test_malformed_documents(text):
         "moa v1\nkind \nruns 1\nlevels 2\nrows:\n0\n",  # empty kind
         "moa v1\nkind ds x 2\nruns 1\nlevels 2\nrows:\n0\n",  # non-integer order
         "moa v1\nkind ds 2 y\nruns 1\nlevels 2\nrows:\n0\n",  # non-integer strength
+        # a valid D(2, 2, 2) scheme but for a non-canonical order or strength
+        "moa v1\nkind ds +2 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+        "moa v1\nkind ds 2 0_2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+        "moa v1\nkind ds \u0662 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
     ],
 )
 def test_damaged_documents_raise_format_error(text):
     with pytest.raises(FormatError):
         parse_any(text)
+
+
+@pytest.mark.parametrize("order, tag", [(100000, ""), (65536, " gf"), (10**12, "")])
+def test_tiny_scheme_rejected_without_cost_in_its_order(order, tag):
+    # the expansion of a 1 x 2 matrix has d rows over d^2 pairs; the witness
+    # is verify_strength's divisibility witness on columns (0, 1)
+    text = f"moa v1\nkind ds {order} 2{tag}\nruns 1\nlevels {order} {order}\nrows:\n0 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(VerificationError) as exc:
+            parse_any(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    witness = StrengthWitness((0, 1), None, None, Fraction(order, order**2))
+    assert str(exc.value).endswith(f"witness {witness}")
 
 
 _VALID_DOCUMENTS = [

@@ -141,6 +141,22 @@ class TestSearchScheme:
         assert np.array_equal(a.array.cells, b.array.cells) and a.nodes == b.nodes
 
 
+class TestSearchParameters:
+    @pytest.mark.parametrize(
+        "kwargs", [{"node_budget": -1}, {"min_distance": -5}], ids=["budget", "floor"]
+    )
+    def test_negative_spec_values_rejected(self, kwargs):
+        with pytest.raises(ParameterError):
+            SearchSpec(4, (2, 2), 1, **kwargs)
+
+    def test_negative_scheme_budget_rejected(self):
+        with pytest.raises(ParameterError):
+            search_scheme(6, 3, 3, 2, node_budget=-1)
+
+    def test_zero_budget_stops_at_once(self):
+        assert search_moa(SearchSpec(4, (2, 2), 1, node_budget=0)).status == "budget"
+
+
 class TestSearchPartition:
     def test_recovers_canonical_scheme_partition(self):
         scheme = ds_linear(3, 1)
