@@ -112,36 +112,62 @@ def gf_additive_group(q: int) -> AdditiveGroup:
 # primality and finite fields
 
 
+# The first 12 prime bases make the strong-probable-prime test exact below
+# this bound (the smallest strong pseudoprime to all of them), which covers
+# every order of at most 19 digits that moa v1 can declare.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_LIMIT = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for n below 3.18 * 10^23."""
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ParameterError(f"{n} is beyond the exact primality range (< 3.18e23)")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def _integer_root(q: int, m: int) -> int:
+    """floor(q^(1/m)) for m >= 2: a float estimate, corrected exactly."""
+    x = int(round(q ** (1.0 / m)))
+    while x**m > q:
+        x -= 1
+    while (x + 1) ** m <= q:
+        x += 1
+    return x
+
+
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """Return (p, m) with q = p^m and p prime, or None."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q:
+    """Return (p, m) with q = p^m and p prime, or None (q below 3.18 * 10^23)."""
+    if q >= _MILLER_RABIN_LIMIT:
+        raise ParameterError(f"{q} is beyond the exact primality range (< 3.18e23)")
+    if is_prime(q):
+        return q, 1
+    for m in range(2, q.bit_length()):
+        p = _integer_root(q, m)
+        if p < 2:
             break
-        if q % p == 0:
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            return (p, m) if n == 1 else None
-    return (q, 1)
+        if p**m == q and is_prime(p):
+            return p, m
+    return None
 
 
 def _require_prime_power(q: int) -> tuple[int, int]:

@@ -159,6 +159,17 @@ class IrredundancyReport:
     witness_columns: tuple[int, ...] | None = None
 
 
+_TILE_CELLS = 1 << 18  # cells per tile of row pairs (distance_spectrum, verify_k_uniform)
+
+
+def _narrowest_unsigned(bound: int) -> type:
+    """Smallest unsigned numpy integer type that holds ``bound``."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
+
+
 def subset_codes(cells: np.ndarray, levels: Sequence[int], subset: Sequence[int]) -> np.ndarray:
     """Mixed-radix encoding of each row's projection onto ``subset``.
 
@@ -221,18 +232,38 @@ def verify_strength(array: MixedArray, k: int) -> StrengthReport:
 def distance_spectrum(array: MixedArray) -> DistanceSpectrum:
     """Exact Hamming distances over all row pairs.
 
+    Rows are compared in tiles: a block of b consecutive rows against itself
+    and every later row, with b * r <= 2^18 cells.  Besides one copy of the
+    cells, transposed into the narrowest unsigned dtype, the working memory
+    is one boolean and one distance tile of at most 2^18 cells each, reused
+    across tiles: under 1 MiB at any row count.
+
     A one-row array has the conventional empty spectrum with minimal
     distance N + 1 so that irredundancy predicates degrade gracefully.
     """
     r, n = array.cells.shape
     if r == 1:
         return DistanceSpectrum((), n + 1, {})
+    columns = np.ascontiguousarray(array.cells.T, dtype=_narrowest_unsigned(max(array.levels)))
+    b = max(1, min(r, _TILE_CELLS // r))
+    unequal = np.empty(b * r, dtype=bool)
+    dist = np.empty(b * r, dtype=_narrowest_unsigned(n))
+    later = np.triu(np.ones((b, b), dtype=bool), 1)  # j > i inside the diagonal block
+    # bincount copies its input to int64: count 2^15 cells at a time so that
+    # the copy is no larger than one tile
+    count_rows = max(1, (_TILE_CELLS >> 3) // r)
     counts = np.zeros(n + 1, dtype=np.int64)
-    cells = array.cells
-    # Row-block loop keeps memory at O(r * n) while staying vectorized.
-    for i in range(r - 1):
-        dists = np.count_nonzero(cells[i + 1 :] != cells[i], axis=1)
-        counts += np.bincount(dists, minlength=n + 1)
+    for lo in range(0, r - 1, b):
+        h, w = min(b, r - lo), r - lo
+        tile = unequal[: h * w].reshape(h, w)
+        acc = dist[: h * w].reshape(h, w)
+        acc.fill(0)
+        for col in columns:
+            np.not_equal(col[lo : lo + h, None], col[None, lo:], out=tile)
+            acc += tile
+        counts += np.bincount(acc[:, :h][later[:h, :h]], minlength=n + 1)
+        for top in range(0, h, count_rows):
+            counts += np.bincount(acc[top : top + count_rows, h:].ravel(), minlength=n + 1)
     attained = np.flatnonzero(counts)
     return DistanceSpectrum(
         tuple(int(d) for d in attained),

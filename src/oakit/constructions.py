@@ -50,6 +50,10 @@ from .arrays import (
 )
 from .errors import ConstructionError, ParameterError, VerificationError
 
+# Largest output, in cells, that a size-checked builder attempts (2^24 int64
+# cells are 128 MiB); larger parameters raise ParameterError before building.
+OUTPUT_CELL_CAP = 1 << 24
+
 __all__ = [
     "OrthogonalPartition",
     "ColumnReplacement",
@@ -1023,10 +1027,19 @@ def two_uniform_prime_power(
     Expands D(d^n, d^n, d) behind an index column; the scheme block alone has
     minimal distance d^n - d^(n-1), so for all but the smallest orders the
     result is irredundant at 2 outright, and an N-row replacement array with
-    distinct rows may substitute the index column.
+    distinct rows may substitute the index column.  The output has
+    d^(n+1) x (d^n + 1) cells; above ``OUTPUT_CELL_CAP`` the call raises
+    ``ParameterError`` before building anything.
     """
     from .algebra import ds_linear
 
+    if d >= 2 and n >= 1:
+        # the first test keeps d**n from growing without bound
+        if n >= OUTPUT_CELL_CAP.bit_length() or d ** (n + 1) * (d**n + 1) > OUTPUT_CELL_CAP:
+            raise ParameterError(
+                f"d={d}, n={n} asks for {d}^{n + 1} runs x ({d}^{n} + 1) columns, "
+                f"above the cap of {OUTPUT_CELL_CAP} cells"
+            )
     scheme = ds_linear(d, n)
     size = d**n
     host = juxtapose_scheme_raw(column_vector(size), scheme)

@@ -8,23 +8,34 @@ party subset S, the reduced density matrix has exact rational entries
                             x|_S = a, y|_S = b, x|_{S^c} = y|_{S^c}},
 
 so it can be computed by grouping rows on the complement projection; the
-ambient Hilbert space is never materialized.  The state is k-uniform when
-every k-party reduction equals (1/D_S) * I exactly, which holds iff the
-array has strength k and minimal distance >= k + 1 (diagonal uniformity is
-the strength condition, vanishing off-diagonals the irredundancy condition);
-that equivalence is cross-checked in the test suite, not assumed here.
+ambient Hilbert space is never materialized (``reduced_density``).
+
+``verify_k_uniform`` never builds a reduction.  It uses this criterion: the
+reduction to S equals (1/D_S) I exactly iff S is balanced (every tuple on S
+appears r / D_S times) and no two rows agree on every column outside S.  A
+pair of rows that agree off S but differ on S puts mass off the diagonal; a
+repeated row leaves the diagonal summing to more than 1.  Without such pairs
+the diagonal is the tuple count on S.  So the state is k-uniform iff the
+array has strength k and minimal distance >= k + 1.  The test suite, not
+this module, cross-checks the criterion against the reduced density
+matrices and a per-subset grouping oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, prod
 
 import numpy as np
 
-from .arrays import MixedArray, subset_codes
+from .arrays import (
+    _TILE_CELLS,
+    MixedArray,
+    _narrowest_unsigned,
+    subset_codes,
+    verify_strength,
+)
 from .errors import ParameterError
 
 __all__ = [
@@ -147,63 +158,122 @@ def reduced_density(array: MixedArray, subset) -> DensityMatrix:
     return DensityMatrix(subset, dims, tuple(tuple(row) for row in rho))
 
 
-def _uniform_on_subset(array: MixedArray, subset: tuple[int, ...]) -> bool:
-    """Exact test rho_S == (1/D_S) I without building the matrix.
-
-    Grouping rows by their complement projection, the reduction is maximally
-    mixed iff every group is constant on S (off-diagonals vanish) and, for
-    every value a of the S-projection, sum over groups with value a of
-    |group|^2 equals r / D_S (diagonal uniformity).
-    """
-    cells = array.cells
-    r, n = cells.shape
-    comp = [j for j in range(n) if j not in subset]
-    d_s = prod(array.levels[j] for j in subset)
-    if r % d_s:
-        return False
-    target = r // d_s
-    s_codes = subset_codes(cells, array.levels, subset)
-    comp_bits = sum(float(np.log2(array.levels[j])) for j in comp)
-    if comp_bits < 62:
-        comp_ids = subset_codes(cells, array.levels, comp)
-    else:
-        # complement too wide for one int64 code: group by unique rows
-        _, comp_ids = np.unique(cells[:, comp], axis=0, return_inverse=True)
-        comp_ids = comp_ids.reshape(-1)
-    order = np.argsort(comp_ids, kind="stable")
-    sorted_ids = comp_ids[order]
-    if r > 1 and bool((np.diff(sorted_ids) != 0).all()):
-        # all complement projections distinct: plain counts decide the diagonal
-        return bool((np.bincount(s_codes, minlength=d_s) == target).all())
-    sorted_s = s_codes[order]
-    boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [r]])
-    diag = np.zeros(d_s, dtype=np.int64)
-    for lo, hi in zip(starts, ends):
-        block = sorted_s[lo:hi]
-        if hi - lo > 1 and (block != block[0]).any():
-            return False  # off-diagonal mass
-        diag[block[0]] += (hi - lo) ** 2
-    return bool((diag == target).all())
-
-
 def verify_k_uniform(array: MixedArray, k: int) -> UniformityReport:
     """True iff every |S| = k reduction equals (1/D_S) I exactly.
 
-    Subsets are enumerated in lexicographic order and the first failing
-    subset is the witness.
+    The witness is the lexicographically first failing subset, and
+    ``subsets_checked`` its position in lexicographic order (all of them
+    when the state is k-uniform).  A subset fails when it is unbalanced, or
+    when it contains the difference set of a close pair: two rows that agree
+    on every column outside it.  The first unbalanced subset comes from
+    ``verify_strength``; close pairs are only searched among the columns
+    whose first k-subset precedes it.
     """
     n = array.ncols
     if not 1 <= k < n:
         raise ParameterError(f"uniformity strength must satisfy 1 <= k < {n}, got {k}")
     total = comb(n, k)
-    checked = 0
-    for subset in combinations(range(n), k):
-        checked += 1
-        if not _uniform_on_subset(array, subset):
-            return UniformityReport(k, False, subset, checked, total)
-    return UniformityReport(k, True, None, checked, total)
+    strength = verify_strength(array, k)
+    witness = None if strength.holds else strength.witness.columns
+    lead = n if witness is None else sum(_first_superset((c,), k) < witness for c in range(n))
+    for differ in _close_pairs(array, lead, k):
+        first = _lex_first_superset(differ, k)
+        if witness is None or first < witness:
+            witness = first
+        if witness == tuple(range(k)):
+            break
+    if witness is None:
+        return UniformityReport(k, True, None, total, total)
+    return UniformityReport(k, False, witness, _lex_rank(witness, n) + 1, total)
+
+
+def _first_superset(columns: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The lexicographically first k-subset that contains ``columns``."""
+    fill = [c for c in range(k) if c not in columns][: k - len(columns)]
+    return tuple(sorted((*columns, *fill)))
+
+
+def _lex_first_superset(differ: np.ndarray, k: int) -> tuple[int, ...]:
+    """Lexicographic minimum over rows of ``differ`` of their first supersets.
+
+    Each row marks a difference set of at most k leading columns.  Padding it
+    with its first unmarked columns (all below k) gives its first superset; of
+    two k-sets the lexicographically smaller one holds the smallest column in
+    which they differ.
+    """
+    p, m = differ.shape
+    mask = np.zeros((p, max(m, k)), dtype=bool)
+    mask[:, :m] = differ
+    free = ~mask[:, :k]
+    short = k - differ.sum(axis=1)
+    mask[:, :k] |= free & (np.cumsum(free, axis=1) <= short[:, None])
+    sets = np.nonzero(mask)[1].reshape(p, k)
+    best = np.lexsort(sets.T[::-1])[0]
+    return tuple(int(c) for c in sets[best])
+
+
+def _lex_rank(subset: tuple[int, ...], n: int) -> int:
+    """Zero-based position of a sorted k-subset of range(n) in lexicographic order.
+
+    Subsets that share the first i entries and then take a smaller value v
+    number comb(n - v - 1, k - i - 1) each; summed over v in (prev, c) that is
+    comb(n - prev - 1, k - i) - comb(n - c, k - i).
+    """
+    k = len(subset)
+    rank, prev = 0, -1
+    for i, c in enumerate(subset):
+        rank += comb(n - prev - 1, k - i) - comb(n - c, k - i)
+        prev = c
+    return rank
+
+
+def _close_pairs(array: MixedArray, lead: int, k: int):
+    """Difference masks, on columns 0..lead-1, of close row pairs.
+
+    Yields boolean chunks, one row per pair of rows that agree on every
+    column from ``lead`` on and differ in at most k of the first ``lead``
+    (duplicate rows included).  Such a pair agrees on at least one of k + 1
+    blocks of the leading columns, so rows are grouped by their projection
+    onto the trailing columns plus one block at a time, and only pairs inside
+    a group are compared.  A pair may be yielded once per block it agrees
+    on.  Each chunk holds at most 2^18 cells, the tile bound of
+    ``distance_spectrum``.
+    """
+    if lead == 0:
+        return
+    cells, levels = array.cells, array.levels
+    r, n = cells.shape
+    head = np.ascontiguousarray(cells[:, :lead].T, dtype=_narrowest_unsigned(max(levels)))
+    trailing = list(range(lead, n))
+    blocks = np.array_split(np.arange(lead), k + 1) if lead > k else [np.arange(0)]
+    chunk = max(1, _TILE_CELLS // lead)
+    dist_dtype = _narrowest_unsigned(lead)
+    for block in blocks:
+        keys = _projection_keys(cells, levels, trailing + block.tolist())
+        order = np.argsort(keys, kind="stable")
+        keys, columns = keys[order], head[:, order]
+        for step in range(1, r):
+            same = np.flatnonzero(keys[:-step] == keys[step:])
+            if not same.size:
+                break  # groups are contiguous runs of the sorted keys
+            for lo in range(0, same.size, chunk):
+                i = same[lo : lo + chunk]
+                j = i + step
+                dist = np.zeros(i.size, dtype=dist_dtype)
+                for col in columns:
+                    dist += col[i] != col[j]
+                near = dist <= k
+                if near.any():
+                    yield (columns[:, i[near]] != columns[:, j[near]]).T
+
+
+def _projection_keys(cells: np.ndarray, levels, columns: list[int]) -> np.ndarray:
+    """Integers equal exactly when the rows' projections onto ``columns`` are."""
+    if sum(float(np.log2(levels[j])) for j in columns) < 62:
+        return subset_codes(cells, levels, columns)
+    # too wide for one int64 code: number the distinct projections
+    _, ids = np.unique(cells[:, columns], axis=0, return_inverse=True)
+    return ids.reshape(-1)
 
 
 def is_ame(array: MixedArray) -> bool:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the library's kernels.
 
-Everything here is deliberately naive pure-Python counting over explicit
-tuples; none of it shares code with the package's numpy paths.
+Everything here is deliberately naive counting: pure Python over explicit
+tuples, or, for the per-subset uniformity test, numpy grouping one subset at
+a time.  None of it shares code with the package's kernels.
 """
 
 from __future__ import annotations
@@ -9,7 +10,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
+
+import numpy as np
 
 
 def naive_strength(rows, levels, k) -> bool:
@@ -91,6 +94,87 @@ def naive_k_uniform(rows, levels, k) -> bool:
                 if rho[i][j] != (target if i == j else 0):
                     return False
     return True
+
+
+def _codes(cells, levels, columns):
+    """Mixed-radix code of each row's projection, first column most significant."""
+    codes = np.zeros(cells.shape[0], dtype=np.int64)
+    for j in columns:
+        codes = codes * levels[j] + cells[:, j]
+    return codes
+
+
+def uniform_on_subset(cells, levels, subset) -> bool:
+    """Exact test rho_S == (1/D_S) I for one subset, without building the matrix.
+
+    Grouping rows by their complement projection, the reduction is maximally
+    mixed iff every group is constant on S (off-diagonals vanish) and, for
+    every value a of the S-projection, the sum over groups with value a of
+    |group|^2 equals r / D_S (diagonal uniformity).
+    """
+    r, n = cells.shape
+    comp = [j for j in range(n) if j not in subset]
+    d_s = prod(levels[j] for j in subset)
+    if r % d_s:
+        return False
+    target = r // d_s
+    s_codes = _codes(cells, levels, subset)
+    if sum(float(np.log2(levels[j])) for j in comp) < 62:
+        comp_ids = _codes(cells, levels, comp)
+    else:
+        _, comp_ids = np.unique(cells[:, comp], axis=0, return_inverse=True)
+        comp_ids = comp_ids.reshape(-1)
+    order = np.argsort(comp_ids, kind="stable")
+    sorted_ids = comp_ids[order]
+    sorted_s = s_codes[order]
+    boundaries = np.flatnonzero(np.diff(sorted_ids)) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [r]])
+    diag = np.zeros(d_s, dtype=np.int64)
+    for lo, hi in zip(starts, ends):
+        block = sorted_s[lo:hi]
+        if (block != block[0]).any():
+            return False  # off-diagonal mass
+        diag[block[0]] += (hi - lo) ** 2
+    return bool((diag == target).all())
+
+
+def k_uniform_loop(cells, levels, k):
+    """(holds, first failing subset, subsets checked, subsets total), one subset at a time."""
+    n = cells.shape[1]
+    checked = 0
+    for subset in combinations(range(n), k):
+        checked += 1
+        if not uniform_on_subset(cells, levels, subset):
+            return False, subset, checked, comb(n, k)
+    return True, None, checked, comb(n, k)
+
+
+def naive_spectrum(cells) -> dict[int, int]:
+    """Pair count of every attained Hamming distance, one row pair at a time."""
+    rows = [tuple(row) for row in cells.tolist()]
+    out: dict[int, int] = {}
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            d = sum(1 for a, b in zip(rows[i], rows[j]) if a != b)
+            out[d] = out.get(d, 0) + 1
+    return out
+
+
+def naive_prime_power(q):
+    """(p, m) with q = p^m and p prime, or None, by trial division up to sqrt(q)."""
+    if q < 2:
+        return None
+    p = 2
+    while p * p <= q and q % p:
+        p += 1
+    if p * p > q:
+        return q, 1
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
 
 
 # ---------------------------------------------------------------------------

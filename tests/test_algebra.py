@@ -28,6 +28,7 @@ from oracles import (
     naive_gf_add,
     naive_gf_mul,
     naive_gf_pow,
+    naive_prime_power,
     naive_smallest_irreducible,
 )
 
@@ -144,6 +145,50 @@ class TestFiniteFields:
                 assert diffs == ((a[:, None] - b[None, :]) % d).tolist()
             assert np.array_equal(group.add(a, 0), a) and not group.sub(a, a).any()
         assert gf_additive_group(9).tag == "gf" and gf_additive_group(7) == cyclic_group(7)
+
+
+class TestPrimePowers:
+    def test_matches_trial_division_below_5000(self):
+        for q in range(-2, 5000):
+            assert prime_power_decomposition(q) == naive_prime_power(q), q
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            999_999_999_989,  # prime
+            1_000_003**2,
+            999_983**3,
+            65_521**4,
+            3**39,
+            2**63,
+            65_521 * 65_537,  # semiprimes
+            999_983 * 1_000_003,
+            3_215_031_751,  # strong pseudoprime to bases 2, 3, 5 and 7
+            3_825_123_056_546_413_051,  # strong pseudoprime to the first nine prime bases
+        ],
+    )
+    def test_matches_trial_division_on_large_values(self, q):
+        assert prime_power_decomposition(q) == naive_prime_power(q)
+
+    @pytest.mark.parametrize(
+        "q, expected",
+        [
+            (9_223_372_036_854_775_783, (9_223_372_036_854_775_783, 1)),  # largest prime < 2^63
+            (2**61 - 1, (2**61 - 1, 1)),
+            ((2**31 - 1) ** 2, (2**31 - 1, 2)),
+            (1_000_000_007**2, (1_000_000_007, 2)),
+            (1_000_000_007 * 1_000_000_009, None),
+            (9_999_999_999_999_999_999, None),
+        ],
+    )
+    def test_nineteen_digit_orders(self, q, expected):
+        # trial division would need up to 3 * 10^9 steps on these
+        assert prime_power_decomposition(q) == expected
+
+    def test_beyond_the_exact_range(self):
+        # the smallest strong pseudoprime to the first 12 prime bases
+        with pytest.raises(ParameterError, match="primality range"):
+            prime_power_decomposition(318_665_857_834_031_151_167_461)
 
 
 class TestHadamard:

@@ -1,5 +1,7 @@
 """Core predicates: strength, distances, irredundancy, column surgery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +18,14 @@ from oakit.arrays import (
     select_columns,
     verify_strength,
 )
-from oakit.constructions import trivial_moa
+from oakit.constructions import bush_oa, trivial_moa
 from oakit.errors import ParameterError
 
 from oracles import (
     naive_distances,
     naive_irredundant,
     naive_min_distance,
+    naive_spectrum,
     naive_strength,
 )
 
@@ -161,6 +164,40 @@ class TestDistanceSpectrum:
         arr = trivial_moa((2, 3))
         spec = distance_spectrum(arr)
         assert sum(spec.counts.values()) == arr.runs * (arr.runs - 1) // 2
+
+
+    @pytest.mark.parametrize(
+        "runs, levels",
+        [
+            (1, (3, 2, 2)),
+            (2, (2, 2)),
+            (2, (300, 2)),  # symbols above 255
+            (40, (2,) * 300),  # 300 columns
+            (30, (50,) * 280 + (1000,)),  # distances above 255
+            (544, (2, 3, 5)),  # tiles of 481 and 63 rows, counted 60 rows at a time
+            (1100, (4, 2)),  # five tiles, the last one short
+        ],
+    )
+    def test_matches_pair_oracle(self, runs, levels):
+        rng = np.random.default_rng(runs * 1000 + len(levels))
+        cells = np.stack([rng.integers(0, d, size=runs) for d in levels], axis=1)
+        spec = distance_spectrum(MixedArray(levels, cells))
+        expected = naive_spectrum(cells)
+        assert spec.counts == expected
+        if runs > 1:
+            assert spec.distances == tuple(sorted(expected))
+            assert spec.min_distance == min(expected)
+
+    def test_memory_stays_bounded(self):
+        arr = bush_oa(16, 3)  # 4096 x 17
+        tracemalloc.start()
+        try:
+            spec = distance_spectrum(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.distances == (15, 16, 17)
+        assert peak < 8 << 20
 
 
 class TestIrredundancy:

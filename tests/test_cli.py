@@ -197,6 +197,15 @@ class TestConstructReplaceSearch:
         code, _, _ = run(capsys, "construct", "nope")
         assert code == 4
 
+    def test_cor2_above_the_cell_cap_exits_4(self, tmp_path, capsys):
+        # 4^9 x (4^8 + 1) cells: numpy used to raise MemoryError out of main()
+        out_path = tmp_path / "x.moa"
+        code, out, err = run(
+            capsys, "construct", "cor2", "--params", "d=4", "n=8", "-o", str(out_path)
+        )
+        assert code == 4 and err.startswith("error: ") and "cap" in err
+        assert "MemoryError" not in err and not out and not out_path.exists()
+
     def test_replace(self, tmp_path, capsys):
         host = tmp_path / "host.moa"
         run(capsys, "construct", "thm8", "--params", "N=4", "M=4", "d=2", "-o", str(host))

@@ -91,10 +91,15 @@ def test_damaged_documents_raise_format_error(text):
         parse_any(text)
 
 
-@pytest.mark.parametrize("order, tag", [(100000, ""), (65536, " gf"), (10**12, "")])
+@pytest.mark.parametrize(
+    "order, tag",
+    [(100000, ""), (65536, " gf"), (10**12, ""), (9223372036854775783, " gf")],
+)
 def test_tiny_scheme_rejected_without_cost_in_its_order(order, tag):
     # the expansion of a 1 x 2 matrix has d rows over d^2 pairs; the witness
-    # is verify_strength's divisibility witness on columns (0, 1)
+    # is verify_strength's divisibility witness on columns (0, 1); the last
+    # order is the largest prime below 2^63, which trial division would take
+    # minutes to recognize before the gf tag turns into mod
     text = f"moa v1\nkind ds {order} 2{tag}\nruns 1\nlevels {order} {order}\nrows:\n0 1\n"
     tracemalloc.start()
     try:

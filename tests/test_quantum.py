@@ -1,12 +1,16 @@
 """States, exact reductions, and uniformity verdicts."""
 
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+from oakit import catalog
+from oakit.algebra import ds_linear, expand, hadamard01
 from oakit.arrays import MixedArray, min_distance, verify_strength
-from oakit.constructions import bush_oa, trivial_moa, two_uniform_3m2n
+from oakit.constructions import bush_oa, three_uniform_dm2n, trivial_moa, two_uniform_3m2n
 from oakit.errors import ParameterError
 from oakit.quantum import (
     emit_state,
@@ -16,7 +20,7 @@ from oakit.quantum import (
     verify_k_uniform,
 )
 
-from oracles import naive_k_uniform, naive_reduced_density
+from oracles import k_uniform_loop, naive_k_uniform, naive_reduced_density
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +168,94 @@ class TestUniformity:
         cells = arr.cells.copy()
         cells[3] = cells[2]
         assert not verify_k_uniform(MixedArray(arr.levels, cells), 1).holds
+
+
+def _uniformity_corpus():
+    """Seeded (array, k) pairs: bases that pass, their corruptions, random arrays."""
+    rng = np.random.default_rng(20261018)
+    bases = [
+        trivial_moa((2, 2, 2)),
+        trivial_moa((3, 2)),
+        trivial_moa((4, 3)),
+        bush_oa(3, 2),
+        bush_oa(5, 2),
+        bush_oa(4, 2),
+        bush_oa(5, 3),
+        bush_oa(7, 3),
+        expand(hadamard01(4).as_scheme()),
+        expand(hadamard01(8).as_scheme()),
+        expand(ds_linear(3, 1)),
+        expand(ds_linear(2, 3)),
+        catalog.seed_array("moa-6-6x3x2"),
+        catalog.seed_array("moa-12-3x2^4"),
+        catalog.fixture_states()["3^1x2^9"].to_array(),
+        catalog.fixture_states()["3^1x2^10"].to_array(),
+        two_uniform_3m2n(1, 9)[0],
+        expand(hadamard01(36).as_scheme(3)),
+        expand(hadamard01(72).as_scheme(3)),  # complements wider than 62 bits
+    ]
+    arrays = []
+    for base in bases:
+        arrays.append(base)
+        r, n = base.cells.shape
+        for _ in range(8):  # one or two cell flips
+            cells = base.cells.copy()
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = int(rng.integers(r)), int(rng.integers(n))
+                cells[i, j] = (cells[i, j] + int(rng.integers(1, base.levels[j]))) % base.levels[j]
+            arrays.append(MixedArray(base.levels, cells))
+        for _ in range(4):  # one row copied over another
+            i, src = rng.choice(r, size=2, replace=False)
+            cells = base.cells.copy()
+            cells[i] = cells[src]
+            arrays.append(MixedArray(base.levels, cells))
+        arrays.append(MixedArray(base.levels, np.vstack([base.cells, base.cells])))
+    while len(arrays) < 900:
+        n = int(rng.integers(2, 9))
+        levels = tuple(int(rng.integers(2, 5)) for _ in range(n))
+        r = int(rng.integers(1, 40))
+        arrays.append(
+            MixedArray(levels, np.stack([rng.integers(0, d, size=r) for d in levels], axis=1))
+        )
+    return [
+        (arr, k)
+        for arr in arrays
+        for k in range(1, min(arr.ncols, 4))
+        if comb(arr.ncols, k) <= 3000  # keeps the per-subset oracle quick
+    ]
+
+
+class TestKernelCrossCheck:
+    """verify_k_uniform against the per-subset oracle, field by field."""
+
+    def test_reports_match_the_subset_loop(self):
+        corpus = _uniformity_corpus()
+        assert len(corpus) >= 2000
+        verdicts = set()
+        for arr, k in corpus:
+            report = verify_k_uniform(arr, k)
+            got = (report.holds, report.witness_subset, report.subsets_checked, report.subsets_total)
+            assert got == k_uniform_loop(arr.cells, arr.levels, k), (arr, k)
+            if report.witness_subset is not None:
+                assert all(type(c) is int for c in report.witness_subset)
+            verdicts.add(report.holds)
+        assert verdicts == {True, False}
+
+    def test_three_uniform_yes_verdict(self):
+        arr, _ = three_uniform_dm2n(5, 4, 54)  # 1000 x 58
+        report = verify_k_uniform(arr, 3)
+        assert report.holds and report.witness_subset is None
+        assert report.subsets_checked == report.subsets_total == 30856
+
+    def test_memory_stays_bounded(self):
+        arr = bush_oa(11, 4)  # 14641 x 12, no close pairs at k = 4
+        tracemalloc.start()
+        try:
+            assert verify_k_uniform(arr, 4).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
 
 
 class TestAme:
