@@ -157,8 +157,8 @@ def _integer_root(q: int, m: int) -> int:
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
     """Return (p, m) with q = p^m and p prime, or None (q below 3.18 * 10^23)."""
-    if q >= _MILLER_RABIN_LIMIT:
-        raise ParameterError(f"{q} is beyond the exact primality range (< 3.18e23)")
+    if q < 2:
+        return None
     if is_prime(q):
         return q, 1
     for m in range(2, q.bit_length()):

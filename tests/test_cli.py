@@ -63,6 +63,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path), "--strength", "1")
         assert code == 4 and err.startswith("error: ")
 
+    def test_negative_gf_order_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "negative.moa"
+        path.write_text("moa v1\nkind ds -4 2 gf\nruns 1\nlevels -4 -4\nrows:\n0 1\n")
+        code, _, err = run(capsys, "verify", str(path), "--strength", "1")
+        assert code == 4 and err.startswith("error: ")
+
 
 class TestUnreadablePaths:
     @pytest.mark.parametrize(
@@ -196,6 +202,14 @@ class TestConstructReplaceSearch:
     def test_construct_unknown_pipeline(self, capsys):
         code, _, _ = run(capsys, "construct", "nope")
         assert code == 4
+
+    @pytest.mark.parametrize(
+        "pipeline, params",
+        [("cor2", ("d=-4", "n=1")), ("thm4", ("d=-4", "m=2", "n=2"))],
+    )
+    def test_negative_order_exits_4(self, capsys, pipeline, params):
+        code, _, err = run(capsys, "construct", pipeline, "--params", *params)
+        assert code == 4 and err.startswith("error: ")
 
     def test_cor2_above_the_cell_cap_exits_4(self, tmp_path, capsys):
         # 4^9 x (4^8 + 1) cells: numpy used to raise MemoryError out of main()

@@ -16,7 +16,7 @@ from oakit.arrays import (
     verify_strength,
 )
 from oakit.constructions import trivial_moa
-from oakit.errors import FormatError, OakitError, VerificationError
+from oakit.errors import FormatError, OakitError, ParameterError, VerificationError
 from oakit.formats import (
     parse_any,
     parse_array,
@@ -88,6 +88,13 @@ def test_malformed_documents(text):
 )
 def test_damaged_documents_raise_format_error(text):
     with pytest.raises(FormatError):
+        parse_any(text)
+
+
+def test_negative_gf_order_is_a_parameter_error():
+    # a negative order is no prime power; it must not reach a real root of it
+    text = "moa v1\nkind ds -4 2 gf\nruns 1\nlevels -4 -4\nrows:\n0 1\n"
+    with pytest.raises(ParameterError, match="not a prime power"):
         parse_any(text)
 
 
