@@ -17,7 +17,10 @@ Three mechanisms generate everything here:
 Every family builder ends with a mandatory oracle re-verification (exact
 strength check plus minimal distance); certificates distinguish predicted
 values from oracle-verified ones, and nothing is ever emitted as verified
-without the re-check.
+without the re-check.  Intermediates a pipeline builds itself are not
+re-checked: `certify` on the output, seed predicates on load and the public
+builders' preconditions on caller input are the checks.  A wrong
+intermediate still shows, because the output then fails `certify`.
 """
 
 from __future__ import annotations
@@ -128,14 +131,10 @@ class OrthogonalPartition:
 def partition_from_scheme(scheme: DifferenceScheme) -> OrthogonalPartition:
     """The canonical partition of D (+) (d): one block per scheme row.
 
-    The scheme is re-checked at its declared strength first, so a corrupted
-    matrix is rejected here rather than poisoning downstream builds.
+    The scheme is not re-checked: a `DifferenceScheme` is checked at its
+    declared strength when constructed (unless built with ``verify=False``
+    for internal staging) and its cells are read-only.
     """
-    from .algebra import is_difference_scheme
-
-    report = is_difference_scheme(scheme.cells, scheme.order, scheme.strength, scheme.group)
-    if not report.holds:
-        raise VerificationError("matrix fails its declared difference-scheme strength")
     parent = expand(scheme)
     d = scheme.order
     blocks = tuple(
@@ -285,6 +284,23 @@ def juxtapose_partitions(
     """
     if pa.parent != a or pb.parent != b:
         raise ParameterError("partitions must partition their own arrays")
+    for arr, name in ((a, "first"), (b, "second")):
+        report = verify_strength(arr, 3)
+        if not report.holds:
+            raise ParameterError(f"{name} array fails the strength-3 precondition")
+    return _juxtapose_partitions(pa, pb)
+
+
+def _juxtapose_partitions(
+    pa: OrthogonalPartition, pb: OrthogonalPartition
+) -> tuple[MixedArray, ConstructionCertificate]:
+    """`juxtapose_partitions` without the strength-3 precondition on the factors.
+
+    Pipelines call this on factors they built themselves: the output's left
+    and right column blocks repeat every row of each factor equally often, so
+    `certify`'s strength-3 check on the output covers every 3-subset of both.
+    """
+    a, b = pa.parent, pb.parent
     d1 = _uniform_level(a)
     d2 = _uniform_level(b)
     u, v = pa.block_count, pb.block_count
@@ -292,10 +308,6 @@ def juxtapose_partitions(
         raise ParameterError("block counts must satisfy r = d * blocks")
     if u > v:
         raise ParameterError(f"need u <= v, got u={u} > v={v}")
-    for arr, name in ((a, "first"), (b, "second")):
-        report = verify_strength(arr, 3)
-        if not report.holds:
-            raise ParameterError(f"{name} array fails the strength-3 precondition")
     h = lcm(u, v)
     left = partition_stack(pa.block_arrays(), d2, "repeat")
     left = MixedArray(left.levels, np.tile(left.cells, (h // u, 1)))
@@ -454,28 +466,21 @@ def expansive_replace(
     return out, cert
 
 
-def _single_replacement(
-    a: MixedArray, column: int, replacement: MixedArray, strength: int
-) -> tuple[MixedArray, ConstructionCertificate]:
-    plan = ReplacementPlan((ColumnReplacement(column, replacement),))
-    return expansive_replace(a, plan, strength)
-
-
 # ---------------------------------------------------------------------------
 # polynomial-evaluation arrays
 
 
-def _evaluations(q: int, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Every polynomial of degree < k over GF(q), evaluated at every element.
+def _evaluations(q: int, k: int, points: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Every polynomial of degree < k over GF(q), evaluated at field elements.
 
     Row m is the polynomial whose coefficient of x^j is the j-th base-q digit
-    of m; returns the (q^k, q) evaluations, by Horner's rule, and the
-    coefficient columns.
+    of m; returns the (q^k, points) evaluations at elements 0..points-1, by
+    Horner's rule, and the coefficient columns.
     """
     gf = finite_field(q)
     m = np.arange(q**k)[:, None]
     coeffs = [m // q**j % q for j in range(k)]
-    e = np.arange(q)[None, :]
+    e = np.arange(points)[None, :]
     values = 0
     for c in reversed(coeffs):
         values = gf.add(gf.mul(values, e), c)
@@ -489,7 +494,9 @@ def bush_oa(q: int, k: int, columns: int | None = None) -> MixedArray:
     digit of m; the first q columns evaluate it at each field element and the
     last column carries the degree-(k-1) coefficient.  The full array has
     minimal distance q + 2 - k, so with q >= 2k - 1 (enforced) it is
-    irredundant at k; ``columns`` truncates to the first so-many columns.
+    irredundant at k; ``columns`` truncates to the first so-many columns,
+    and only those are computed.  Above ``OUTPUT_CELL_CAP`` cells the call
+    raises ``ParameterError`` before building anything.
     """
     if prime_power_decomposition(q) is None:
         raise ParameterError(f"{q} is not a prime power")
@@ -499,13 +506,19 @@ def bush_oa(q: int, k: int, columns: int | None = None) -> MixedArray:
         raise ParameterError(
             f"need q >= 2k - 1 for the irredundancy guarantee, got q={q}, k={k}"
         )
-    values, coeffs = _evaluations(q, k)
-    array = MixedArray((q,) * (q + 1), np.hstack([values, coeffs[k - 1]]))
-    if columns is not None:
-        if not 1 <= columns <= q + 1:
-            raise ParameterError(f"columns must be in 1..{q + 1}")
-        array = select_columns(array, range(columns))
-    return array
+    width = q + 1 if columns is None else columns
+    if not 1 <= width <= q + 1:
+        raise ParameterError(f"columns must be in 1..{q + 1}")
+    # the first test keeps q**k from growing without bound
+    if k >= OUTPUT_CELL_CAP.bit_length() or q**k * width > OUTPUT_CELL_CAP:
+        raise ParameterError(
+            f"q={q}, k={k} asks for {q}^{k} runs x {width} columns, "
+            f"above the cap of {OUTPUT_CELL_CAP} cells"
+        )
+    values, coeffs = _evaluations(q, k, min(width, q))
+    if width > q:
+        values = np.hstack([values, coeffs[k - 1]])
+    return MixedArray((q,) * width, values)
 
 
 def bush_oa_even(q: int) -> MixedArray:
@@ -519,7 +532,7 @@ def bush_oa_even(q: int) -> MixedArray:
     pm = prime_power_decomposition(q)
     if pm is None or pm[0] != 2:
         raise ParameterError(f"{q} must be an even prime power")
-    values, coeffs = _evaluations(q, 3)
+    values, coeffs = _evaluations(q, 3, q)
     array = MixedArray((q,) * (q + 2), np.hstack([values, coeffs[1], coeffs[2]]))
     report = verify_strength(array, 3)
     if not report.holds:
@@ -653,56 +666,77 @@ def _two_uniform_chain(
     At each stage the host gains r two-level scheme columns.  Deletion first
     spends the guaranteed budget on the trailing columns and otherwise drops
     the host's inherited two-level columns before trimming the scheme block;
-    the result is re-verified regardless of which strategy ran.
+    the result is re-verified regardless of which strategy ran.  Parameters
+    whose last stage would exceed ``OUTPUT_CELL_CAP`` cells raise
+    ``ParameterError`` before any stage is built.
     """
-    stage_host = host
-    inherited = host_two_level
-    while True:
-        r = stage_host.runs
-        scheme = hadamard01(r).as_scheme()
-        stage, _ = juxtapose_scheme(stage_host, scheme)
-        total_two = inherited + r
-        low = r // 2 + 3
-        if n > total_two:
-            stage_host = stage
-            inherited = total_two
-            continue
-        if n < low:
-            raise ParameterError(
-                f"{n} two-level columns unreachable at this stage (needs >= {low})"
-            )
-        three_part = stage.ncols - total_two  # non-binary host columns, kept
-        j = total_two - n
-        budget = min_distance(stage) - 3
-        if j <= budget:
-            drop = list(range(stage.ncols - j, stage.ncols))
-            notes = (f"any-within-budget deletion of the last {j} binary columns",)
-        elif n >= r:
-            # full scheme block kept: cross-row pairs keep scheme distance r/2
-            drop = list(range(three_part + inherited - j, three_part + inherited))
-            notes = (f"deleted the last {j} inherited binary columns, scheme intact",)
-        else:
-            # host-part-first: drop every inherited binary column, then trim
-            # the scheme block from the end
-            from_scheme = j - inherited
-            drop = list(range(three_part, three_part + inherited))
-            drop += list(range(stage.ncols - from_scheme, stage.ncols))
-            notes = (
-                f"host-part-first deletion: {inherited} inherited binary columns "
-                f"plus the last {from_scheme} scheme columns",
-            )
-        return _delete_and_verify(stage, drop, 2, construction, seeds, notes)
+    # the last stage's host has r runs and `inherited` binary columns
+    r, inherited, stages = host.runs, host_two_level, 1
+    while n > inherited + r:
+        r, inherited, stages = 2 * r, inherited + r, stages + 1
+    total_two = inherited + r
+    low = r // 2 + 3
+    if n < low:
+        raise ParameterError(
+            f"{n} two-level columns unreachable at this stage (needs >= {low})"
+        )
+    cols = host.ncols + 2 * r - host.runs  # the host plus every scheme block
+    if 2 * r * cols > OUTPUT_CELL_CAP:
+        raise ParameterError(
+            f"{n} two-level columns ask for {2 * r} runs x {cols} columns, "
+            f"above the cap of {OUTPUT_CELL_CAP} cells"
+        )
+    stage = host
+    for _ in range(stages):
+        stage = juxtapose_scheme_raw(stage, hadamard01(stage.runs).as_scheme())
+    three_part = stage.ncols - total_two  # non-binary host columns, kept
+    j = total_two - n
+    budget = min_distance(stage) - 3
+    if j <= budget:
+        drop = list(range(stage.ncols - j, stage.ncols))
+        notes = (f"any-within-budget deletion of the last {j} binary columns",)
+    elif n >= r:
+        # full scheme block kept: cross-row pairs keep scheme distance r/2
+        drop = list(range(three_part + inherited - j, three_part + inherited))
+        notes = (f"deleted the last {j} inherited binary columns, scheme intact",)
+    else:
+        # host-part-first: drop every inherited binary column, then trim
+        # the scheme block from the end
+        from_scheme = j - inherited
+        drop = list(range(three_part, three_part + inherited))
+        drop += list(range(stage.ncols - from_scheme, stage.ncols))
+        notes = (
+            f"host-part-first deletion: {inherited} inherited binary columns "
+            f"plus the last {from_scheme} scheme columns",
+        )
+    return _delete_and_verify(stage, drop, 2, construction, seeds, notes)
 
 
 def _two_uniform_from_host(
-    host: MixedArray, d: int, m: int, n: int, construction: str, seed_name: str | None
+    host: MixedArray,
+    d: int,
+    m: int,
+    n: int,
+    construction: str,
+    seed_name: str | None,
+    caller_host: bool,
 ) -> tuple[MixedArray, ConstructionCertificate]:
-    """Check a host over levels d and 2, keep its first m d-level columns, chain."""
+    """Check a host over levels d and 2, keep its first m d-level columns, chain.
+
+    A caller's host must also pass the strength-2 precondition; a built-in
+    host is a seed, checked on load, or a certified output.
+    """
     d_cols = [j for j, lv in enumerate(host.levels) if lv == d]
     if len(d_cols) < m or any(lv not in (2, d) for lv in host.levels):
         raise ParameterError(f"host must be an array over levels {d} and 2")
     if len(d_cols) > m:
         host = delete_columns(host, d_cols[m:])
+    if caller_host:
+        report = verify_strength(host, 2)
+        if not report.holds:
+            raise ParameterError(
+                f"host fails the strength-2 precondition: witness {report.witness}"
+            )
     seeds = (seed_name or "caller-host",)
     return _two_uniform_chain(host, host.ncols - m, n, construction, seeds)
 
@@ -723,6 +757,7 @@ def two_uniform_3m2n(
 
     if m < 1:
         raise ParameterError("need m >= 1")
+    caller_host = host is not None
     if host is None:
         if m == 1:
             if n == 8:
@@ -742,7 +777,7 @@ def two_uniform_3m2n(
                 f"no built-in host for m = {m}; pass a strength-2 host array"
             )
     return _two_uniform_from_host(
-        host, 3, m, n, f"two_uniform_3m2n(m={m}, n={n})", host_seed_name
+        host, 3, m, n, f"two_uniform_3m2n(m={m}, n={n})", host_seed_name, caller_host
     )
 
 
@@ -761,6 +796,7 @@ def two_uniform_dm2n(
     """
     if d <= 3:
         raise ParameterError("use the 3^m 2^n builder for d <= 3")
+    caller_host = host is not None
     if host is None:
         if d == 4 and m == 1:
             host, _ = two_uniform_from_scheme(4, 4, 2)
@@ -770,14 +806,19 @@ def two_uniform_dm2n(
                 f"no built-in host for d = {d}, m = {m}; pass a strength-2 host"
             )
     return _two_uniform_from_host(
-        host, d, m, n, f"two_uniform_dm2n(d={d}, m={m}, n={n})", host_seed_name
+        host,
+        d,
+        m,
+        n,
+        f"two_uniform_dm2n(d={d}, m={m}, n={n})",
+        host_seed_name,
+        caller_host,
     )
 
 
 def _three_uniform_pipeline(
     left_scheme: DifferenceScheme,
     keep_left: int,
-    d1: int,
     n: int,
     base_order: int,
     construction: str,
@@ -788,6 +829,8 @@ def _three_uniform_pipeline(
     ``base_order`` is the smallest usable Hadamard order; doublings cover
     n in [order/2 + 4, order].  A value of n that falls in the gap just above
     an order is built from the next doubling by re-verified extra deletion.
+    When the output or the order x order Hadamard matrix would exceed
+    ``OUTPUT_CELL_CAP`` cells, ``ParameterError`` is raised before building.
     """
     order = base_order
     while n > order:
@@ -797,23 +840,24 @@ def _three_uniform_pipeline(
     n_build = max(n, guaranteed_low)
     if n_build > order:
         raise ParameterError(f"n = {n} unreachable from scheme order {order}")
-
     left = left_scheme
     if keep_left < left.cols:
         left = left.select_columns(range(keep_left))
-    a = expand(left)
-    pa = OrthogonalPartition(
-        a, tuple(tuple(range(i * d1, (i + 1) * d1)) for i in range(left.rows))
-    )
+    runs = left.order * 2 * lcm(left.rows, order)
+    if max(order * order, runs * (left.cols + n_build)) > OUTPUT_CELL_CAP:
+        raise ParameterError(
+            f"n = {n} asks for a Hadamard matrix of order {order} and "
+            f"{runs} runs x {left.cols + n_build} columns, above the cap of "
+            f"{OUTPUT_CELL_CAP} cells"
+        )
+
+    pa = partition_from_scheme(left)
     hm = hadamard01(order)
-    # column selections of a Hadamard scheme inherit its strength; the
-    # juxtaposition re-checks strength 3 of the expansion by oracle anyway
+    # column selections of a Hadamard scheme inherit its strength 3; that is
+    # not re-checked here, as certify's strength-3 check on the output covers
+    # every 3-subset of the expansion
     right = DifferenceScheme(hm.cells[:, :n_build], 2, 3, cyclic_group(2), verify=False)
-    b = expand(right)
-    pb = OrthogonalPartition(
-        b, tuple(tuple(range(i * 2, (i + 1) * 2)) for i in range(order))
-    )
-    out, cert = juxtapose_partitions(a, pa, b, pb)
+    out, cert = _juxtapose_partitions(pa, partition_from_scheme(right))
     notes = [f"binary scheme of order {order} trimmed to {n_build} columns"]
     if extra:
         out = delete_columns(out, range(out.ncols - extra, out.ncols))
@@ -849,7 +893,6 @@ def three_uniform_3m2n(m: int, n: int) -> tuple[MixedArray, ConstructionCertific
     return _three_uniform_pipeline(
         scheme18,
         m,
-        3,
         n,
         36,
         f"three_uniform_3m2n(m={m}, n={n})",
@@ -878,7 +921,6 @@ def three_uniform_dm2n(d: int, m: int, n: int) -> tuple[MixedArray, Construction
     return _three_uniform_pipeline(
         scheme,
         m,
-        d,
         n,
         4 * d * d,
         f"three_uniform_dm2n(d={d}, m={m}, n={n})",
@@ -895,7 +937,9 @@ def k_uniform_product(
     polynomial-evaluation array truncated to 2k columns; the symbol-pairing
     product combines them in ascending-factor order.  ``plan`` optionally
     replaces columns by full factorials over given sub-levels (their product
-    must equal d), splitting parties while keeping k-uniformity.
+    must equal d), splitting parties while keeping k-uniformity.  When the
+    product array would exceed ``OUTPUT_CELL_CAP`` cells, ``ParameterError``
+    is raised before building anything.
     """
     factors = sorted(int(q) for q in factors)
     if len(set(factors)) != len(factors):
@@ -903,6 +947,16 @@ def k_uniform_product(
     for x, y in combinations(factors, 2):
         if gcd(x, y) != 1:
             raise ParameterError("factors must be coprime prime powers")
+    # the second test keeps q**k from growing without bound; k < 1 and bad
+    # factors are left to bush_oa's checks
+    if k >= 1 and (
+        k >= OUTPUT_CELL_CAP.bit_length()
+        or prod(q**k for q in factors) * 2 * k > OUTPUT_CELL_CAP
+    ):
+        raise ParameterError(
+            f"k={k}, factors={factors} ask for {' * '.join(f'{q}^{k}' for q in factors)} "
+            f"runs x {2 * k} columns, above the cap of {OUTPUT_CELL_CAP} cells"
+        )
     arrays = [bush_oa(q, k, columns=2 * k) for q in factors]
     out = arrays[0]
     for nxt in arrays[1:]:
@@ -912,11 +966,11 @@ def k_uniform_product(
     if plan:
         items = []
         for column, sub_levels in plan:
-            rep = trivial_moa(sub_levels)
-            if rep.runs != d:
+            if prod(int(x) for x in sub_levels) != d:
                 raise ParameterError(
                     f"replacement levels {sub_levels} do not multiply to {d}"
                 )
+            rep = trivial_moa(sub_levels)
             items.append(ColumnReplacement(int(column), rep))
         out, cert = expansive_replace(out, ReplacementPlan(tuple(items)), k)
         cert = dc_replace(
@@ -954,15 +1008,23 @@ def two_uniform_from_scheme(
     an N-row strength-2 array B trades it for B's columns.  ``scheme_keep``
     trims the scheme block to that many columns, choosing the
     lexicographically first subset for which the finished array passes the
-    exact checks.
+    exact checks.  When the output or the built-in N x N Hadamard matrix would
+    exceed ``OUTPUT_CELL_CAP`` cells, ``ParameterError`` is raised before
+    building.
     """
     n = index_levels
+    width = scheme_columns + (1 if replacement is None else replacement.ncols)
+    if max(n * n if scheme is None else 0, d * n * width) > OUTPUT_CELL_CAP:
+        raise ParameterError(
+            f"N={n}, M={scheme_columns}, d={d} asks for {d * n} runs x {width} "
+            f"columns from an order-{n} scheme, above the cap of {OUTPUT_CELL_CAP} cells"
+        )
     if scheme is None:
         if d != 2:
             raise ParameterError("built-in schemes exist only for d = 2; pass one")
-        hm = hadamard01(n)
         if scheme_columns > n:
             raise ParameterError(f"at most {n} scheme columns available")
+        hm = hadamard01(n)
         scheme = DifferenceScheme(
             hm.cells[:, :scheme_columns], 2, 2, cyclic_group(2), verify=False
         )
@@ -976,13 +1038,12 @@ def two_uniform_from_scheme(
         if replacement.runs != n or not rep_report.holds:
             raise ParameterError("replacement must be a strength-2 array with N rows")
 
+    # a replacement's rows stand in for the index column's symbols, which is
+    # the same as juxtaposing the scheme with the replacement as host
+    index = column_vector(n) if replacement is None else replacement
+
     def build(keep_cols) -> MixedArray:
-        sub = scheme.select_columns(keep_cols)
-        host = juxtapose_scheme_raw(column_vector(n), sub)
-        if replacement is None:
-            return host
-        out, _ = _single_replacement(host, 0, replacement, 2)
-        return out
+        return juxtapose_scheme_raw(index, scheme.select_columns(keep_cols))
 
     seeds = (f"hadamard-{n}" if d == 2 else f"scheme-{n}x{scheme_columns}-over-{d}",)
     name = f"two_uniform_from_scheme(N={n}, M={scheme_columns}, d={d})"
@@ -1042,13 +1103,10 @@ def two_uniform_prime_power(
             )
     scheme = ds_linear(d, n)
     size = d**n
-    host = juxtapose_scheme_raw(column_vector(size), scheme)
-    if replacement is not None:
-        if min_distance(replacement) < 1:
-            raise ParameterError("replacement rows must be distinct")
-        out, _ = _single_replacement(host, 0, replacement, 2)
-    else:
-        out = host
+    if replacement is not None and min_distance(replacement) < 1:
+        raise ParameterError("replacement rows must be distinct")
+    index = column_vector(size) if replacement is None else replacement
+    out = juxtapose_scheme_raw(index, scheme)
     cert = ConstructionCertificate(
         construction=f"two_uniform_prime_power(d={d}, n={n})",
         runs=out.runs,

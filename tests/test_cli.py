@@ -101,12 +101,14 @@ class TestUnreadablePaths:
 
 # One command line per subcommand, well-formed when {path} is a readable
 # array file; the test below fills in a path and damages the line.
-# cor2, thm2, thm4 and thm7 are left out: parameters as small as 4 already
-# ask them for arrays of billions of cells.
 _ARGV_TEMPLATES = [
     "verify {path} --strength 1 --irredundant 1",
     "distance {path}",
     "construct thm1 --params m=1 n=2 -o out.moa",
+    "construct thm2 --params d=4 m=1 n=7 -o out.moa",
+    "construct thm4 --params d=5 m=4 n=54 -o out.moa",
+    "construct thm7 --params k=2 factors=3,4 -o out.moa",
+    "construct cor2 --params d=2 n=2 -o out.moa",
     "construct thm8 --params N=4 M=4 d=2 replace_with={path}",
     "replace {path} --column 0 --with {path} --strength 1 -o out.moa",
     "state {path} --format json",
@@ -121,7 +123,7 @@ _TOKENS = [
     "ket", "x", "", "2,3,2", "6,3,2", "--strength", "--params", "-o", "--column",
     "--with", "--k", "--runs", "--levels", "--min-distance", "--budget", "--seed",
 ]
-_KEYS = ["m", "n", "N", "M", "d", "scheme_keep"]
+_KEYS = ["m", "n", "N", "M", "d", "k", "factors", "scheme_keep"]
 
 
 def test_malformed_argv_exits_with_documented_codes(tmp_path, monkeypatch):
@@ -219,6 +221,32 @@ class TestConstructReplaceSearch:
         )
         assert code == 4 and err.startswith("error: ") and "cap" in err
         assert "MemoryError" not in err and not out and not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "pipeline, params",
+        [
+            ("thm2", ("d=4", "m=1", "n=100000")),
+            ("thm4", ("d=5", "m=4", "n=100000")),
+            ("thm7", ("k=6", "factors=11,13")),
+            ("thm8", ("N=65536", "M=2", "d=2")),
+        ],
+    )
+    def test_above_the_cell_cap_exits_4_before_building(self, tmp_path, capsys, pipeline, params):
+        # these used to raise MemoryError out of main() or run for minutes
+        out_path = tmp_path / "x.moa"
+        code, out, err = run(
+            capsys, "construct", pipeline, "--params", *params, "-o", str(out_path)
+        )
+        assert code == 4 and err.startswith("error: ") and "cap" in err
+        assert not out and not out_path.exists()
+
+    def test_thm7_split_levels_checked_before_building(self, capsys):
+        # the 10^9-run factorial used to be built before its run count was checked
+        code, _, err = run(
+            capsys, "construct", "thm7", "--params", "k=2", "factors=3,4",
+            "split=0:1000,1000,1000",
+        )
+        assert code == 4 and "do not multiply to 12" in err
 
     def test_replace(self, tmp_path, capsys):
         host = tmp_path / "host.moa"

@@ -21,6 +21,7 @@ from oakit.arrays import (
     select_columns,
     verify_strength,
 )
+from oakit.catalog import catalog_build
 from oakit.constructions import (
     ColumnReplacement,
     OrthogonalPartition,
@@ -34,6 +35,7 @@ from oakit.constructions import (
     k_uniform_product,
     partition_from_scheme,
     three_uniform_3m2n,
+    three_uniform_dm2n,
     trivial_moa,
     two_uniform_3m2n,
     two_uniform_dm2n,
@@ -212,6 +214,14 @@ class TestPolynomialArrays:
         assert min_distance(arr) == q + 2 - k
         assert verify_strength(arr, k).holds
 
+    def test_truncation_builds_only_the_kept_columns(self):
+        # the full 4099 x 4100 array is over the cell cap; two columns are not
+        arr = bush_oa(4099, 1, columns=2)
+        assert (arr.cells == np.arange(4099)[:, None]).all()
+        assert bush_oa(7, 3, columns=5) == select_columns(bush_oa(7, 3), range(5))
+        with pytest.raises(ParameterError, match="cap"):
+            bush_oa(4099, 1)
+
     def test_even_extension(self):
         arr = bush_oa_even(4)
         assert arr.runs == 64 and arr.ncols == 6
@@ -366,6 +376,49 @@ class TestFamilies:
         arr, cert = two_uniform_prime_power(2, 3, replacement=trivial_moa((4, 2)))
         assert arr.profile() == "4^1 2^9" and cert.measured_md >= 3
         assert verify_k_uniform(arr, 2).holds
+
+
+class TestVerifyOnce:
+    """Intermediates are not re-checked; `certify` on the output is the check."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: catalog_build("thm3/3^5x2^36"),
+            lambda: three_uniform_dm2n(5, 4, 54),
+        ],
+        ids=["thm3/3^5x2^36", "three_uniform_dm2n(5,4,54)"],
+    )
+    def test_one_strength_check_per_build(self, build, monkeypatch):
+        import oakit.constructions
+
+        calls = []
+
+        def counting(array, k):
+            calls.append((array, k))
+            return verify_strength(array, k)
+
+        monkeypatch.setattr(oakit.constructions, "verify_strength", counting)
+        arr, cert = build()
+        assert len(calls) == 1
+        assert calls[0][0] is arr and calls[0][1] == 3 and cert.verified
+
+    def test_bad_intermediate_fails_certify(self):
+        from oakit.algebra import DifferenceScheme
+        from oakit.constructions import _three_uniform_pipeline
+
+        weak = ds_linear(3, 2)  # strength 2 only, tagged 3 without a check
+        tagged = DifferenceScheme(weak.cells, weak.order, 3, weak.group, verify=False)
+        with pytest.raises(VerificationError, match="strength 3 oracle failed"):
+            _three_uniform_pipeline(tagged, 4, 22, 36, "weak left factor", ())
+
+    def test_caller_host_failing_strength_2_rejected(self, moa12):
+        cells = moa12.cells.copy()
+        cells[0, 1] ^= 1  # one flipped binary cell unbalances a column pair
+        host = MixedArray(moa12.levels, cells)
+        assert not verify_strength(host, 2).holds
+        with pytest.raises(ParameterError, match="strength-2 precondition"):
+            two_uniform_3m2n(1, 9, host=host)
 
 
 class TestDeletionGuarantee:
