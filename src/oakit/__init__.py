@@ -29,16 +29,12 @@ from .algebra import (
     hadamard01,
     is_difference_scheme,
     kronecker_sum,
-    partition_stack,
     product_construction,
     repeat_rows_each,
-    tile_rows,
 )
 from .constructions import (
-    ColumnReplacement,
     ConstructionCertificate,
     OrthogonalPartition,
-    ReplacementPlan,
     bush_oa,
     bush_oa_even,
     certify,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +43,6 @@ __all__ = [
     "expand",
     "juxtapose_scheme_raw",
     "repeat_rows_each",
-    "tile_rows",
-    "partition_stack",
     "product_construction",
     "column_vector",
 ]
@@ -469,52 +466,39 @@ def _xor_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def hadamard01(order: int, method: str | Sequence[int] | None = None) -> HadamardMatrix01:
+def hadamard01(order: int) -> HadamardMatrix01:
     """Generate a normalized 0/1 Hadamard matrix of the given order.
 
-    ``method`` may be "sylvester", "paley1", "paley2", a list of orders to
-    combine by Kronecker composition, or None to pick automatically in that
-    precedence.  Raises when no implemented generator covers the order.
+    Generators are tried in the precedence Sylvester (n = 2^m), Paley I
+    (n = q + 1, q = 3 mod 4), Paley II (n = 2q + 2, q = 1 mod 4), then the
+    Kronecker product H(a) x H(n/a) for the smallest basic order a dividing n
+    whose cofactor also builds.  Raises when no implemented generator covers
+    the order.
     """
     n = order
     if n < 1:
         raise ParameterError(f"order must be >= 1, got {n}")
-    if isinstance(method, (list, tuple)):
-        if prod(method) != n:
-            raise ParameterError(f"factors {method} do not multiply to {n}")
-        cells = np.zeros((1, 1), dtype=np.int64)
-        for f in method:
-            cells = _xor_kron(cells, hadamard01(f).cells)
-        return HadamardMatrix01(n, cells)
-    if method == "sylvester" or (method is None and (n & (n - 1)) == 0):
-        if n & (n - 1):
-            raise ParameterError(f"{n} is not a power of two")
+    if (n & (n - 1)) == 0:
         return HadamardMatrix01(n, _pm1_to_01(_normalize_pm1(_sylvester(n.bit_length() - 1))))
-    if method == "paley1" or (method is None and _paley1_order(n) is not None):
-        q = _paley1_order(n)
-        if q is None:
-            raise ParameterError(f"no prime power q = 3 mod 4 with q + 1 = {n}")
+    q = _paley1_order(n)
+    if q is not None:
         return HadamardMatrix01(n, _pm1_to_01(_normalize_pm1(_paley1(q))))
-    if method == "paley2" or (method is None and _paley2_order(n) is not None):
-        q = _paley2_order(n)
-        if q is None:
-            raise ParameterError(f"no prime power q = 1 mod 4 with 2(q + 1) = {n}")
+    q = _paley2_order(n)
+    if q is not None:
         return HadamardMatrix01(n, _pm1_to_01(_normalize_pm1(_paley2(q))))
-    if method in (None, "kronecker"):
-        for a in range(2, n):
-            if n % a:
+    for a in range(2, n):
+        if n % a == 0 and _basic_order(a):
+            try:
+                return HadamardMatrix01(
+                    n, _xor_kron(hadamard01(a).cells, hadamard01(n // a).cells)
+                )
+            except ParameterError:
                 continue
-            if _basic_order(a):
-                try:
-                    return hadamard01(n, method=[a, n // a])
-                except ParameterError:
-                    continue
-        raise ParameterError(
-            f"no generator for Hadamard order {n}; applicable methods: sylvester "
-            "(2^m), paley1 (q+1, q = 3 mod 4), paley2 (2q+2, q = 1 mod 4), "
-            "kronecker products thereof"
-        )
-    raise ParameterError(f"unknown method {method!r}")
+    raise ParameterError(
+        f"no generator for Hadamard order {n}; applicable methods: sylvester "
+        "(2^m), paley1 (q+1, q = 3 mod 4), paley2 (2q+2, q = 1 mod 4), "
+        "kronecker products thereof"
+    )
 
 
 def _basic_order(n: int) -> bool:
@@ -591,9 +575,7 @@ def _scheme_cells(candidate, d: int) -> np.ndarray:
 
 def _expansion(cells: np.ndarray, group: AdditiveGroup) -> MixedArray:
     d = group.order
-    r, c = cells.shape
-    out = group.add(cells[:, None, :], np.arange(d)[None, :, None]).reshape(r * d, c)
-    return MixedArray((d,) * c, out)
+    return kronecker_sum(MixedArray((d,) * cells.shape[1], cells), column_vector(d), group)
 
 
 def expand(scheme: DifferenceScheme) -> MixedArray:
@@ -665,7 +647,7 @@ def ds_poly3(d: int) -> DifferenceScheme:
 
 
 # ---------------------------------------------------------------------------
-# Kronecker sums and stacking helpers
+# Kronecker sums, row repetition and the symbol-pairing product
 
 
 def kronecker_sum(a: MixedArray, b: MixedArray, group: AdditiveGroup) -> MixedArray:
@@ -689,34 +671,6 @@ def repeat_rows_each(a: MixedArray, times: int) -> MixedArray:
     if times < 1:
         raise ParameterError("repeat count must be >= 1")
     return MixedArray(a.levels, np.repeat(a.cells, times, axis=0))
-
-
-def tile_rows(a: MixedArray, times: int) -> MixedArray:
-    """1_times (x) A: the whole block stacked ``times`` times."""
-    if times < 1:
-        raise ParameterError("tile count must be >= 1")
-    return MixedArray(a.levels, np.tile(a.cells, (times, 1)))
-
-
-def partition_stack(blocks: Sequence[MixedArray], times: int, mode: str) -> MixedArray:
-    """Stack partition blocks, repeating or tiling each block's rows.
-
-    mode "repeat" builds (A_[1..u], r): each row of each block repeated
-    ``times`` in place; mode "tile" builds (r, A_[1..u]): each block tiled
-    ``times`` as a whole.  Blocks must share their level profile.
-    """
-    if not blocks:
-        raise ParameterError("need at least one block")
-    levels = blocks[0].levels
-    if any(b.levels != levels for b in blocks):
-        raise ParameterError("blocks disagree on levels")
-    if mode == "repeat":
-        parts = [np.repeat(b.cells, times, axis=0) for b in blocks]
-    elif mode == "tile":
-        parts = [np.tile(b.cells, (times, 1)) for b in blocks]
-    else:
-        raise ParameterError(f"unknown mode {mode!r}")
-    return MixedArray(levels, np.vstack(parts))
 
 
 def product_construction(a: MixedArray, b: MixedArray) -> MixedArray:

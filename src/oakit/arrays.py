@@ -95,9 +95,6 @@ class MixedArray:
     def ncols(self) -> int:
         return self.cells.shape[1]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.cells[i])
-
     def row_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row) for row in self.cells]
 
@@ -154,9 +151,7 @@ class DistanceSpectrum:
 class IrredundancyReport:
     k: int
     holds: bool
-    criterion: str
-    min_distance: int | None = None
-    witness_columns: tuple[int, ...] | None = None
+    min_distance: int
 
 
 _TILE_CELLS = 1 << 18  # cells per tile of row pairs (distance_spectrum, verify_k_uniform)
@@ -276,26 +271,19 @@ def min_distance(array: MixedArray) -> int:
     return distance_spectrum(array).min_distance
 
 
-def is_irredundant(array: MixedArray, k: int, method: str = "distance") -> IrredundancyReport:
+def is_irredundant(array: MixedArray, k: int) -> IrredundancyReport:
     """True iff all rows of every r x (N-k) subarray are distinct.
 
-    The fast criterion is min_distance >= k + 1.  ``method='subarrays'``
-    cross-checks by enumerating every (N-k)-column subarray directly; the two
-    must always agree (exercised by the property tests).
+    Two rows that agree on some N-k columns differ in at most k places, so the
+    criterion is exactly min_distance >= k + 1; the report carries that
+    measured distance.  The direct subarray enumeration is the test oracle
+    ``naive_irredundant``.
     """
     n = array.ncols
     if not 1 <= k < n:
         raise ParameterError(f"irredundancy strength must satisfy 1 <= k < {n}, got {k}")
-    if method == "distance":
-        md = min_distance(array)
-        return IrredundancyReport(k, md >= k + 1, "min-distance", md)
-    if method == "subarrays":
-        for keep in combinations(range(n), n - k):
-            sub = array.cells[:, keep]
-            if np.unique(sub, axis=0).shape[0] != array.runs:
-                return IrredundancyReport(k, False, "subarray-enumeration", None, keep)
-        return IrredundancyReport(k, True, "subarray-enumeration")
-    raise ParameterError(f"unknown method {method!r}")
+    md = min_distance(array)
+    return IrredundancyReport(k, md >= k + 1, md)
 
 
 def delete_columns(array: MixedArray, indices: Iterable[int]) -> MixedArray:

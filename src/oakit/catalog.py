@@ -601,13 +601,7 @@ def fixture_states() -> dict[str, SparseState]:
 
 
 def _fixture_4522() -> MixedArray:
-    from .constructions import (
-        ColumnReplacement,
-        ReplacementPlan,
-        bush_oa_even,
-        expansive_replace,
-    )
+    from .constructions import bush_oa_even, expansive_replace
 
-    plan = ReplacementPlan((ColumnReplacement(5, trivial_moa((2, 2))),))
-    out, _cert = expansive_replace(bush_oa_even(4), plan, 3)
+    out, _cert = expansive_replace(bush_oa_even(4), {5: trivial_moa((2, 2))}, 3)
     return out

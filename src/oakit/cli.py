@@ -16,8 +16,6 @@ from pathlib import Path
 from . import catalog
 from .arrays import distance_spectrum, is_irredundant, verify_strength
 from .constructions import (
-    ColumnReplacement,
-    ReplacementPlan,
     certify,
     expansive_replace,
     five_column_feasibility,
@@ -181,8 +179,7 @@ def _cmd_construct(args) -> int:
 def _cmd_replace(args) -> int:
     array = _read_array(args.file)
     replacement = _read_array(args.with_file)
-    plan = ReplacementPlan((ColumnReplacement(args.column, replacement),))
-    out, cert = expansive_replace(array, plan, args.strength)
+    out, cert = expansive_replace(array, {args.column: replacement}, args.strength)
     _emit(out, certify(out, cert), args.output)
     _say(f"replaced column {args.column}: {out!r}")
     return EXIT_OK

@@ -11,8 +11,8 @@ Three mechanisms generate everything here:
 * expansive replacement, substituting each symbol of a d-level column by
   the matching row of a d-row array. This preserves strength, and it
   preserves irredundancy when the undisturbed columns carry minimal
-  distance >= k + 1 and every replaced distance-bearing column keeps all
-  sub-columns of an array with distinct rows.
+  distance >= k + 1, a replaced column bearing distance only when its
+  replacement array has distinct rows.
 
 Every family builder ends with a mandatory oracle re-verification (exact
 strength check plus minimal distance); certificates distinguish predicted
@@ -41,11 +41,9 @@ from .algebra import (
     juxtapose_scheme_raw,
     prime_power_decomposition,
     product_construction,
-    partition_stack,
 )
 from .arrays import (
     MixedArray,
-    concat_columns,
     delete_columns,
     min_distance,
     select_columns,
@@ -59,8 +57,6 @@ OUTPUT_CELL_CAP = 1 << 24
 
 __all__ = [
     "OrthogonalPartition",
-    "ColumnReplacement",
-    "ReplacementPlan",
     "ConstructionCertificate",
     "certify",
     "juxtapose_scheme",
@@ -104,28 +100,28 @@ class OrthogonalPartition:
         if len(sizes) != 1:
             raise ParameterError("blocks are not of equal size")
         size = sizes.pop()
-        cells = self.parent.cells
-        for bi, block in enumerate(blocks):
-            for j, d in enumerate(self.parent.levels):
-                if size % d:
-                    raise VerificationError(
-                        f"block size {size} not divisible by level {d}"
-                    )
-                counts = np.bincount(cells[list(block), j], minlength=d)
-                if (counts != size // d).any():
-                    raise VerificationError(
-                        f"block {bi} fails the strength-1 check on column {j}"
-                    )
+        u, levels = len(blocks), self.parent.levels
+        label = np.empty(r, dtype=np.int64)
+        label[flat] = np.repeat(np.arange(u), size)
+        # bad[b, j]: block b fails strength 1 on column j; a level that does
+        # not divide the block size fails in every block
+        bad = np.ones((u, len(levels)), dtype=bool)
+        for j, d in enumerate(levels):
+            if size % d == 0:
+                codes = label * d + self.parent.cells[:, j]
+                counts = np.bincount(codes, minlength=u * d).reshape(u, d)
+                bad[:, j] = (counts != size // d).any(axis=1)
+        if bad.any():
+            bi, j = (int(x) for x in np.argwhere(bad)[0])
+            if size % levels[j]:
+                raise VerificationError(
+                    f"block size {size} not divisible by level {levels[j]}"
+                )
+            raise VerificationError(f"block {bi} fails the strength-1 check on column {j}")
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def block_arrays(self) -> list[MixedArray]:
-        return [
-            MixedArray(self.parent.levels, self.parent.cells[list(b), :])
-            for b in self.blocks
-        ]
 
 
 def partition_from_scheme(scheme: DifferenceScheme) -> OrthogonalPartition:
@@ -268,12 +264,9 @@ def _uniform_level(a: MixedArray) -> int:
 
 
 def juxtapose_partitions(
-    a: MixedArray,
-    pa: OrthogonalPartition,
-    b: MixedArray,
-    pb: OrthogonalPartition,
+    pa: OrthogonalPartition, pb: OrthogonalPartition
 ) -> tuple[MixedArray, ConstructionCertificate]:
-    """Combine two strength-3 arrays along strength-1 orthogonal partitions.
+    """Combine two strength-3 arrays along their strength-1 partitions pa, pb.
 
     With u <= v blocks, h = lcm(u, v), the output stacks h/u copies of
     (A blocks, each row repeated d'') against h/v copies of (B blocks, each
@@ -282,10 +275,8 @@ def juxtapose_partitions(
     min(w1 + w2, N', N'') when u = v, min(N', w2) when u | v with u < v,
     and min(w1, w2) otherwise.
     """
-    if pa.parent != a or pb.parent != b:
-        raise ParameterError("partitions must partition their own arrays")
-    for arr, name in ((a, "first"), (b, "second")):
-        report = verify_strength(arr, 3)
+    for p, name in ((pa, "first"), (pb, "second")):
+        report = verify_strength(p.parent, 3)
         if not report.holds:
             raise ParameterError(f"{name} array fails the strength-3 precondition")
     return _juxtapose_partitions(pa, pb)
@@ -309,11 +300,11 @@ def _juxtapose_partitions(
     if u > v:
         raise ParameterError(f"need u <= v, got u={u} > v={v}")
     h = lcm(u, v)
-    left = partition_stack(pa.block_arrays(), d2, "repeat")
-    left = MixedArray(left.levels, np.tile(left.cells, (h // u, 1)))
-    right = partition_stack(pb.block_arrays(), d1, "tile")
-    right = MixedArray(right.levels, np.tile(right.cells, (h // v, 1)))
-    out = concat_columns(left, right)
+    # row gathers: A's blocks with each row repeated d'', B's blocks each
+    # tiled d', each stack repeated until both have h blocks
+    left = np.tile(np.repeat(pa.blocks, d2, axis=1).ravel(), h // u)
+    right = np.tile(np.tile(pb.blocks, (1, d1)).ravel(), h // v)
+    out = MixedArray(a.levels + b.levels, np.hstack([a.cells[left], b.cells[right]]))
     w1, w2 = min_distance(a), min_distance(b)
     n1, n2 = a.ncols, b.ncols
     if u == v:
@@ -338,104 +329,47 @@ def _juxtapose_partitions(
 # expansive replacement
 
 
-@dataclass(frozen=True)
-class ColumnReplacement:
-    """Replace one column's symbols by rows of ``replacement`` (identity map).
-
-    ``keep`` selects which sub-columns of the replacement survive (None keeps
-    all).  ``distance_bearing`` marks columns whose distance contribution the
-    irredundancy argument relies on; replaced distance-bearing columns must
-    keep every sub-column and have replacement arrays with distinct rows.
-    """
-
-    column: int
-    replacement: MixedArray
-    keep: tuple[int, ...] | None = None
-    distance_bearing: bool = True
-
-
-@dataclass(frozen=True)
-class ReplacementPlan:
-    items: tuple[ColumnReplacement, ...]
-
-    def __post_init__(self) -> None:
-        if not self.items:
-            raise ParameterError("empty replacement plan")
-        cols = [item.column for item in self.items]
-        if len(set(cols)) != len(cols):
-            raise ParameterError("plan replaces a column twice")
-
-
 def expansive_replace(
-    a: MixedArray, plan: ReplacementPlan, strength: int
+    a: MixedArray, replacements: dict[int, MixedArray], strength: int
 ) -> tuple[MixedArray, ConstructionCertificate]:
     """Substitute symbols of chosen columns by rows of replacement arrays.
 
-    Row i of each replacement array stands for symbol i, so its run count
-    must equal the replaced column's level.  Strength is preserved; the
-    certificate claims irredundancy only when the distance conditions hold
-    on the maximal distance-bearing column set, otherwise it records that a
-    re-verification is required (and `certify` performs it).
+    ``replacements`` maps a column index to its replacement array, whose
+    columns all take that column's place.  Row i of a replacement stands for
+    symbol i, so its run count must equal the replaced column's level.
+    Strength is preserved.  The distance-bearing columns are the unreplaced
+    ones plus each replaced one whose replacement has distinct rows; when the
+    host's minimal distance on them is at least k + 1 the certificate
+    predicts k + 1, otherwise it records that a re-verification is required
+    (and `certify` performs it).
     """
-    n = a.ncols
-    by_col = {}
-    for item in plan.items:
-        j = item.column
-        if not 0 <= j < n:
+    if not replacements:
+        raise ParameterError("empty replacement plan")
+    for j, rep in replacements.items():
+        if not 0 <= j < a.ncols:
             raise ParameterError(f"column {j} out of range")
-        if item.replacement.runs != a.levels[j]:
+        if rep.runs != a.levels[j]:
             raise ParameterError(
-                f"replacement for column {j} has {item.replacement.runs} rows "
+                f"replacement for column {j} has {rep.runs} rows "
                 f"but the column has {a.levels[j]} levels"
             )
-        keep = item.keep
-        if keep is not None:
-            keep = tuple(int(c) for c in keep)
-            if any(not 0 <= c < item.replacement.ncols for c in keep):
-                raise ParameterError(f"keep indices out of range for column {j}")
-        by_col[j] = dc_replace(item, keep=keep)
 
     pieces: list[np.ndarray] = []
     levels: list[int] = []
-    kept_anything = False
-    for j in range(n):
-        if j not in by_col:
+    bearing: list[int] = []
+    for j in range(a.ncols):
+        rep = replacements.get(j)
+        if rep is None:
             pieces.append(a.cells[:, [j]])
             levels.append(a.levels[j])
-            kept_anything = True
-            continue
-        item = by_col[j]
-        keep = item.keep if item.keep is not None else tuple(range(item.replacement.ncols))
-        if not keep:
-            continue
-        sub = item.replacement.cells[a.cells[:, j]][:, list(keep)]
-        pieces.append(sub)
-        levels.extend(item.replacement.levels[c] for c in keep)
-        kept_anything = True
-    if not kept_anything:
-        raise ParameterError("plan keeps no columns at all")
+            bearing.append(j)
+        else:
+            pieces.append(rep.cells[a.cells[:, j]])
+            levels.extend(rep.levels)
+            if min_distance(rep) >= 1:
+                bearing.append(j)
     out = MixedArray(tuple(levels), np.hstack(pieces))
 
-    # Irredundancy by the replacement distance conditions: take the maximal
-    # candidate set of distance-bearing columns (unreplaced, or replaced
-    # keeping every sub-column of an array with distinct rows) and test the
-    # host's minimal distance on it.
-    bearing = []
-    for j in range(n):
-        if j not in by_col:
-            bearing.append(j)
-            continue
-        item = by_col[j]
-        keeps_all = item.keep is None or tuple(sorted(item.keep)) == tuple(
-            range(item.replacement.ncols)
-        )
-        if (
-            item.distance_bearing
-            and keeps_all
-            and item.replacement.runs > 1
-            and min_distance(item.replacement) >= 1
-        ):
-            bearing.append(j)
     notes: tuple[str, ...]
     predicted = None
     if bearing:
@@ -542,13 +476,10 @@ def bush_oa_even(q: int) -> MixedArray:
     return array
 
 
-def trivial_moa(levels, groups=None) -> MixedArray:
+def trivial_moa(levels) -> MixedArray:
     """Full factorial over the given levels (first column most significant).
 
-    ``groups`` optionally merges consecutive column groups into single
-    columns by mixed-radix pairing, e.g. (7,4,2) with groups [(0,1),(2,)]
-    becomes the 56-run array over levels (28, 2).  Strength equals the
-    column count.
+    Strength equals the column count.
     """
     levels = tuple(int(d) for d in levels)
     if not levels or any(d < 2 for d in levels):
@@ -559,23 +490,7 @@ def trivial_moa(levels, groups=None) -> MixedArray:
     for j, d in enumerate(levels):
         reps //= d
         cells[:, j] = np.tile(np.repeat(np.arange(d), reps), runs // (reps * d))
-    array = MixedArray(levels, cells)
-    if groups is None:
-        return array
-    expected = list(range(len(levels)))
-    flat = [j for g in groups for j in g]
-    if flat != expected:
-        raise ParameterError("groups must partition the columns in order")
-    pieces = []
-    glevels = []
-    for g in groups:
-        dims = [levels[j] for j in g]
-        code = np.zeros(runs, dtype=np.int64)
-        for j in g:
-            code = code * levels[j] + cells[:, j]
-        pieces.append(code[:, None])
-        glevels.append(prod(dims))
-    return MixedArray(tuple(glevels), np.hstack(pieces))
+    return MixedArray(levels, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +634,11 @@ def _two_uniform_from_host(
     n: int,
     construction: str,
     seed_name: str | None,
-    caller_host: bool,
 ) -> tuple[MixedArray, ConstructionCertificate]:
     """Check a host over levels d and 2, keep its first m d-level columns, chain.
 
-    A caller's host must also pass the strength-2 precondition; a built-in
+    ``seed_name`` None marks a caller's host: it must also pass the
+    strength-2 precondition and is recorded as "caller-host".  A built-in
     host is a seed, checked on load, or a certified output.
     """
     d_cols = [j for j, lv in enumerate(host.levels) if lv == d]
@@ -731,7 +646,7 @@ def _two_uniform_from_host(
         raise ParameterError(f"host must be an array over levels {d} and 2")
     if len(d_cols) > m:
         host = delete_columns(host, d_cols[m:])
-    if caller_host:
+    if seed_name is None:
         report = verify_strength(host, 2)
         if not report.holds:
             raise ParameterError(
@@ -742,10 +657,7 @@ def _two_uniform_from_host(
 
 
 def two_uniform_3m2n(
-    m: int,
-    n: int,
-    host: MixedArray | None = None,
-    host_seed_name: str | None = None,
+    m: int, n: int, host: MixedArray | None = None
 ) -> tuple[MixedArray, ConstructionCertificate]:
     """Irredundant strength-2 array over 3^m 2^n.
 
@@ -757,36 +669,32 @@ def two_uniform_3m2n(
 
     if m < 1:
         raise ParameterError("need m >= 1")
-    caller_host = host is not None
+    seed_name = None
     if host is None:
         if m == 1:
             if n == 8:
                 return two_uniform_from_scheme(
                     12, 12, 2, replacement=seed_array("moa-12-3x2^4"), scheme_keep=4
                 )
-            host = seed_array("moa-12-3x2^4")
-            host_seed_name = "moa-12-3x2^4"
+            seed_name = "moa-12-3x2^4"
+            host = seed_array(seed_name)
         elif m == 2:
-            host = seed_array("moa-36-3^2x2^2")
-            host_seed_name = "moa-36-3^2x2^2"
+            seed_name = "moa-36-3^2x2^2"
+            host = seed_array(seed_name)
         elif m == 3:
-            host = seed_array("moa-108-3^3x2^2")
-            host_seed_name = "moa-108-3^3x2^2"
+            seed_name = "moa-108-3^3x2^2"
+            host = seed_array(seed_name)
         else:
             raise ParameterError(
                 f"no built-in host for m = {m}; pass a strength-2 host array"
             )
     return _two_uniform_from_host(
-        host, 3, m, n, f"two_uniform_3m2n(m={m}, n={n})", host_seed_name, caller_host
+        host, 3, m, n, f"two_uniform_3m2n(m={m}, n={n})", seed_name
     )
 
 
 def two_uniform_dm2n(
-    d: int,
-    m: int,
-    n: int,
-    host: MixedArray | None = None,
-    host_seed_name: str | None = None,
+    d: int, m: int, n: int, host: MixedArray | None = None
 ) -> tuple[MixedArray, ConstructionCertificate]:
     """Irredundant strength-2 array over d^m 2^n for d > 3.
 
@@ -796,23 +704,17 @@ def two_uniform_dm2n(
     """
     if d <= 3:
         raise ParameterError("use the 3^m 2^n builder for d <= 3")
-    caller_host = host is not None
+    seed_name = None
     if host is None:
         if d == 4 and m == 1:
             host, _ = two_uniform_from_scheme(4, 4, 2)
-            host_seed_name = "scheme-juxtaposition 4^1x2^4"
+            seed_name = "scheme-juxtaposition 4^1x2^4"
         else:
             raise ParameterError(
                 f"no built-in host for d = {d}, m = {m}; pass a strength-2 host"
             )
     return _two_uniform_from_host(
-        host,
-        d,
-        m,
-        n,
-        f"two_uniform_dm2n(d={d}, m={m}, n={n})",
-        host_seed_name,
-        caller_host,
+        host, d, m, n, f"two_uniform_dm2n(d={d}, m={m}, n={n})", seed_name
     )
 
 
@@ -942,6 +844,8 @@ def k_uniform_product(
     is raised before building anything.
     """
     factors = sorted(int(q) for q in factors)
+    if not factors:
+        raise ParameterError("need at least one factor")
     if len(set(factors)) != len(factors):
         raise ParameterError("factors must be distinct")
     for x, y in combinations(factors, 2):
@@ -964,15 +868,16 @@ def k_uniform_product(
     d = prod(factors)
     seeds = tuple(f"polynomial-evaluation q={q} k={k}" for q in factors)
     if plan:
-        items = []
+        replacements = {}
         for column, sub_levels in plan:
             if prod(int(x) for x in sub_levels) != d:
                 raise ParameterError(
                     f"replacement levels {sub_levels} do not multiply to {d}"
                 )
-            rep = trivial_moa(sub_levels)
-            items.append(ColumnReplacement(int(column), rep))
-        out, cert = expansive_replace(out, ReplacementPlan(tuple(items)), k)
+            if int(column) in replacements:
+                raise ParameterError("plan replaces a column twice")
+            replacements[int(column)] = trivial_moa(sub_levels)
+        out, cert = expansive_replace(out, replacements, k)
         cert = dc_replace(
             cert,
             construction=f"k_uniform_product(k={k}, factors={factors})",

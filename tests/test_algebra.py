@@ -1,4 +1,4 @@
-"""Fields, groups, Hadamard generators, difference schemes, stacking."""
+"""Fields, groups, Hadamard generators, difference schemes, Kronecker sums."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,9 @@ from oakit.algebra import (
     hadamard01,
     is_difference_scheme,
     kronecker_sum,
-    partition_stack,
     prime_power_decomposition,
     product_construction,
     repeat_rows_each,
-    tile_rows,
 )
 from oakit.arrays import MixedArray, distance_spectrum, min_distance, verify_strength
 from oakit.constructions import bush_oa
@@ -195,7 +193,7 @@ class TestHadamard:
     def test_base_case(self):
         assert hadamard01(2).cells.tolist() == [[0, 0], [0, 1]]
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 16, 20, 24, 36, 48, 100])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 12, 16, 20, 24, 36, 40, 48, 100])
     def test_orders(self, n):
         h = hadamard01(n)
         cells = h.cells
@@ -203,12 +201,6 @@ class TestHadamard:
         for i in range(n - 1):
             d = np.count_nonzero(cells[i + 1 :] != cells[i], axis=1)
             assert (d == n // 2).all()
-
-    def test_methods_explicit(self):
-        assert hadamard01(12, "paley1").order == 12
-        assert hadamard01(36, "paley2").order == 36
-        assert hadamard01(16, "sylvester").order == 16
-        assert hadamard01(24, [2, 12]).order == 24
 
     def test_no_generator_error(self):
         with pytest.raises(ParameterError, match="applicable methods"):
@@ -307,30 +299,18 @@ class TestKroneckerAndStacking:
             kronecker_sum(column_vector(3), column_vector(2), cyclic_group(3))
 
     def test_blocks_reassemble_expansion(self, scheme18):
-        # the 18 shifted blocks stack back to the 54-run array, up to row order
+        # the 18 canonical blocks, each row i shifted by every group element,
+        # stack back to the 54-run expansion in order
+        from oakit.constructions import partition_from_scheme
+
+        partition = partition_from_scheme(scheme18)
         parent = expand(scheme18)
-        blocks = [
-            MixedArray(parent.levels, parent.cells[i * 3 : (i + 1) * 3])
-            for i in range(18)
-        ]
-        stacked = partition_stack(blocks, 1, "repeat")
-        assert sorted(map(tuple, stacked.cells.tolist())) == sorted(
-            map(tuple, parent.cells.tolist())
-        )
-
-    def test_repeat_and_tile(self):
-        row = MixedArray.from_rows((2, 2), [[0, 1]])
-        assert repeat_rows_each(row, 3).cells.tolist() == [[0, 1]] * 3
-        arr = trivial = MixedArray.from_rows((2,), [[0], [1]])
-        assert tile_rows(arr, 1) == trivial
-
-    def test_partition_stack_modes(self):
-        a = MixedArray.from_rows((2,), [[0], [1]])
-        b = MixedArray.from_rows((2,), [[1], [0]])
-        rep = partition_stack([a, b], 2, "repeat")
-        assert rep.cells[:, 0].tolist() == [0, 0, 1, 1, 1, 1, 0, 0]
-        til = partition_stack([a, b], 2, "tile")
-        assert til.cells[:, 0].tolist() == [0, 1, 0, 1, 1, 0, 1, 0]
+        assert partition.parent == parent
+        stacked = parent.cells[np.concatenate(partition.blocks)]
+        assert np.array_equal(stacked, parent.cells)
+        for i, block in enumerate(partition.blocks):
+            shifts = (scheme18.cells[i][None, :] + np.arange(3)[:, None]) % 3
+            assert np.array_equal(parent.cells[list(block)], shifts)
 
 
 class TestProductConstruction:

@@ -99,25 +99,26 @@ class TestUnreadablePaths:
         assert code == 4 and err.startswith("error: ")
 
 
-# One command line per subcommand, well-formed when {path} is a readable
-# array file; the test below fills in a path and damages the line.
-_ARGV_TEMPLATES = [
-    "verify {path} --strength 1 --irredundant 1",
-    "distance {path}",
-    "construct thm1 --params m=1 n=2 -o out.moa",
-    "construct thm2 --params d=4 m=1 n=7 -o out.moa",
-    "construct thm4 --params d=5 m=4 n=54 -o out.moa",
-    "construct thm7 --params k=2 factors=3,4 -o out.moa",
-    "construct cor2 --params d=2 n=2 -o out.moa",
-    "construct thm8 --params N=4 M=4 d=2 replace_with={path}",
-    "replace {path} --column 0 --with {path} --strength 1 -o out.moa",
-    "state {path} --format json",
-    "uniformity {path} --k 1",
-    "search --runs 4 --levels 2,2 --strength 1 --min-distance 1 --budget 10 -o out.moa",
-    "feasible --levels 3,2,2,2,2",
-    "catalog build thm1/3^1x2^9 --seed {path} -o out.moa",
-    "catalog list",
-]
+# One command line per subcommand, well-formed when {path} is the 4-run
+# array file and {rep} a 2-run replacement, with the exit code it documents
+# undamaged; the fuzz test below fills in a path and damages the line.
+_ARGV_TEMPLATES = {
+    "verify {path} --strength 1 --irredundant 1": 2,  # minimal distance 1
+    "distance {path}": 0,
+    "construct thm1 --params m=1 n=9 -o out.moa": 0,
+    "construct thm2 --params d=4 m=1 n=7 -o out.moa": 0,
+    "construct thm4 --params d=5 m=4 n=54 -o out.moa": 0,
+    "construct thm7 --params k=2 factors=3,4 -o out.moa": 0,
+    "construct cor2 --params d=2 n=2 -o out.moa": 0,
+    "construct thm8 --params N=4 M=4 d=2 replace_with={path}": 0,
+    "replace {path} --column 0 --with {rep} --strength 1 -o out.moa": 2,  # not irredundant
+    "state {path} --format json": 0,
+    "uniformity {path} --k 1": 2,  # a full factorial is not 1-uniform
+    "search --runs 4 --levels 2,2 --strength 1 --min-distance 1 --budget 10 -o out.moa": 0,
+    "feasible --levels 3,2,2,2,2": 0,
+    "catalog build thm1/3^1x2^9 --seed {path} -o out.moa": 0,
+    "catalog list": 0,
+}
 _TOKENS = [
     "verify", "construct", "catalog", "build", "thm3", "thm8", "table5/12^1x6^6", "nope",
     "ket", "x", "", "2,3,2", "6,3,2", "--strength", "--params", "-o", "--column",
@@ -126,13 +127,31 @@ _TOKENS = [
 _KEYS = ["m", "n", "N", "M", "d", "k", "factors", "scheme_keep"]
 
 
-def test_malformed_argv_exits_with_documented_codes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # so that every -o lands in tmp_path
+@pytest.fixture()
+def argv_files(tmp_path, monkeypatch):
+    """The template files in tmp_path, also the working directory for -o."""
+    monkeypatch.chdir(tmp_path)
     array = tmp_path / "a.moa"
     array.write_text(serialize_array(trivial_moa((2, 2))))
+    rep = tmp_path / "rep.moa"
+    rep.write_text(serialize_array(trivial_moa((2,))))
     latin1 = tmp_path / "latin1.moa"
     latin1.write_bytes(b"moa v1\nruns 1\nlevels 2\nrows:\n\xff\n")
-    paths = [str(array), str(latin1), str(tmp_path), str(tmp_path / "missing.moa")]
+    return {"array": array, "rep": rep, "latin1": latin1}
+
+
+@pytest.mark.parametrize("template", list(_ARGV_TEMPLATES))
+def test_argv_template_exits_with_its_code(argv_files, template):
+    argv = template.format(path=argv_files["array"], rep=argv_files["rep"]).split(" ")
+    assert main(argv) == _ARGV_TEMPLATES[template]
+
+
+def test_malformed_argv_exits_with_documented_codes(argv_files, tmp_path):
+    rep = str(argv_files["rep"])
+    paths = [
+        str(argv_files["array"]), str(argv_files["latin1"]), str(tmp_path),
+        str(tmp_path / "missing.moa"),
+    ]
     small = st.integers(-1, 8)
     token = st.one_of(
         st.sampled_from(_TOKENS + paths),
@@ -142,9 +161,9 @@ def test_malformed_argv_exits_with_documented_codes(tmp_path, monkeypatch):
     )
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.sampled_from(_ARGV_TEMPLATES), st.sampled_from(paths), st.data())
+    @given(st.sampled_from(list(_ARGV_TEMPLATES)), st.sampled_from(paths), st.data())
     def check(template, path, data):
-        argv = template.format(path=path).split(" ")
+        argv = template.format(path=path, rep=rep).split(" ")
         for _ in range(data.draw(st.integers(1, 3))):
             pos = data.draw(st.integers(0, len(argv)))
             cut = data.draw(st.integers(0, 1))

@@ -23,9 +23,7 @@ from oakit.arrays import (
 )
 from oakit.catalog import catalog_build
 from oakit.constructions import (
-    ColumnReplacement,
     OrthogonalPartition,
-    ReplacementPlan,
     bush_oa,
     bush_oa_even,
     expansive_replace,
@@ -96,14 +94,35 @@ class TestPartitions:
         with pytest.raises(ParameterError):
             OrthogonalPartition(arr, ((0,), (1,), ()))
 
+    def test_first_failing_block_and_column_named(self):
+        # rows 2 and 3 agree on column 1, every other pair below is balanced;
+        # the second partition lists blocks and rows out of row order
+        arr = MixedArray.from_rows(
+            (2, 2), [[0, 0], [1, 1], [0, 1], [1, 1], [0, 1], [1, 0]]
+        )
+        for blocks in (((0, 1), (2, 3), (4, 5)), ((5, 4), (3, 2), (1, 0))):
+            with pytest.raises(VerificationError, match="^block 1 fails .* column 1$"):
+                OrthogonalPartition(arr, blocks)
+        # block 2 also fails, on column 0: block-major order still names block 1
+        arr = MixedArray.from_rows(
+            (2, 2), [[0, 0], [1, 1], [0, 1], [1, 1], [0, 0], [0, 1]]
+        )
+        with pytest.raises(VerificationError, match="^block 1 fails .* column 1$"):
+            OrthogonalPartition(arr, ((0, 1), (2, 3), (4, 5)))
+
+    def test_level_not_dividing_block_size_rejected(self):
+        arr = trivial_moa((2, 3))
+        with pytest.raises(VerificationError, match="block size 3 not divisible by level 2"):
+            OrthogonalPartition(arr, ((0, 1, 2), (3, 4, 5)))
+
 
 class TestJuxtaposePartitions:
     def test_u_equals_v_case(self, scheme18):
         a = expand(scheme18)
-        pa = partition_from_scheme(scheme18)
         b = expand(scheme18)
+        pa = partition_from_scheme(scheme18)
         pb = partition_from_scheme(scheme18)
-        out, cert = juxtapose_partitions(a, pa, b, pb)
+        out, cert = juxtapose_partitions(pa, pb)
         assert out.runs == 3 * 3 * 18 and out.ncols == 10
         assert cert.predicted_md == min(
             min_distance(a) + min_distance(b), 5, 5
@@ -120,12 +139,12 @@ class TestJuxtaposePartitions:
         blocks = list(pa.blocks)
         blocks[0], blocks[1] = blocks[1], blocks[0]
         pa_swapped = OrthogonalPartition(a, tuple(blocks))
-        out1, _ = juxtapose_partitions(a, pa, a, pa)
-        out_two_sided, _ = juxtapose_partitions(a, pa_swapped, a, pa_swapped)
+        out1, _ = juxtapose_partitions(pa, pa)
+        out_two_sided, _ = juxtapose_partitions(pa_swapped, pa_swapped)
         assert sorted(map(tuple, out1.cells.tolist())) == sorted(
             map(tuple, out_two_sided.cells.tolist())
         )
-        out_one_sided, cert = juxtapose_partitions(a, pa_swapped, a, pa)
+        out_one_sided, cert = juxtapose_partitions(pa_swapped, pa)
         assert verify_strength(out_one_sided, 3).holds
         assert min_distance(out_one_sided) >= cert.predicted_md
         assert (
@@ -136,14 +155,30 @@ class TestJuxtaposePartitions:
     def test_strength_preconditions_enforced(self):
         weak = expand(ds_linear(3, 1))  # strength 2 only
         partition = partition_from_scheme(ds_linear(3, 1))
-        with pytest.raises(ParameterError):
-            juxtapose_partitions(weak, partition, weak, partition)
+        assert partition.parent == weak
+        with pytest.raises(ParameterError, match="strength-3 precondition"):
+            juxtapose_partitions(partition, partition)
+
+    def test_row_order_repeats_left_rows_and_tiles_right_blocks(self):
+        # u = 2 blocks of 2 binary rows against v = 3 blocks of 3 ternary
+        # rows: h = 6, so A's block stack appears 3 times with each row
+        # repeated d'' = 3 times, and B's twice with each block tiled d' = 2
+        # times; blocks and rows are gathered in the partitions' order
+        from oakit.constructions import _juxtapose_partitions
+
+        pa = partition_from_scheme(ds_linear(2, 1))
+        b = expand(ds_linear(3, 1))
+        pb = OrthogonalPartition(b, ((5, 3, 4), (0, 2, 1), (8, 7, 6)))
+        out, cert = _juxtapose_partitions(pa, pb)
+        left = [i for _ in range(3) for blk in pa.blocks for i in blk for _ in range(3)]
+        right = [i for _ in range(2) for blk in pb.blocks for _ in range(2) for i in blk]
+        assert out.runs == 36 and "incomparable" in cert.md_formula
+        assert np.array_equal(out.cells, np.hstack([pa.parent.cells[left], b.cells[right]]))
 
 
 class TestExpansiveReplace:
     def test_identity_replacement(self, moa12):
-        plan = ReplacementPlan((ColumnReplacement(0, column_vector(3)),))
-        out, _ = expansive_replace(moa12, plan, 2)
+        out, _ = expansive_replace(moa12, {0: column_vector(3)}, 2)
         assert out == moa12
 
     def test_table3_special_array(self, moa12):
@@ -154,8 +189,7 @@ class TestExpansiveReplace:
 
     def test_product_replacement_at_144_runs(self):
         host = product_construction(bush_oa(3, 2), bush_oa(4, 2, columns=4))
-        plan = ReplacementPlan((ColumnReplacement(0, trivial_moa((4, 3))),))
-        out, cert = expansive_replace(host, plan, 2)
+        out, cert = expansive_replace(host, {0: trivial_moa((4, 3))}, 2)
         assert out.profile() == "12^3 4^1 3^1"
         assert verify_strength(out, 2).holds and min_distance(out) >= 3
         assert verify_k_uniform(out, 2).holds
@@ -164,27 +198,18 @@ class TestExpansiveReplace:
     def test_strength_preserved_by_oracle(self, moa12):
         # replace the ternary column of the 12-run seed by a 3-row factorial
         rep = MixedArray.from_rows((3,), [[0], [1], [2]])
-        plan = ReplacementPlan((ColumnReplacement(0, rep),))
-        out, _ = expansive_replace(moa12, plan, 2)
+        out, _ = expansive_replace(moa12, {0: rep}, 2)
         assert verify_strength(out, 2).holds
 
     def test_run_count_mismatch(self, moa12):
         with pytest.raises(ParameterError):
-            expansive_replace(
-                moa12, ReplacementPlan((ColumnReplacement(0, trivial_moa((2, 2))),)), 2
-            )
+            expansive_replace(moa12, {0: trivial_moa((2, 2))}, 2)
+        with pytest.raises(ParameterError, match="out of range"):
+            expansive_replace(moa12, {5: column_vector(2)}, 2)
 
-    def test_empty_plan_rejected(self):
+    def test_empty_plan_rejected(self, moa12):
         with pytest.raises(ParameterError):
-            ReplacementPlan(())
-
-    def test_sub_column_selection(self):
-        host = two_uniform_prime_power(2, 3)[0]  # 16 x 9 over 8^1 2^8
-        rep = trivial_moa((2, 2, 2))
-        plan = ReplacementPlan((ColumnReplacement(0, rep, keep=(0, 2)),))
-        out, cert = expansive_replace(host, plan, 2)
-        assert out.profile() == "2^10"
-        assert verify_strength(out, 2).holds
+            expansive_replace(moa12, {}, 2)
 
 
 class TestPolynomialArrays:
@@ -239,12 +264,6 @@ class TestTrivialMoa:
         report = verify_strength(arr, 3)
         assert report.holds and report.index == 1
 
-    def test_grouping(self):
-        merged = trivial_moa((7, 4, 2), groups=[(0, 1), (2,)])
-        assert merged.levels == (28, 2) and merged.runs == 56
-        direct = trivial_moa((28, 2))
-        assert merged == direct
-
     def test_single_column(self):
         assert trivial_moa((2,)) == column_vector(2)
 
@@ -297,10 +316,8 @@ class TestFamilies:
         with pytest.raises(ParameterError, match="over levels 5 and 2"):
             two_uniform_dm2n(5, 1, 9, host=trivial_moa((4, 2)))
         # the 36-run host over 3^2 2^2 loses its second ternary column
-        arr, cert = two_uniform_3m2n(
-            1, 21, host=seed_array("moa-36-3^2x2^2"), host_seed_name="moa-36"
-        )
-        assert arr.profile() == "3^1 2^21" and cert.seeds == ("moa-36",)
+        arr, cert = two_uniform_3m2n(1, 21, host=seed_array("moa-36-3^2x2^2"))
+        assert arr.profile() == "3^1 2^21" and cert.seeds == ("caller-host",)
 
     def test_d4_family(self):
         arr, cert = two_uniform_dm2n(4, 1, 7)
@@ -362,6 +379,12 @@ class TestFamilies:
     def test_product_family_rejects_small_factor(self):
         with pytest.raises(ParameterError):
             k_uniform_product(2, (2, 3))  # 2 < 2k - 1
+
+    def test_product_family_rejects_bad_factor_lists_and_plans(self):
+        with pytest.raises(ParameterError, match="at least one factor"):
+            k_uniform_product(2, [])
+        with pytest.raises(ParameterError, match="column twice"):
+            k_uniform_product(2, (3, 4), plan=[(3, (4, 3)), (3, (3, 4))])
 
     def test_scheme_family_8_runs(self):
         arr, cert = two_uniform_from_scheme(4, 4, 2)

@@ -1,0 +1,34 @@
+"""Every public name a module or the package advertises exists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import oakit
+
+PACKAGE = Path(oakit.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_star_import(module):
+    namespace: dict = {}
+    exec(f"from oakit.{module} import *", namespace)
+    exported = getattr(importlib.import_module(f"oakit.{module}"), "__all__", None)
+    if exported is not None:
+        assert set(exported) <= set(namespace)
+        assert len(set(exported)) == len(exported), "duplicate names in __all__"
+
+
+def test_package_reexports_resolve():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    names = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert "hadamard01" in names and "catalog" in names
+    assert [n for n in names if not hasattr(oakit, n)] == []
