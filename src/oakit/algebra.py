@@ -375,6 +375,8 @@ class HadamardMatrix01:
         n = self.order
         if cells.shape != (n, n):
             raise ParameterError(f"expected {n}x{n} matrix")
+        if ((cells != 0) & (cells != 1)).any():
+            raise ParameterError("a 0/1 Hadamard matrix holds only the symbols 0 and 1")
         if n > 1:
             if cells[0].any() or cells[:, 0].any():
                 raise VerificationError("matrix is not normalized")

@@ -23,13 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import DifferenceScheme, ds_linear
+from .algebra import DifferenceScheme
 from .arrays import MixedArray, min_distance, verify_strength
 from .constructions import (
     ConstructionCertificate,
+    bush_oa_even,
+    certify,
+    expansive_replace,
     k_uniform_product,
     three_uniform_3m2n,
     two_uniform_3m2n,
+    two_uniform_dm2n,
     two_uniform_from_scheme,
     two_uniform_prime_power,
     trivial_moa,
@@ -105,15 +109,22 @@ class SeedEntry:
 
     ``build`` makes a generator seed.  A search seed is stored as package
     data in ``seeds/<name>.moa``; its ``regenerate`` re-runs the search and
-    renders that file, provenance header included.
+    renders that file, provenance header included.  A seed with neither
+    must be imported.
     """
 
     name: str
     description: str
-    origin: str  # "generator" | "search" | "import-required"
     predicate: SeedPredicate | None = None
     build: Callable[[], object] | None = None
     regenerate: Callable[[], str] | None = None
+
+    @property
+    def origin(self) -> str:
+        """``search``, ``generator`` or ``import-required``: which callable is set."""
+        if self.regenerate is not None:
+            return "search"
+        return "generator" if self.build is not None else "import-required"
 
 
 def _provenance(name: str, description: str, *lines: str) -> str:
@@ -128,7 +139,7 @@ def _search_seed(name, description, predicate, call, search, render) -> SeedEntr
         header = _provenance(name, description, f"generated by {call}", f"nodes {result.nodes}")
         return header + render(result.array)
 
-    return SeedEntry(name, description, "search", predicate, regenerate=regenerate)
+    return SeedEntry(name, description, predicate, regenerate=regenerate)
 
 
 def _search_moa_seed(name, description, runs, levels, strength, w):
@@ -160,15 +171,6 @@ def _register_seed(entry: SeedEntry) -> None:
 
 
 _register_seed(
-    SeedEntry(
-        "scheme-3x3x3",
-        "difference scheme D(3,3,3): the multiplication table of Z_3",
-        "generator",
-        SeedPredicate("scheme", 3, (3, 3, 3), 2),
-        build=lambda: ds_linear(3, 1),
-    )
-)
-_register_seed(
     _search_scheme_seed(
         "scheme-18x5-over-3",
         "strength-3 difference scheme on 18 rows and 5 ternary columns",
@@ -195,7 +197,6 @@ _register_seed(
     SeedEntry(
         "moa-36-3^2x2^2",
         "MOA(36, 4, 3^2 2^2, 2): the full factorial host for the 3^2 x 2^n family",
-        "generator",
         SeedPredicate("array", 36, (3, 3, 2, 2), 2),
         build=lambda: trivial_moa((3, 3, 2, 2)),
     )
@@ -204,7 +205,6 @@ _register_seed(
     SeedEntry(
         "moa-108-3^3x2^2",
         "MOA(108, 5, 3^3 2^2, 2): the full factorial host for the 3^3 x 2^n family",
-        "generator",
         SeedPredicate("array", 108, (3, 3, 3, 2, 2), 2),
         build=lambda: trivial_moa((3, 3, 3, 2, 2)),
     )
@@ -213,14 +213,12 @@ _register_seed(
     SeedEntry(
         "scheme-12x6-over-6",
         "difference scheme D(12, 6, 6) over Z_6 (externally tabulated; import it)",
-        "import-required",
     )
 )
 _register_seed(
     SeedEntry(
         "iroa-6-levels-strength-3",
         "IrOA(r_N, N, 6, 3) hosts (externally tabulated; import them)",
-        "import-required",
     )
 )
 
@@ -298,16 +296,19 @@ def self_test() -> list[str]:
 
 @dataclass(frozen=True)
 class FamilyEntry:
-    """One buildable catalog entry with its expected certificate."""
+    """One catalog entry: the id names its profile after the ``/``."""
 
     id: str
     description: str
     runs: int
-    profile: str
     strength: int
-    md_floor: int
     builder: Callable[[], tuple[MixedArray, ConstructionCertificate]] | None = None
     needs_seed: str | None = None
+
+    @property
+    def profile(self) -> str:
+        """The profile the id names: ``3^1x2^8`` reads as ``3^1 2^8``."""
+        return self.id.split("/", 1)[1].replace("x", " ")
 
 
 def _table3_replacement(levels):
@@ -333,9 +334,7 @@ for _n in range(9, 17):
             f"thm1/3^1x2^{_n}",
             f"two-uniform family over 3^1 2^{_n} (24 runs)",
             24,
-            f"3^1 2^{_n}",
             2,
-            3,
             (lambda n=_n: two_uniform_3m2n(1, n)),
         )
     )
@@ -344,9 +343,7 @@ _register(
         "thm1/3^2x2^21",
         "two-uniform family over 3^2 2^21 (72 runs, searched 36-run host)",
         72,
-        "3^2 2^21",
         2,
-        3,
         lambda: two_uniform_3m2n(2, 21),
     )
 )
@@ -355,10 +352,8 @@ _register(
         "thm2/4^1x2^7",
         "two-uniform family over 4^1 2^7 (16 runs)",
         16,
-        "4^1 2^7",
         2,
-        3,
-        lambda: _thm2_entry(),
+        lambda: two_uniform_dm2n(4, 1, 7),
     )
 )
 _register(
@@ -366,9 +361,7 @@ _register(
         "thm3/3^5x2^36",
         "three-uniform family over 3^5 2^36 (216 runs)",
         216,
-        "3^5 2^36",
         3,
-        4,
         lambda: three_uniform_3m2n(5, 36),
     )
 )
@@ -377,9 +370,7 @@ _register(
         "thm3/3^4x2^22",
         "three-uniform family over 3^4 2^22 (216 runs)",
         216,
-        "3^4 2^22",
         3,
-        4,
         lambda: three_uniform_3m2n(4, 22),
     )
 )
@@ -388,9 +379,7 @@ _register(
         "table3/12^1x2^12",
         "24-run base: index column against the order-12 binary scheme",
         24,
-        "12^1 2^12",
         2,
-        3,
         lambda: two_uniform_from_scheme(12, 12, 2),
     )
 )
@@ -399,12 +388,8 @@ _register(
         "table3/3^1x2^8",
         "the special 24-run array over 3^1 2^8 (trimmed scheme, searched replacement)",
         24,
-        "3^1 2^8",
         2,
-        3,
-        lambda: two_uniform_from_scheme(
-            12, 12, 2, replacement=seed_array("moa-12-3x2^4"), scheme_keep=4
-        ),
+        lambda: two_uniform_3m2n(1, 8),
     )
 )
 _register(
@@ -412,9 +397,7 @@ _register(
         "table3/6^1x2^13",
         "24-run array over 6^1 2^13 (index column split as 6 x 2)",
         24,
-        "6^1 2^13",
         2,
-        3,
         _table3_replacement((6, 2)),
     )
 )
@@ -423,9 +406,7 @@ _register(
         "table3/4^1x3^1x2^12",
         "24-run array over 4^1 3^1 2^12 (index column split as 4 x 3)",
         24,
-        "4^1 3^1 2^12",
         2,
-        3,
         _table3_replacement((4, 3)),
     )
 )
@@ -434,9 +415,7 @@ _register(
         "table3/3^1x2^14",
         "24-run array over 3^1 2^14 (index column split as 3 x 2 x 2)",
         24,
-        "3^1 2^14",
         2,
-        3,
         _table3_replacement((3, 2, 2)),
     )
 )
@@ -445,9 +424,7 @@ _register(
         "thm7/12^3x4^1x3^1",
         "144-run strength-2 family over 12^3 4^1 3^1 (product of evaluation arrays)",
         144,
-        "12^3 4^1 3^1",
         2,
-        3,
         lambda: k_uniform_product(2, (3, 4), plan=[(3, (4, 3))]),
     )
 )
@@ -456,9 +433,7 @@ _register(
         "thm8/4^1x2^4",
         "8-run array over 4^1 2^4 (index column against the order-4 binary scheme)",
         8,
-        "4^1 2^4",
         2,
-        3,
         lambda: two_uniform_from_scheme(4, 4, 2),
     )
 )
@@ -467,9 +442,7 @@ _register(
         "cor2/4^1x2^9",
         "16-run array over 4^1 2^9 (linear scheme at 2^3, index split as 4 x 2)",
         16,
-        "4^1 2^9",
         2,
-        3,
         lambda: two_uniform_prime_power(2, 3, replacement=trivial_moa((4, 2))),
     )
 )
@@ -478,9 +451,7 @@ _register(
         "ame/6^1x3^1x2^1",
         "6-run AME seed over 6^1 3^1 2^1 (uniform at k = 1)",
         6,
-        "6^1 3^1 2^1",
         1,
-        2,
         lambda: _ame_entry(),
     )
 )
@@ -489,9 +460,7 @@ _register(
         "table5/12^1x6^6",
         "72-run family over 12^1 6^6 (needs the imported D(12,6,6))",
         72,
-        "12^1 6^6",
         2,
-        3,
         None,
         needs_seed="scheme-12x6-over-6",
     )
@@ -501,34 +470,22 @@ _register(
         "table1/6^7x3^1x2^1",
         "strength-3 family over 6^7 3^1 2^1 (needs imported strength-3 hosts at 6 levels)",
         0,
-        "6^7 3^1 2^1",
         3,
-        4,
         None,
         needs_seed="iroa-6-levels-strength-3",
     )
 )
 
 
-def _thm2_entry():
-    from .constructions import two_uniform_dm2n
-
-    return two_uniform_dm2n(4, 1, 7)
-
-
 def _ame_entry():
     array = seed_array("moa-6-6x3x2")
     cert = ConstructionCertificate(
         construction="searched AME seed",
-        runs=array.runs,
-        profile=array.profile(),
         strength=1,
         predicted_md=2,
         md_exact=False,
         seeds=("moa-6-6x3x2",),
     )
-    from .constructions import certify
-
     return array, certify(array, cert)
 
 
@@ -568,8 +525,11 @@ def catalog_build(
         raise VerificationError(
             f"{entry.id}: expected profile {entry.profile}, built {array.profile()}"
         )
-    if not cert.verified or (cert.measured_md or 0) < entry.md_floor:
-        raise VerificationError(f"{entry.id}: certificate does not meet the floor")
+    # certify has checked minimal distance >= strength + 1 at cert.strength
+    if not cert.verified or cert.strength != entry.strength:
+        raise VerificationError(
+            f"{entry.id}: expected a verified strength-{entry.strength} certificate"
+        )
     return array, cert
 
 
@@ -601,7 +561,5 @@ def fixture_states() -> dict[str, SparseState]:
 
 
 def _fixture_4522() -> MixedArray:
-    from .constructions import bush_oa_even, expansive_replace
-
     out, _cert = expansive_replace(bush_oa_even(4), {5: trivial_moa((2, 2))}, 3)
     return out

@@ -91,10 +91,13 @@ def _cmd_verify(args) -> int:
     array = _read_array(args.file)
     strength = verify_strength(array, args.strength)
     spectrum = distance_spectrum(array)
+    # the default, --strength, is skipped out of range; an explicit value is not
     k_ir = args.irredundant if args.irredundant is not None else args.strength
     irred = None
     if 1 <= k_ir < array.ncols:
         irred = is_irredundant(array, k_ir)
+    elif args.irredundant is not None:
+        raise ParameterError(f"--irredundant must be in 1..{array.ncols - 1}, got {k_ir}")
     sys.stdout.write(dump_json(verification_report(strength, spectrum, irred)))
     ok = strength.holds and (irred is None or irred.holds)
     _say(
@@ -132,14 +135,31 @@ _PIPELINES = {
     "thm4": (three_uniform_dm2n, ("d", "m", "n")),
     "cor2": (two_uniform_prime_power, ("d", "n")),
 }
+# every key each pipeline takes, optional ones included
+_PARAM_KEYS = {
+    **{name: keys for name, (_, keys) in _PIPELINES.items()},
+    "thm7": ("k", "factors", "split"),
+    "thm8": ("N", "M", "d", "replace_with", "scheme_keep"),
+}
 
 
 def _cmd_construct(args) -> int:
+    if args.pipeline not in _PARAM_KEYS:
+        raise ParameterError(
+            f"unknown pipeline {args.pipeline!r}; choose from {sorted(_PARAM_KEYS)}"
+        )
     params = {}
     for item in args.params or []:
         key, _, value = item.partition("=")
         if not _:
             raise ParameterError(f"--params entries look like key=value, got {item!r}")
+        if key not in _PARAM_KEYS[args.pipeline]:
+            raise ParameterError(
+                f"pipeline {args.pipeline} takes no param {key!r}; "
+                f"it takes {list(_PARAM_KEYS[args.pipeline])}"
+            )
+        if key in params:
+            raise ParameterError(f"param {key!r} given twice")
         params[key] = value
     if args.pipeline in _PIPELINES:
         fn, keys = _PIPELINES[args.pipeline]
@@ -156,7 +176,7 @@ def _cmd_construct(args) -> int:
             column, _, levels = params["split"].partition(":")
             plan = [(_int(column, "split column"), _ints(levels, "split levels"))]
         array, cert = k_uniform_product(_int(params["k"], "k"), factors, plan)
-    elif args.pipeline == "thm8":
+    else:
         for key in ("N", "M", "d"):
             if key not in params:
                 raise ParameterError("pipeline thm8 needs N=... M=... d=...")
@@ -165,11 +185,6 @@ def _cmd_construct(args) -> int:
         array, cert = two_uniform_from_scheme(
             _int(params["N"], "N"), _int(params["M"], "M"), _int(params["d"], "d"),
             replacement=replacement, scheme_keep=keep,
-        )
-    else:
-        raise ParameterError(
-            f"unknown pipeline {args.pipeline!r}; choose from "
-            f"{sorted(_PIPELINES) + ['thm7', 'thm8']}"
         )
     _emit(array, cert, args.output)
     _say(f"built {array!r}, min distance {cert.measured_md}")

@@ -35,6 +35,8 @@ from .algebra import (
     DifferenceScheme,
     column_vector,
     cyclic_group,
+    ds_linear,
+    ds_poly3,
     expand,
     finite_field,
     hadamard01,
@@ -148,14 +150,16 @@ class ConstructionCertificate:
     """Claimed parameters plus their verification status.
 
     ``predicted_md`` carries a construction-level value; ``md_exact`` says
-    whether that value is an equality or only a lower bound.  ``verified``
-    flips to True only after the exact oracles re-check the output.
+    whether that value is an equality or only a lower bound.  A builder
+    fills in neither ``runs`` nor ``profile``: `certify` reads both from the
+    array it checks, and sets ``verified`` and ``measured_md`` with them, so
+    until it runs a certificate is unverified and carries no runs or profile.
     """
 
     construction: str
-    runs: int
-    profile: str
     strength: int
+    runs: int | None = None
+    profile: str | None = None
     predicted_md: int | None = None
     md_formula: str | None = None
     md_exact: bool = False
@@ -187,7 +191,12 @@ class ConstructionCertificate:
 def certify(
     array: MixedArray, certificate: ConstructionCertificate
 ) -> ConstructionCertificate:
-    """Mandatory oracle re-check: exact strength plus measured distance."""
+    """Mandatory oracle re-check: exact strength plus measured distance.
+
+    Returns the certificate verified, with ``runs``, ``profile`` and
+    ``measured_md`` read from ``array``; whatever it carried in those fields
+    before is replaced.
+    """
     report = verify_strength(array, certificate.strength)
     if not report.holds:
         raise VerificationError(
@@ -211,7 +220,9 @@ def certify(
             f"{certificate.construction}: output is not irredundant at "
             f"k={certificate.strength} (minimal distance {md})"
         )
-    return dc_replace(certificate, verified=True, measured_md=md)
+    return dc_replace(
+        certificate, runs=array.runs, profile=array.profile(), verified=True, measured_md=md
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +235,9 @@ def juxtapose_scheme(
     """C = [A (+) 0_d, D (+) (d)] for a strength-2 host and square scheme.
 
     The output is a strength-2 mixed array on N + r columns and d*r runs with
-    minimal distance exactly min(r, MD(A) + r - r/d).
+    minimal distance exactly min(r, MD(A) + r - r/d).  The certificate
+    returned is unverified and carries no runs or profile until `certify`
+    runs on the output.
     """
     r = host.runs
     if scheme.rows != r:
@@ -242,8 +255,6 @@ def juxtapose_scheme(
     predicted = min(r, md_host + r - r // d)
     cert = ConstructionCertificate(
         construction="juxtapose_scheme",
-        runs=out.runs,
-        profile=out.profile(),
         strength=2,
         predicted_md=predicted,
         md_formula=f"min(r, MD(host) + r - r/d) = min({r}, {md_host} + {r} - {r // d})",
@@ -273,7 +284,8 @@ def juxtapose_partitions(
     block tiled d') and juxtaposes columns: a strength-3 mixed array on
     d'd''h runs.  Its minimal distance is bounded below by
     min(w1 + w2, N', N'') when u = v, min(N', w2) when u | v with u < v,
-    and min(w1, w2) otherwise.
+    and min(w1, w2) otherwise.  The certificate returned is unverified and
+    carries no runs or profile until `certify` runs on the output.
     """
     for p, name in ((pa, "first"), (pb, "second")):
         report = verify_strength(p.parent, 3)
@@ -315,8 +327,6 @@ def _juxtapose_partitions(
         bound, case = min(w1, w2), "u, v incomparable"
     cert = ConstructionCertificate(
         construction="juxtapose_partitions",
-        runs=out.runs,
-        profile=out.profile(),
         strength=3,
         predicted_md=bound,
         md_formula=f"case {case}: bound {bound} from w1={w1}, w2={w2}, N'={n1}, N''={n2}",
@@ -341,7 +351,8 @@ def expansive_replace(
     ones plus each replaced one whose replacement has distinct rows; when the
     host's minimal distance on them is at least k + 1 the certificate
     predicts k + 1, otherwise it records that a re-verification is required
-    (and `certify` performs it).
+    (and `certify` performs it).  The certificate returned is unverified and
+    carries no runs or profile until `certify` runs on the output.
     """
     if not replacements:
         raise ParameterError("empty replacement plan")
@@ -389,8 +400,6 @@ def expansive_replace(
         notes = ("no distance-bearing columns; re-verify",)
     cert = ConstructionCertificate(
         construction="expansive_replace",
-        runs=out.runs,
-        profile=out.profile(),
         strength=strength,
         predicted_md=predicted,
         md_formula=None if predicted is None else "k + 1 via replacement distance conditions",
@@ -554,21 +563,6 @@ def five_column_feasibility(levels) -> FeasibilityVerdict:
 # family builders
 
 
-def _delete_and_verify(
-    array: MixedArray, indices, k: int, construction: str, seeds, notes=()
-) -> tuple[MixedArray, ConstructionCertificate]:
-    out = delete_columns(array, indices) if indices else array
-    cert = ConstructionCertificate(
-        construction=construction,
-        runs=out.runs,
-        profile=out.profile(),
-        strength=k,
-        seeds=tuple(seeds),
-        notes=tuple(notes),
-    )
-    return out, certify(out, cert)
-
-
 def _two_uniform_chain(
     host: MixedArray,
     host_two_level: int,
@@ -624,7 +618,9 @@ def _two_uniform_chain(
             f"host-part-first deletion: {inherited} inherited binary columns "
             f"plus the last {from_scheme} scheme columns",
         )
-    return _delete_and_verify(stage, drop, 2, construction, seeds, notes)
+    out = delete_columns(stage, drop) if drop else stage
+    cert = ConstructionCertificate(construction=construction, strength=2, seeds=seeds, notes=notes)
+    return out, certify(out, cert)
 
 
 def _two_uniform_from_host(
@@ -767,14 +763,7 @@ def _three_uniform_pipeline(
             f"re-verified deletion of {extra} further binary columns beyond the guarantee"
         )
         cert = dc_replace(cert, predicted_md=4, md_formula="beyond-guarantee deletion", md_exact=False)
-    cert = dc_replace(
-        cert,
-        construction=construction,
-        runs=out.runs,
-        profile=out.profile(),
-        seeds=seeds,
-        notes=tuple(notes),
-    )
+    cert = dc_replace(cert, construction=construction, seeds=seeds, notes=tuple(notes))
     return out, certify(out, cert)
 
 
@@ -785,7 +774,7 @@ def three_uniform_3m2n(m: int, n: int) -> tuple[MixedArray, ConstructionCertific
     columns, expanded to a 54-run array and trimmed to m columns; right
     factor: a binary Hadamard scheme of order 36 * 2^h trimmed to n columns.
     """
-    from .catalog import seed_scheme
+    from .catalog import seed_scheme  # deferred: catalog builds on this module
 
     if m not in (4, 5):
         raise ParameterError("m must be 4 or 5")
@@ -810,8 +799,6 @@ def three_uniform_dm2n(d: int, m: int, n: int) -> tuple[MixedArray, Construction
     order 4d^2 * 2^h.  Constructive range: 4 <= m <= d and
     n in [2 d^2 2^h + 4, 4 d^2 2^h].
     """
-    from .algebra import ds_poly3
-
     pm = prime_power_decomposition(d)
     if pm is None or pm[0] == 2 or d <= 4:
         raise ParameterError("d must be an odd prime power greater than 4")
@@ -879,15 +866,11 @@ def k_uniform_product(
             replacements[int(column)] = trivial_moa(sub_levels)
         out, cert = expansive_replace(out, replacements, k)
         cert = dc_replace(
-            cert,
-            construction=f"k_uniform_product(k={k}, factors={factors})",
-            seeds=seeds,
+            cert, construction=f"k_uniform_product(k={k}, factors={factors})", seeds=seeds
         )
     else:
         cert = ConstructionCertificate(
             construction=f"k_uniform_product(k={k}, factors={factors})",
-            runs=out.runs,
-            profile=out.profile(),
             strength=k,
             predicted_md=k + 1,
             md_formula="min over factors of (q + 2 - k) - (q + 1 - 2k) = k + 1",
@@ -924,11 +907,12 @@ def two_uniform_from_scheme(
             f"N={n}, M={scheme_columns}, d={d} asks for {d * n} runs x {width} "
             f"columns from an order-{n} scheme, above the cap of {OUTPUT_CELL_CAP} cells"
         )
+    available = n if scheme is None else scheme.cols
+    if not 1 <= scheme_columns <= available:
+        raise ParameterError(f"need 1..{available} scheme columns, got {scheme_columns}")
     if scheme is None:
         if d != 2:
             raise ParameterError("built-in schemes exist only for d = 2; pass one")
-        if scheme_columns > n:
-            raise ParameterError(f"at most {n} scheme columns available")
         hm = hadamard01(n)
         scheme = DifferenceScheme(
             hm.cells[:, :scheme_columns], 2, 2, cyclic_group(2), verify=False
@@ -936,6 +920,8 @@ def two_uniform_from_scheme(
     else:
         if scheme.rows != n:
             raise ParameterError("scheme row count must equal the index levels")
+        if scheme.order != d:
+            raise ParameterError(f"scheme has order {scheme.order}, not d = {d}")
         if scheme_columns != scheme.cols:
             scheme = scheme.select_columns(range(scheme_columns))
     if replacement is not None:
@@ -954,13 +940,7 @@ def two_uniform_from_scheme(
     name = f"two_uniform_from_scheme(N={n}, M={scheme_columns}, d={d})"
     if scheme_keep is None or scheme_keep == scheme.cols:
         out = build(range(scheme.cols))
-        cert = ConstructionCertificate(
-            construction=name,
-            runs=out.runs,
-            profile=out.profile(),
-            strength=2,
-            seeds=seeds,
-        )
+        cert = ConstructionCertificate(construction=name, strength=2, seeds=seeds)
         return out, certify(out, cert)
     if not 1 <= scheme_keep < scheme.cols:
         raise ParameterError("scheme_keep out of range")
@@ -968,8 +948,6 @@ def two_uniform_from_scheme(
         candidate = build(keep_cols)
         cert = ConstructionCertificate(
             construction=name,
-            runs=candidate.runs,
-            profile=candidate.profile(),
             strength=2,
             seeds=seeds,
             notes=(
@@ -997,8 +975,6 @@ def two_uniform_prime_power(
     d^(n+1) x (d^n + 1) cells; above ``OUTPUT_CELL_CAP`` the call raises
     ``ParameterError`` before building anything.
     """
-    from .algebra import ds_linear
-
     if d >= 2 and n >= 1:
         # the first test keeps d**n from growing without bound
         if n >= OUTPUT_CELL_CAP.bit_length() or d ** (n + 1) * (d**n + 1) > OUTPUT_CELL_CAP:
@@ -1014,8 +990,6 @@ def two_uniform_prime_power(
     out = juxtapose_scheme_raw(index, scheme)
     cert = ConstructionCertificate(
         construction=f"two_uniform_prime_power(d={d}, n={n})",
-        runs=out.runs,
-        profile=out.profile(),
         strength=2,
         seeds=(f"linear-scheme d={d} n={n}",),
     )

@@ -10,11 +10,13 @@ moa v1 (UTF-8, LF) lays out an array as::
     0 0 0 0 0
     ...
 
-`#`-prefixed comment lines may appear anywhere before ``rows:``.  Difference
-schemes and Hadamard matrices use the same layout with an extra header line
-directly after the version line: ``kind ds <d> <t>`` (with an optional
-trailing group tag ``mod`` or ``gf``; absent means ``mod``) or
-``kind hadamard``.  Serialization is bit-exact canonical: single spaces, no
+`#`-prefixed comment lines may appear anywhere before ``rows:``; each header
+key (``kind``, ``runs``, ``levels``, ``strength``) appears at most once, and
+``strength`` is one integer.  Difference schemes and Hadamard matrices use
+the same layout with an extra header line directly after the version line:
+``kind ds <d> <t>`` (with an optional trailing group tag ``mod`` or ``gf``;
+absent means ``mod``) or ``kind hadamard``, whose levels are 2 on as many
+columns as runs.  Serialization is bit-exact canonical: single spaces, no
 trailing whitespace, LF endings, integers as ``str(int)`` prints them
 (ASCII decimal; no ``+``, ``_`` or leading zeros), and parsing insists on it.
 """
@@ -91,13 +93,15 @@ def serialize_hadamard(h: "HadamardMatrix01") -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_KEYS = ("kind", "runs", "levels", "strength")
+
+
 def _parse_header(text: str):
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     pos = 0
     header: dict[str, str] = {}
-    order: list[str] = []
     seen_version = False
     while pos < len(lines):
         line = lines[pos]
@@ -117,8 +121,11 @@ def _parse_header(text: str):
             key, value = line.split(" ", 1)
         except ValueError as exc:
             raise FormatError(f"malformed header line {line!r}") from exc
+        if key not in _HEADER_KEYS:
+            raise FormatError(f"unknown header key {key!r}")
+        if key in header:
+            raise FormatError(f"header key {key!r} given twice")
         header[key] = value
-        order.append(key)
     else:
         raise FormatError("missing rows: marker")
     return header, lines[pos:]
@@ -145,6 +152,8 @@ def parse_any(text: str):
         raise FormatError("missing runs or levels header")
     runs = _ints(header["runs"], "runs")
     levels = tuple(_ints(header["levels"], "levels"))
+    if "strength" in header and len(_ints(header["strength"], "strength")) != 1:
+        raise FormatError(f"strength must be one integer, got {header['strength']!r}")
     for line in row_lines:
         if line.startswith("#"):
             raise FormatError("comments are only allowed before rows:")
@@ -164,6 +173,10 @@ def parse_any(text: str):
 
     parts = kind.split() or [""]
     if parts[0] == "hadamard":
+        if len(parts) != 1:
+            raise FormatError(f"malformed kind line {kind!r}")
+        if levels != (2,) * len(row_lines):
+            raise FormatError("a hadamard matrix has levels 2 on as many columns as runs")
         return HadamardMatrix01(len(row_lines), cells)
     if parts[0] == "ds":
         if len(parts) not in (3, 4):

@@ -6,6 +6,7 @@ import pytest
 from oakit.algebra import (
     column_vector,
     FiniteField,
+    HadamardMatrix01,
     cyclic_group,
     ds_linear,
     ds_poly3,
@@ -201,6 +202,12 @@ class TestHadamard:
         for i in range(n - 1):
             d = np.count_nonzero(cells[i + 1 :] != cells[i], axis=1)
             assert (d == n // 2).all()
+
+    @pytest.mark.parametrize("symbol", [2, -1])
+    def test_symbols_other_than_0_and_1_rejected(self, symbol):
+        # both matrices are normalized with rows at distance 1 = n/2
+        with pytest.raises(ParameterError, match="only the symbols 0 and 1"):
+            HadamardMatrix01(2, np.array([[0, 0], [0, symbol]]))
 
     def test_no_generator_error(self):
         with pytest.raises(ParameterError, match="applicable methods"):

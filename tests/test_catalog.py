@@ -10,6 +10,7 @@ import oakit.search
 from oakit import catalog
 from oakit.arrays import min_distance, verify_strength
 from oakit.catalog import (
+    SeedEntry,
     catalog_build,
     catalog_list,
     fixture_states,
@@ -62,6 +63,17 @@ class TestSeeds:
         for entry in seed_entries():
             assert entry.description
             assert entry.origin in ("generator", "search", "import-required")
+
+    @pytest.mark.parametrize(
+        "callables, origin",
+        [
+            ({"regenerate": lambda: ""}, "search"),
+            ({"build": lambda: None}, "generator"),
+            ({}, "import-required"),
+        ],
+    )
+    def test_origin_follows_the_callable_set(self, callables, origin):
+        assert SeedEntry("name", "description", **callables).origin == origin
 
 
 class TestStoredSeeds:
@@ -137,8 +149,19 @@ class TestRegistry:
             array, cert = catalog_build(entry.id)
             assert cert.verified
             assert array.profile() == entry.profile
-            assert cert.measured_md >= entry.md_floor
+            assert cert.measured_md >= entry.strength + 1
             assert verify_strength(array, entry.strength).holds
+
+    def test_certificate_at_another_strength_fails(self, monkeypatch):
+        # thm8/4^1x2^4 verifies at strength 2 with minimal distance 3, which
+        # a distance floor alone would pass for strength 1 too
+        entries = [
+            dataclasses.replace(e, strength=1) if e.id == "thm8/4^1x2^4" else e
+            for e in catalog._FAMILIES
+        ]
+        monkeypatch.setattr(catalog, "_FAMILIES", entries)
+        with pytest.raises(VerificationError, match="strength-1 certificate"):
+            catalog_build("thm8/4^1x2^4")
 
     def test_unknown_id(self):
         with pytest.raises(ParameterError):

@@ -320,6 +320,29 @@ class TestParameterParsing:
         assert code == 4 and "must be an integer" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("construct", "thm1", "--params", "m=1", "n=9", "bogus=1"), "no param 'bogus'"),
+            (("construct", "thm1", "--params", "m=1", "n=9", "n=10"), "'n' given twice"),
+            (("construct", "thm7", "--params", "k=2", "factors=3,4", "n=1"), "no param 'n'"),
+            (("construct", "thm8", "--params", "N=4", "M=4", "d=2", "d=2"), "'d' given twice"),
+            (("construct", "thm8", "--params", "N=4", "M=4", "d=2", "k=2"), "no param 'k'"),
+            (("verify", "{path}", "--strength", "2", "--irredundant", "7"), "in 1..2, got 7"),
+            (("verify", "{path}", "--strength", "2", "--irredundant", "0"), "in 1..2, got 0"),
+        ],
+        ids=[
+            "unknown-key", "repeated-key", "thm7-unknown-key", "thm8-repeated-key",
+            "thm8-unknown-key", "irredundant-past-columns", "irredundant-0",
+        ],
+    )
+    def test_rejected_parameters_exit_4(self, tmp_path, capsys, argv, message):
+        # each of these used to exit 0, ignoring a key or the irredundancy check
+        path = tmp_path / "a.moa"
+        path.write_text(serialize_array(trivial_moa((2, 2, 2))))
+        code, _, err = run(capsys, *(a.format(path=path) for a in argv))
+        assert code == 4 and message in err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("search", "--runs", "x", "--levels", "2,2", "--strength", "1"),

@@ -23,9 +23,11 @@ from oakit.arrays import (
 )
 from oakit.catalog import catalog_build
 from oakit.constructions import (
+    ConstructionCertificate,
     OrthogonalPartition,
     bush_oa,
     bush_oa_even,
+    certify,
     expansive_replace,
     five_column_feasibility,
     juxtapose_partitions,
@@ -391,6 +393,21 @@ class TestFamilies:
         assert arr.runs == 8 and arr.profile() == "4^1 2^4"
         assert cert.measured_md == 3
 
+    def test_scheme_of_another_order_rejected(self):
+        # a 9 x 9 scheme over GF(3) is no D(9, 9, 7)
+        with pytest.raises(ParameterError, match="order 3, not d = 7"):
+            two_uniform_from_scheme(9, 9, 7, scheme=ds_linear(3, 2))
+
+    @pytest.mark.parametrize(
+        "args, scheme",
+        [((12, -1, 2), None), ((4, 5, 2), None), ((9, 12, 3), ds_linear(3, 2))],
+        ids=["negative", "past-hadamard-order", "past-scheme-columns"],
+    )
+    def test_scheme_columns_out_of_range_rejected(self, args, scheme):
+        # M = -1 used to slice off the last Hadamard column and build
+        with pytest.raises(ParameterError, match="scheme columns, got"):
+            two_uniform_from_scheme(*args, scheme=scheme)
+
     def test_scheme_family_replacement_profile(self):
         arr, _ = two_uniform_from_scheme(12, 12, 2, replacement=trivial_moa((6, 2)))
         assert arr.profile() == "6^1 2^13"
@@ -434,6 +451,11 @@ class TestVerifyOnce:
         tagged = DifferenceScheme(weak.cells, weak.order, 3, weak.group, verify=False)
         with pytest.raises(VerificationError, match="strength 3 oracle failed"):
             _three_uniform_pipeline(tagged, 4, 22, 36, "weak left factor", ())
+
+    def test_certify_reads_runs_and_profile_from_the_array(self):
+        claimed = ConstructionCertificate(construction="x", runs=999, profile="7^3", strength=2)
+        cert = certify(bush_oa(5, 2), claimed)
+        assert cert.verified and (cert.runs, cert.profile) == (25, "5^6")
 
     def test_caller_host_failing_strength_2_rejected(self, moa12):
         cells = moa12.cells.copy()

@@ -65,6 +65,10 @@ def test_comments_allowed_before_rows():
         "moa v1\nruns +1\nlevels 2\nrows:\n0\n",
         "moa v1\nruns 1\nlevels 0_2\nrows:\n0\n",
         "moa v1\nruns 1\nlevels 2  2\nrows:\n0 0\n",
+        "moa v1\nruns 1\nruns 1\nlevels 2\nrows:\n0\n",  # repeated key
+        "moa v1\nruns 1\nfoo bar\nlevels 2\nrows:\n0\n",  # unknown key
+        "moa v1\nruns 1\nlevels 2\nstrength banana\nrows:\n0\n",
+        "moa v1\nruns 1\nlevels 2\nstrength 1 1\nrows:\n0\n",
     ],
 )
 def test_malformed_documents(text):
@@ -84,6 +88,10 @@ def test_malformed_documents(text):
         "moa v1\nkind ds +2 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
         "moa v1\nkind ds 2 0_2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
         "moa v1\nkind ds \u0662 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+        # a hadamard document declares levels 2 on as many columns as runs
+        "moa v1\nkind hadamard\nruns 2\nlevels 5 7\nrows:\n0 0\n0 1\n",
+        "moa v1\nkind hadamard\nruns 2\nlevels 2\nrows:\n0\n0\n",
+        "moa v1\nkind hadamard 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
     ],
 )
 def test_damaged_documents_raise_format_error(text):
