@@ -390,7 +390,23 @@ class HadamardMatrix01:
         object.__setattr__(self, "cells", cells)
 
     def as_scheme(self, strength: int = 2) -> "DifferenceScheme":
-        return DifferenceScheme(self.cells, 2, strength, cyclic_group(2), verify=True)
+        """The matrix as a strength-2 or strength-3 difference scheme over Z_2.
+
+        The scheme is not re-checked, because the constructor's check already
+        proves it.  In +-1 form, rows at Hamming distance n/2 make H H^T = nI,
+        so H^T H = nI as well and any two columns are orthogonal.  The
+        expansion [H; H + 1] is [H; -H] in +-1 form, which cancels every
+        product of an odd number of columns; orthogonal columns cancel every
+        product of two.  So every pair of expanded columns is balanced
+        (strength 2), and so is every triple (strength 3), which exists from
+        order 4 on.  Raises ``ParameterError`` for any other strength, or one
+        above the order.
+        """
+        if strength not in (2, 3) or strength > self.order:
+            raise ParameterError(
+                f"a Hadamard matrix of order {self.order} gives no strength-{strength} scheme"
+            )
+        return DifferenceScheme(self.cells, 2, strength, cyclic_group(2), verify=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HadamardMatrix01):
@@ -520,7 +536,8 @@ class DifferenceScheme:
 
     ``strength`` is the declared tag t: the expansion D (+) (d) must pass the
     exact strength-t check.  Construction verifies that predicate unless
-    ``verify=False`` is passed (only for internal staging).
+    ``verify=False`` is passed: for internal staging, and by
+    `HadamardMatrix01.as_scheme`, whose matrix check already proves it.
     """
 
     cells: np.ndarray

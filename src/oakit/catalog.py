@@ -501,6 +501,8 @@ def catalog_build(
     if not matches:
         raise ParameterError(f"unknown catalog id {entry_id!r}")
     entry = matches[0]
+    if seed is not None and entry.needs_seed is None:
+        raise ParameterError(f"entry {entry.id} takes no seed")
     if entry.builder is None:
         if entry.id.startswith("table5/"):
             if seed is None:

@@ -29,9 +29,11 @@ from .constructions import (
 )
 from .errors import FormatError, MissingSeedError, OakitError, ParameterError, VerificationError
 from .formats import (
+    distance_section,
     dump_json,
     parse_any,
     parse_array,
+    report,
     serialize_array,
     uniformity_report,
     verification_report,
@@ -112,80 +114,70 @@ def _cmd_verify(args) -> int:
 def _cmd_distance(args) -> int:
     array = _read_array(args.file)
     spectrum = distance_spectrum(array)
-    sys.stdout.write(
-        dump_json(
-            {
-                "schema": "oakit-report-v1",
-                "distance": {
-                    "min": spectrum.min_distance,
-                    "spectrum": list(spectrum.distances),
-                    "counts": {str(d): c for d, c in spectrum.counts.items()},
-                },
-            }
-        )
-    )
+    counts = {str(d): c for d, c in spectrum.counts.items()}
+    sys.stdout.write(dump_json(report(distance={**distance_section(spectrum), "counts": counts})))
     _say(f"{array!r}: min distance {spectrum.min_distance}")
     return EXIT_OK
 
 
+def _split(text: str, what: str):
+    column, _, levels = text.partition(":")
+    return [(_int(column, f"{what} column"), _ints(levels, f"{what} levels"))]
+
+
+def _int_keys(*keys: str) -> dict:
+    return {key: (key, _int) for key in keys}
+
+
+# pipeline -> (builder, {param key: (builder keyword, parser)}, required keys);
+# a parser takes the value text and the key
 _PIPELINES = {
-    "thm1": (two_uniform_3m2n, ("m", "n")),
-    "thm2": (two_uniform_dm2n, ("d", "m", "n")),
-    "thm3": (three_uniform_3m2n, ("m", "n")),
-    "thm4": (three_uniform_dm2n, ("d", "m", "n")),
-    "cor2": (two_uniform_prime_power, ("d", "n")),
-}
-# every key each pipeline takes, optional ones included
-_PARAM_KEYS = {
-    **{name: keys for name, (_, keys) in _PIPELINES.items()},
-    "thm7": ("k", "factors", "split"),
-    "thm8": ("N", "M", "d", "replace_with", "scheme_keep"),
+    "thm1": (two_uniform_3m2n, _int_keys("m", "n"), ("m", "n")),
+    "thm2": (two_uniform_dm2n, _int_keys("d", "m", "n"), ("d", "m", "n")),
+    "thm3": (three_uniform_3m2n, _int_keys("m", "n"), ("m", "n")),
+    "thm4": (three_uniform_dm2n, _int_keys("d", "m", "n"), ("d", "m", "n")),
+    "cor2": (two_uniform_prime_power, _int_keys("d", "n"), ("d", "n")),
+    "thm7": (
+        k_uniform_product,
+        {**_int_keys("k"), "factors": ("factors", _ints), "split": ("plan", _split)},
+        ("k", "factors"),
+    ),
+    "thm8": (
+        two_uniform_from_scheme,
+        {
+            "N": ("index_levels", _int),
+            "M": ("scheme_columns", _int),
+            "d": ("d", _int),
+            "replace_with": ("replacement", lambda path, _: _read_array(path)),
+            "scheme_keep": ("scheme_keep", _int),
+        },
+        ("N", "M", "d"),
+    ),
 }
 
 
 def _cmd_construct(args) -> int:
-    if args.pipeline not in _PARAM_KEYS:
+    if args.pipeline not in _PIPELINES:
         raise ParameterError(
-            f"unknown pipeline {args.pipeline!r}; choose from {sorted(_PARAM_KEYS)}"
+            f"unknown pipeline {args.pipeline!r}; choose from {sorted(_PIPELINES)}"
         )
+    builder, keys, required = _PIPELINES[args.pipeline]
     params = {}
     for item in args.params or []:
         key, _, value = item.partition("=")
         if not _:
             raise ParameterError(f"--params entries look like key=value, got {item!r}")
-        if key not in _PARAM_KEYS[args.pipeline]:
+        if key not in keys:
             raise ParameterError(
-                f"pipeline {args.pipeline} takes no param {key!r}; "
-                f"it takes {list(_PARAM_KEYS[args.pipeline])}"
+                f"pipeline {args.pipeline} takes no param {key!r}; it takes {list(keys)}"
             )
         if key in params:
             raise ParameterError(f"param {key!r} given twice")
         params[key] = value
-    if args.pipeline in _PIPELINES:
-        fn, keys = _PIPELINES[args.pipeline]
-        missing = [k for k in keys if k not in params]
-        if missing:
-            raise ParameterError(f"pipeline {args.pipeline} needs params {missing}")
-        array, cert = fn(**{k: _int(params[k], k) for k in keys})
-    elif args.pipeline == "thm7":
-        if "k" not in params or "factors" not in params:
-            raise ParameterError("pipeline thm7 needs k=... factors=a,b[,c]")
-        factors = list(_ints(params["factors"], "factors"))
-        plan = None
-        if "split" in params:
-            column, _, levels = params["split"].partition(":")
-            plan = [(_int(column, "split column"), _ints(levels, "split levels"))]
-        array, cert = k_uniform_product(_int(params["k"], "k"), factors, plan)
-    else:
-        for key in ("N", "M", "d"):
-            if key not in params:
-                raise ParameterError("pipeline thm8 needs N=... M=... d=...")
-        replacement = _read_array(params["replace_with"]) if "replace_with" in params else None
-        keep = _int(params["scheme_keep"], "scheme_keep") if "scheme_keep" in params else None
-        array, cert = two_uniform_from_scheme(
-            _int(params["N"], "N"), _int(params["M"], "M"), _int(params["d"], "d"),
-            replacement=replacement, scheme_keep=keep,
-        )
+    missing = [k for k in required if k not in params]
+    if missing:
+        raise ParameterError(f"pipeline {args.pipeline} needs params {missing}")
+    array, cert = builder(**{keys[k][0]: keys[k][1](v, k) for k, v in params.items()})
     _emit(array, cert, args.output)
     _say(f"built {array!r}, min distance {cert.measured_md}")
     return EXIT_OK
@@ -208,12 +200,11 @@ def _cmd_state(args) -> int:
     else:
         sys.stdout.write(
             dump_json(
-                {
-                    "schema": "oakit-report-v1",
-                    "levels": list(state.levels),
-                    "amplitude": state.amplitude(),
-                    "kets": [list(k) for k in state.kets],
-                }
+                report(
+                    levels=list(state.levels),
+                    amplitude=state.amplitude(),
+                    kets=[list(k) for k in state.kets],
+                )
             )
         )
     _say(f"{state.terms} kets over {array.profile()}")
@@ -243,18 +234,8 @@ def _cmd_search(args) -> int:
         _write_or_print(serialize_array(result.array, strength=args.strength), args.output)
         _say(f"found {result.array!r} after {result.nodes} nodes")
         return EXIT_OK
-    sys.stdout.write(
-        dump_json(
-            {
-                "schema": "oakit-report-v1",
-                "search": {
-                    "status": result.status,
-                    "nodes": result.nodes,
-                    "reason": result.reason,
-                },
-            }
-        )
-    )
+    search = {"status": result.status, "nodes": result.nodes, "reason": result.reason}
+    sys.stdout.write(dump_json(report(search=search)))
     _say(f"search ended: {result.status}")
     return EXIT_VERIFICATION
 
@@ -262,41 +243,32 @@ def _cmd_search(args) -> int:
 def _cmd_feasible(args) -> int:
     levels = _ints(args.levels, "--levels")
     verdict = five_column_feasibility(levels)
-    sys.stdout.write(
-        dump_json(
-            {
-                "schema": "oakit-report-v1",
-                "feasibility": {"levels": list(levels), "verdict": verdict.status,
-                                "reason": verdict.reason},
-            }
-        )
-    )
+    feasibility = {"levels": list(levels), "verdict": verdict.status, "reason": verdict.reason}
+    sys.stdout.write(dump_json(report(feasibility=feasibility)))
     _say(f"{levels}: {verdict.status}")
     return EXIT_OK
 
 
-def _cmd_catalog(args) -> int:
-    if args.action == "list":
-        entries = [
-            {
-                "id": e.id,
-                "description": e.description,
-                "runs": e.runs or None,
-                "profile": e.profile,
-                "strength": e.strength,
-                "buildable": e.builder is not None,
-                "needs_seed": e.needs_seed,
-            }
-            for e in catalog.catalog_list()
-        ]
-        sys.stdout.write(dump_json({"schema": "oakit-report-v1", "entries": entries}))
-        _say(f"{len(entries)} catalog entries")
-        return EXIT_OK
-    if not args.id:
-        raise ParameterError("catalog build needs an entry id")
-    seed = None
-    if args.seed:
-        seed = parse_any(_read_text(args.seed))
+def _cmd_catalog_list(args) -> int:
+    entries = [
+        {
+            "id": e.id,
+            "description": e.description,
+            "runs": e.runs or None,
+            "profile": e.profile,
+            "strength": e.strength,
+            "buildable": e.builder is not None,
+            "needs_seed": e.needs_seed,
+        }
+        for e in catalog.catalog_list()
+    ]
+    sys.stdout.write(dump_json(report(entries=entries)))
+    _say(f"{len(entries)} catalog entries")
+    return EXIT_OK
+
+
+def _cmd_catalog_build(args) -> int:
+    seed = None if args.seed is None else parse_any(_read_text(args.seed))
     array, cert = catalog.catalog_build(args.id, seed=seed)
     _emit(array, cert, args.output)
     _say(f"{args.id}: built {array!r}, min distance {cert.measured_md}")
@@ -358,11 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_feasible)
 
     p = sub.add_parser("catalog", help="list or build registry entries")
-    p.add_argument("action", choices=("list", "build"))
-    p.add_argument("id", nargs="?")
-    p.add_argument("--seed", help="moa v1 file satisfying an import-required seed")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_catalog)
+    actions = p.add_subparsers(dest="action", required=True)
+    q = actions.add_parser("list", help="print every entry as JSON")
+    q.set_defaults(fn=_cmd_catalog_list)
+    q = actions.add_parser("build", help="build and verify one entry")
+    q.add_argument("id")
+    q.add_argument("--seed", help="moa v1 file satisfying an import-required seed")
+    q.add_argument("-o", "--output")
+    q.set_defaults(fn=_cmd_catalog_build)
 
     return parser
 

@@ -34,7 +34,6 @@ import numpy as np
 from .algebra import (
     DifferenceScheme,
     column_vector,
-    cyclic_group,
     ds_linear,
     ds_poly3,
     expand,
@@ -56,6 +55,8 @@ from .errors import ConstructionError, ParameterError, VerificationError
 # Largest output, in cells, that a size-checked builder attempts (2^24 int64
 # cells are 128 MiB); larger parameters raise ParameterError before building.
 OUTPUT_CELL_CAP = 1 << 24
+# an exponent clamped to this keeps q**e finite and, as q >= 2, still above the cap
+_CAP_EXPONENT = OUTPUT_CELL_CAP.bit_length()
 
 __all__ = [
     "OrthogonalPartition",
@@ -78,6 +79,21 @@ __all__ = [
     "two_uniform_from_scheme",
     "two_uniform_prime_power",
 ]
+
+
+def _check_cells(runs: int, cols: int, what: str) -> None:
+    """Raise ``ParameterError`` before building a runs x cols array above the cap."""
+    if runs * cols > OUTPUT_CELL_CAP:
+        raise ParameterError(f"{what} asks for more than the cap of {OUTPUT_CELL_CAP} cells")
+
+
+def _check_strength(array: MixedArray, t: int, what: str) -> None:
+    """The strength-t precondition on an array a caller passes in."""
+    report = verify_strength(array, t)
+    if not report.holds:
+        raise ParameterError(
+            f"{what} fails the strength-{t} precondition: witness {report.witness}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +146,9 @@ def partition_from_scheme(scheme: DifferenceScheme) -> OrthogonalPartition:
     """The canonical partition of D (+) (d): one block per scheme row.
 
     The scheme is not re-checked: a `DifferenceScheme` is checked at its
-    declared strength when constructed (unless built with ``verify=False``
-    for internal staging) and its cells are read-only.
+    declared strength when constructed (unless built with ``verify=False``,
+    as for internal staging and by `HadamardMatrix01.as_scheme`, whose matrix
+    check already proves it) and its cells are read-only.
     """
     parent = expand(scheme)
     d = scheme.order
@@ -244,11 +261,7 @@ def juxtapose_scheme(
         raise ParameterError(f"host has {r} rows but scheme has {scheme.rows}")
     if scheme.cols != scheme.rows:
         raise ParameterError("scheme must be square")
-    host_report = verify_strength(host, 2)
-    if not host_report.holds:
-        raise ParameterError(
-            f"host fails the strength-2 precondition: witness {host_report.witness}"
-        )
+    _check_strength(host, 2, "host")
     d = scheme.order
     out = juxtapose_scheme_raw(host, scheme)
     md_host = min_distance(host)
@@ -287,10 +300,8 @@ def juxtapose_partitions(
     and min(w1, w2) otherwise.  The certificate returned is unverified and
     carries no runs or profile until `certify` runs on the output.
     """
-    for p, name in ((pa, "first"), (pb, "second")):
-        report = verify_strength(p.parent, 3)
-        if not report.holds:
-            raise ParameterError(f"{name} array fails the strength-3 precondition")
+    _check_strength(pa.parent, 3, "first array")
+    _check_strength(pb.parent, 3, "second array")
     return _juxtapose_partitions(pa, pb)
 
 
@@ -452,12 +463,7 @@ def bush_oa(q: int, k: int, columns: int | None = None) -> MixedArray:
     width = q + 1 if columns is None else columns
     if not 1 <= width <= q + 1:
         raise ParameterError(f"columns must be in 1..{q + 1}")
-    # the first test keeps q**k from growing without bound
-    if k >= OUTPUT_CELL_CAP.bit_length() or q**k * width > OUTPUT_CELL_CAP:
-        raise ParameterError(
-            f"q={q}, k={k} asks for {q}^{k} runs x {width} columns, "
-            f"above the cap of {OUTPUT_CELL_CAP} cells"
-        )
+    _check_cells(q ** min(k, _CAP_EXPONENT), width, f"q={q}, k={k}, columns={width}")
     values, coeffs = _evaluations(q, k, min(width, q))
     if width > q:
         values = np.hstack([values, coeffs[k - 1]])
@@ -590,11 +596,7 @@ def _two_uniform_chain(
             f"{n} two-level columns unreachable at this stage (needs >= {low})"
         )
     cols = host.ncols + 2 * r - host.runs  # the host plus every scheme block
-    if 2 * r * cols > OUTPUT_CELL_CAP:
-        raise ParameterError(
-            f"{n} two-level columns ask for {2 * r} runs x {cols} columns, "
-            f"above the cap of {OUTPUT_CELL_CAP} cells"
-        )
+    _check_cells(2 * r, cols, f"n = {n} two-level columns")
     stage = host
     for _ in range(stages):
         stage = juxtapose_scheme_raw(stage, hadamard01(stage.runs).as_scheme())
@@ -643,11 +645,7 @@ def _two_uniform_from_host(
     if len(d_cols) > m:
         host = delete_columns(host, d_cols[m:])
     if seed_name is None:
-        report = verify_strength(host, 2)
-        if not report.holds:
-            raise ParameterError(
-                f"host fails the strength-2 precondition: witness {report.witness}"
-            )
+        _check_strength(host, 2, "host")
     seeds = (seed_name or "caller-host",)
     return _two_uniform_chain(host, host.ncols - m, n, construction, seeds)
 
@@ -703,7 +701,9 @@ def two_uniform_dm2n(
     seed_name = None
     if host is None:
         if d == 4 and m == 1:
-            host, _ = two_uniform_from_scheme(4, 4, 2)
+            # the 8-run array over 4^1 2^4 that two_uniform_from_scheme(4, 4, 2)
+            # certifies; the output's certify covers it here
+            host = juxtapose_scheme_raw(column_vector(4), hadamard01(4).as_scheme())
             seed_name = "scheme-juxtaposition 4^1x2^4"
         else:
             raise ParameterError(
@@ -741,20 +741,12 @@ def _three_uniform_pipeline(
     left = left_scheme
     if keep_left < left.cols:
         left = left.select_columns(range(keep_left))
+    _check_cells(order, order, f"n = {n} (Hadamard order {order})")
     runs = left.order * 2 * lcm(left.rows, order)
-    if max(order * order, runs * (left.cols + n_build)) > OUTPUT_CELL_CAP:
-        raise ParameterError(
-            f"n = {n} asks for a Hadamard matrix of order {order} and "
-            f"{runs} runs x {left.cols + n_build} columns, above the cap of "
-            f"{OUTPUT_CELL_CAP} cells"
-        )
+    _check_cells(runs, left.cols + n_build, f"n = {n}")
 
     pa = partition_from_scheme(left)
-    hm = hadamard01(order)
-    # column selections of a Hadamard scheme inherit its strength 3; that is
-    # not re-checked here, as certify's strength-3 check on the output covers
-    # every 3-subset of the expansion
-    right = DifferenceScheme(hm.cells[:, :n_build], 2, 3, cyclic_group(2), verify=False)
+    right = hadamard01(order).as_scheme(3).select_columns(range(n_build))
     out, cert = _juxtapose_partitions(pa, partition_from_scheme(right))
     notes = [f"binary scheme of order {order} trimmed to {n_build} columns"]
     if extra:
@@ -838,16 +830,10 @@ def k_uniform_product(
     for x, y in combinations(factors, 2):
         if gcd(x, y) != 1:
             raise ParameterError("factors must be coprime prime powers")
-    # the second test keeps q**k from growing without bound; k < 1 and bad
-    # factors are left to bush_oa's checks
-    if k >= 1 and (
-        k >= OUTPUT_CELL_CAP.bit_length()
-        or prod(q**k for q in factors) * 2 * k > OUTPUT_CELL_CAP
-    ):
-        raise ParameterError(
-            f"k={k}, factors={factors} ask for {' * '.join(f'{q}^{k}' for q in factors)} "
-            f"runs x {2 * k} columns, above the cap of {OUTPUT_CELL_CAP} cells"
-        )
+    # k < 1 and bad factors are left to bush_oa's checks
+    if k >= 1:
+        runs = prod(q ** min(k, _CAP_EXPONENT) for q in factors)
+        _check_cells(runs, 2 * k, f"k={k}, factors={factors}")
     arrays = [bush_oa(q, k, columns=2 * k) for q in factors]
     out = arrays[0]
     for nxt in arrays[1:]:
@@ -902,32 +888,24 @@ def two_uniform_from_scheme(
     """
     n = index_levels
     width = scheme_columns + (1 if replacement is None else replacement.ncols)
-    if max(n * n if scheme is None else 0, d * n * width) > OUTPUT_CELL_CAP:
-        raise ParameterError(
-            f"N={n}, M={scheme_columns}, d={d} asks for {d * n} runs x {width} "
-            f"columns from an order-{n} scheme, above the cap of {OUTPUT_CELL_CAP} cells"
-        )
-    available = n if scheme is None else scheme.cols
-    if not 1 <= scheme_columns <= available:
-        raise ParameterError(f"need 1..{available} scheme columns, got {scheme_columns}")
+    _check_cells(d * n, width, f"N={n}, M={scheme_columns}, d={d}")
     if scheme is None:
         if d != 2:
             raise ParameterError("built-in schemes exist only for d = 2; pass one")
-        hm = hadamard01(n)
-        scheme = DifferenceScheme(
-            hm.cells[:, :scheme_columns], 2, 2, cyclic_group(2), verify=False
-        )
-    else:
-        if scheme.rows != n:
-            raise ParameterError("scheme row count must equal the index levels")
-        if scheme.order != d:
-            raise ParameterError(f"scheme has order {scheme.order}, not d = {d}")
-        if scheme_columns != scheme.cols:
-            scheme = scheme.select_columns(range(scheme_columns))
+        _check_cells(n, n, f"N={n} (Hadamard order)")
+        scheme = hadamard01(n).as_scheme()
+    elif scheme.rows != n:
+        raise ParameterError("scheme row count must equal the index levels")
+    elif scheme.order != d:
+        raise ParameterError(f"scheme has order {scheme.order}, not d = {d}")
+    if not 1 <= scheme_columns <= scheme.cols:
+        raise ParameterError(f"need 1..{scheme.cols} scheme columns, got {scheme_columns}")
+    if scheme_columns != scheme.cols:
+        scheme = scheme.select_columns(range(scheme_columns))
     if replacement is not None:
-        rep_report = verify_strength(replacement, min(2, replacement.ncols))
-        if replacement.runs != n or not rep_report.holds:
-            raise ParameterError("replacement must be a strength-2 array with N rows")
+        if replacement.runs != n:
+            raise ParameterError(f"replacement has {replacement.runs} rows, not N = {n}")
+        _check_strength(replacement, min(2, replacement.ncols), "replacement")
 
     # a replacement's rows stand in for the index column's symbols, which is
     # the same as juxtaposing the scheme with the replacement as host
@@ -976,12 +954,8 @@ def two_uniform_prime_power(
     ``ParameterError`` before building anything.
     """
     if d >= 2 and n >= 1:
-        # the first test keeps d**n from growing without bound
-        if n >= OUTPUT_CELL_CAP.bit_length() or d ** (n + 1) * (d**n + 1) > OUTPUT_CELL_CAP:
-            raise ParameterError(
-                f"d={d}, n={n} asks for {d}^{n + 1} runs x ({d}^{n} + 1) columns, "
-                f"above the cap of {OUTPUT_CELL_CAP} cells"
-            )
+        e = min(n, _CAP_EXPONENT)
+        _check_cells(d ** (e + 1), d**e + 1, f"d={d}, n={n}")
     scheme = ds_linear(d, n)
     size = d**n
     if replacement is not None and min_distance(replacement) < 1:

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .algebra import AdditiveGroup, DifferenceScheme, HadamardMatrix01
 from .arrays import (
     DistanceSpectrum,
     IrredundancyReport,
@@ -37,15 +37,14 @@ from .arrays import (
 )
 from .errors import FormatError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .algebra import DifferenceScheme, HadamardMatrix01
-
 __all__ = [
     "serialize_array",
     "parse_array",
     "serialize_scheme",
     "serialize_hadamard",
     "parse_any",
+    "report",
+    "distance_section",
     "verification_report",
     "uniformity_report",
 ]
@@ -66,7 +65,7 @@ def serialize_array(array: MixedArray, strength: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_scheme(scheme: "DifferenceScheme") -> str:
+def serialize_scheme(scheme: DifferenceScheme) -> str:
     kind = f"kind ds {scheme.order} {scheme.strength}"
     if scheme.group.tag != "mod":
         kind += f" {scheme.group.tag}"
@@ -81,7 +80,7 @@ def serialize_scheme(scheme: "DifferenceScheme") -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_hadamard(h: "HadamardMatrix01") -> str:
+def serialize_hadamard(h: HadamardMatrix01) -> str:
     lines = [
         "moa v1",
         "kind hadamard",
@@ -169,8 +168,6 @@ def parse_any(text: str):
     kind = header.get("kind")
     if kind is None:
         return MixedArray(levels, cells)
-    from .algebra import AdditiveGroup, DifferenceScheme, HadamardMatrix01
-
     parts = kind.split() or [""]
     if parts[0] == "hadamard":
         if len(parts) != 1:
@@ -211,50 +208,51 @@ def _witness_json(report: StrengthReport):
     return out
 
 
+def report(**sections) -> dict:
+    """An oakit-report-v1 document holding the given sections."""
+    return {"schema": REPORT_SCHEMA, **sections}
+
+
+def distance_section(spectrum: DistanceSpectrum) -> dict:
+    return {"min": spectrum.min_distance, "spectrum": list(spectrum.distances)}
+
+
 def verification_report(
     strength: StrengthReport,
     spectrum: DistanceSpectrum,
     irredundant: IrredundancyReport | None,
 ) -> dict:
-    report: dict = {
-        "schema": REPORT_SCHEMA,
-        "strength": {
+    out = report(
+        strength={
             "k": strength.strength_checked,
             "holds": strength.holds,
             "lambda": strength.index,
         },
-        "distance": {
-            "min": spectrum.min_distance,
-            "spectrum": list(spectrum.distances),
-        },
-        "irredundant": None
+        distance=distance_section(spectrum),
+        irredundant=None
         if irredundant is None
         else {"k": irredundant.k, "holds": irredundant.holds},
-    }
+    )
     witness = _witness_json(strength)
     if witness is not None:
-        report["strength"]["witness"] = witness
-    return report
+        out["strength"]["witness"] = witness
+    return out
 
 
 def uniformity_report(uniformity, spectrum: DistanceSpectrum | None = None) -> dict:
-    report: dict = {
-        "schema": REPORT_SCHEMA,
-        "uniformity": {
+    out = report(
+        uniformity={
             "k": uniformity.k,
             "holds": uniformity.holds,
             "subsets_checked": uniformity.subsets_checked,
             "subsets_total": uniformity.subsets_total,
-        },
-    }
-    if uniformity.witness_subset is not None:
-        report["uniformity"]["witness"] = {"columns": list(uniformity.witness_subset)}
-    if spectrum is not None:
-        report["distance"] = {
-            "min": spectrum.min_distance,
-            "spectrum": list(spectrum.distances),
         }
-    return report
+    )
+    if uniformity.witness_subset is not None:
+        out["uniformity"]["witness"] = {"columns": list(uniformity.witness_subset)}
+    if spectrum is not None:
+        out["distance"] = distance_section(spectrum)
+    return out
 
 
 def dump_json(obj: dict) -> str:

@@ -31,8 +31,9 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import AdditiveGroup, DifferenceScheme, cyclic_group, is_difference_scheme
+from .algebra import DifferenceScheme, cyclic_group, is_difference_scheme
 from .arrays import MixedArray, min_distance, verify_strength
+from .constructions import OrthogonalPartition, five_column_feasibility
 from .errors import ParameterError, VerificationError
 
 __all__ = [
@@ -244,10 +245,9 @@ def search_scheme(
     cols: int,
     order: int,
     strength: int,
-    group: AdditiveGroup | None = None,
     node_budget: int | None = None,
 ) -> SearchResult:
-    """Search for a difference scheme D_t(rows, cols, order).
+    """Search for a difference scheme D_t(rows, cols, order) over Z_order.
 
     Canonical form: first row and first column all zero (row and column
     shifts leave the expansion invariant as a row multiset), rows and columns
@@ -257,9 +257,7 @@ def search_scheme(
     rows / order^(t-1) times (and rows / order for pairs).  A found scheme
     is the result's ``array``.
     """
-    group = group or cyclic_group(order)
-    if group.order != order:
-        raise ParameterError("group order mismatch")
+    group = cyclic_group(order)
     if strength < 2:
         raise ParameterError("scheme strength must be >= 2")
     if node_budget is not None and node_budget < 0:
@@ -296,8 +294,6 @@ def search_partition(array: MixedArray, block_count: int):
     removes block-permutation symmetry.  The first partition in that
     deterministic order is returned, or None.
     """
-    from .constructions import OrthogonalPartition
-
     r, n = array.cells.shape
     if r % block_count:
         raise ParameterError(f"{r} rows not divisible into {block_count} blocks")
@@ -353,8 +349,6 @@ def exhaustive_nonexistence(spec: SearchSpec) -> NonexistenceResult:
     if spec.node_budget is None:
         raise ParameterError("nonexistence confirmation requires a node budget")
     if spec.min_distance is not None and len(spec.levels) == 5 and spec.strength == 2:
-        from .constructions import five_column_feasibility
-
         verdict = five_column_feasibility(spec.levels)
         if verdict.impossible and spec.min_distance >= 3:
             return NonexistenceResult("proved", reason=verdict.reason)

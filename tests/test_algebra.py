@@ -219,6 +219,45 @@ class TestHadamard:
             assert is_difference_scheme(hadamard01(n).cells, 2, 3).holds
 
 
+def _generated_orders(top):
+    orders = []
+    for n in range(2, top + 1):
+        try:
+            orders.append(hadamard01(n).order)
+        except ParameterError:
+            continue
+    return orders
+
+
+class TestHadamardAsScheme:
+    """`as_scheme` skips the expansion check; these tests make that check."""
+
+    def test_strength_two_up_to_order_200(self):
+        orders = _generated_orders(200)
+        assert len(orders) == 45 and orders[-1] == 200
+        for n in orders:
+            cells = expand(hadamard01(n).as_scheme()).cells
+            # every column pair takes each of (0,0), (0,1), (1,0), (1,1) n/2
+            # times, counted exactly by integer matrix products
+            ones = cells.T @ cells
+            sums = np.diag(ones)
+            assert (sums == n).all()
+            off = ~np.eye(n, dtype=bool)
+            both, first = ones[off], (sums[:, None] - ones)[off]
+            assert (both == n // 2).all() and (first == n // 2).all()
+
+    def test_strength_three_for_orders_4_to_36(self):
+        for n in _generated_orders(36)[1:]:
+            scheme = hadamard01(n).as_scheme(3)
+            assert scheme.strength == 3
+            assert verify_strength(expand(scheme), 3).holds
+
+    @pytest.mark.parametrize("order, strength", [(4, 1), (4, 4), (1, 2), (2, 3)])
+    def test_other_strengths_rejected(self, order, strength):
+        with pytest.raises(ParameterError, match=f"no strength-{strength} scheme"):
+            hadamard01(order).as_scheme(strength)
+
+
 class TestDifferenceSchemes:
     def test_searched_scheme_strength3(self, scheme18):
         assert is_difference_scheme(scheme18.cells, 3, 3).holds

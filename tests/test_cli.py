@@ -116,7 +116,7 @@ _ARGV_TEMPLATES = {
     "uniformity {path} --k 1": 2,  # a full factorial is not 1-uniform
     "search --runs 4 --levels 2,2 --strength 1 --min-distance 1 --budget 10 -o out.moa": 0,
     "feasible --levels 3,2,2,2,2": 0,
-    "catalog build thm1/3^1x2^9 --seed {path} -o out.moa": 0,
+    "catalog build thm1/3^1x2^9 -o out.moa": 0,
     "catalog list": 0,
 }
 _TOKENS = [
@@ -329,10 +329,12 @@ class TestParameterParsing:
             (("construct", "thm8", "--params", "N=4", "M=4", "d=2", "k=2"), "no param 'k'"),
             (("verify", "{path}", "--strength", "2", "--irredundant", "7"), "in 1..2, got 7"),
             (("verify", "{path}", "--strength", "2", "--irredundant", "0"), "in 1..2, got 0"),
+            (("catalog", "build", "thm1/3^1x2^9", "--seed", "{path}"), "takes no seed"),
         ],
         ids=[
             "unknown-key", "repeated-key", "thm7-unknown-key", "thm8-repeated-key",
             "thm8-unknown-key", "irredundant-past-columns", "irredundant-0",
+            "catalog-build-unused-seed",
         ],
     )
     def test_rejected_parameters_exit_4(self, tmp_path, capsys, argv, message):
@@ -350,8 +352,12 @@ class TestParameterParsing:
             ("search", "--levels", "2,2", "--strength", "1"),
             ("nope",),
             (),
+            ("catalog", "list", "thm9/nope"),
         ],
-        ids=["invalid-int", "unknown-option", "missing-required", "unknown-command", "empty"],
+        ids=[
+            "invalid-int", "unknown-option", "missing-required", "unknown-command", "empty",
+            "catalog-list-id",
+        ],
     )
     def test_usage_error_exits_4(self, argv, capsys):
         code, _, err = run(capsys, *argv)

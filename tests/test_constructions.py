@@ -457,6 +457,33 @@ class TestVerifyOnce:
         cert = certify(bush_oa(5, 2), claimed)
         assert cert.verified and (cert.runs, cert.profile) == (25, "5^6")
 
+    @pytest.mark.parametrize("entry_id", ["thm1/3^2x2^21", "thm2/4^1x2^7"])
+    def test_hadamard_host_builds_check_strength_once(self, entry_id, monkeypatch):
+        import oakit.algebra
+        import oakit.constructions
+
+        catalog_build(entry_id)  # warm the seeds: their checks on load are not counted
+        calls = []
+
+        def counting(array, k):
+            calls.append(k)
+            return verify_strength(array, k)
+
+        for module in (oakit.algebra, oakit.constructions):
+            monkeypatch.setattr(module, "verify_strength", counting)
+        _, cert = catalog_build(entry_id)
+        assert calls == [2] and cert.verified
+
+    def test_replacement_with_other_than_n_rows_rejected(self):
+        with pytest.raises(ParameterError, match="4 rows, not N = 12"):
+            two_uniform_from_scheme(12, 12, 2, replacement=trivial_moa((2, 2)))
+
+    def test_replacement_failing_strength_2_rejected(self):
+        column = np.repeat([0, 1], 6)[:, None]
+        twin = MixedArray((2, 2), np.hstack([column, column]))  # pairs (0,1) never occur
+        with pytest.raises(ParameterError, match="replacement fails the strength-2 precondition"):
+            two_uniform_from_scheme(12, 12, 2, replacement=twin)
+
     def test_caller_host_failing_strength_2_rejected(self, moa12):
         cells = moa12.cells.copy()
         cells[0, 1] ^= 1  # one flipped binary cell unbalances a column pair

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,16 @@ def test_star_import(module):
     if exported is not None:
         assert set(exported) <= set(namespace)
         assert len(set(exported)) == len(exported), "duplicate names in __all__"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # a top-level import that closes a cycle fails when its module loads first
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import oakit.{module}"], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_reexports_resolve():
