@@ -477,21 +477,15 @@ def _paley2_order(n: int) -> int | None:
     return q if pm is not None and q % 4 == 1 else None
 
 
-def _xor_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na, nb = a.shape[0], b.shape[0]
-    return np.bitwise_xor(a[:, None, :, None], b[None, :, None, :]).reshape(
-        na * nb, na * nb
-    )
-
-
 def hadamard01(order: int) -> HadamardMatrix01:
     """Generate a normalized 0/1 Hadamard matrix of the given order.
 
     Generators are tried in the precedence Sylvester (n = 2^m), Paley I
     (n = q + 1, q = 3 mod 4), Paley II (n = 2q + 2, q = 1 mod 4), then the
     Kronecker product H(a) x H(n/a) for the smallest basic order a dividing n
-    whose cofactor also builds.  Raises when no implemented generator covers
-    the order.
+    whose cofactor also builds.  In 0/1 form that product is the Kronecker
+    sum over Z_2, as a product of +-1 entries is a sum of 0/1 ones mod 2.
+    Raises when no implemented generator covers the order.
     """
     n = order
     if n < 1:
@@ -507,11 +501,10 @@ def hadamard01(order: int) -> HadamardMatrix01:
     for a in range(2, n):
         if n % a == 0 and _basic_order(a):
             try:
-                return HadamardMatrix01(
-                    n, _xor_kron(hadamard01(a).cells, hadamard01(n // a).cells)
-                )
+                factors = [MixedArray((2,) * m, hadamard01(m).cells) for m in (a, n // a)]
             except ParameterError:
                 continue
+            return HadamardMatrix01(n, kronecker_sum(*factors, cyclic_group(2)).cells)
     raise ParameterError(
         f"no generator for Hadamard order {n}; applicable methods: sylvester "
         "(2^m), paley1 (q+1, q = 3 mod 4), paley2 (2q+2, q = 1 mod 4), "

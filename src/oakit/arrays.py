@@ -146,6 +146,10 @@ class DistanceSpectrum:
     min_distance: int
     counts: dict[int, int]
 
+    def irredundancy(self, k: int) -> IrredundancyReport:
+        """Irredundancy at k: minimal distance >= k + 1 (see ``is_irredundant``)."""
+        return IrredundancyReport(k, self.min_distance >= k + 1, self.min_distance)
+
 
 @dataclass(frozen=True)
 class IrredundancyReport:
@@ -282,8 +286,7 @@ def is_irredundant(array: MixedArray, k: int) -> IrredundancyReport:
     n = array.ncols
     if not 1 <= k < n:
         raise ParameterError(f"irredundancy strength must satisfy 1 <= k < {n}, got {k}")
-    md = min_distance(array)
-    return IrredundancyReport(k, md >= k + 1, md)
+    return distance_spectrum(array).irredundancy(k)
 
 
 def delete_columns(array: MixedArray, indices: Iterable[int]) -> MixedArray:

@@ -40,7 +40,7 @@ from .constructions import (
 )
 from .errors import MissingSeedError, OakitError, ParameterError, VerificationError
 from .formats import parse_any, serialize_array, serialize_scheme
-from .quantum import SparseState, emit_state, verify_k_uniform
+from .quantum import SparseState, emit_state
 from .search import SearchSpec, search_moa, search_scheme
 
 __all__ = [
@@ -83,14 +83,14 @@ class SeedPredicate:
         """Why ``obj`` fails the predicate, or None if it holds."""
         if self.kind == "scheme":
             if not isinstance(obj, DifferenceScheme):
-                return "not a difference scheme"
+                return "not a difference-scheme seed"
             found = (obj.rows, (obj.order,) * obj.cols, obj.strength)
             declared = (self.runs, self.levels, self.strength)
             if found != declared:
                 return f"(rows, levels, strength) is {found}, declared {declared}"
             return None
         if not isinstance(obj, MixedArray):
-            return "not an array"
+            return "not an array seed"
         if (obj.runs, obj.levels) != (self.runs, self.levels):
             return f"shape is {obj.runs} x {obj.levels}, declared {self.runs} x {self.levels}"
         report = verify_strength(obj, self.strength)
@@ -213,6 +213,7 @@ _register_seed(
     SeedEntry(
         "scheme-12x6-over-6",
         "difference scheme D(12, 6, 6) over Z_6 (externally tabulated; import it)",
+        SeedPredicate("scheme", 12, (6,) * 6, 2),
     )
 )
 _register_seed(
@@ -296,13 +297,18 @@ def self_test() -> list[str]:
 
 @dataclass(frozen=True)
 class FamilyEntry:
-    """One catalog entry: the id names its profile after the ``/``."""
+    """One catalog entry: the id names its profile after the ``/``.
+
+    An entry with ``needs_seed`` set builds only from that imported seed:
+    its builder takes the seed, and an entry with no builder cannot be built
+    here at all.  ``runs`` is None when the run count is not known.
+    """
 
     id: str
     description: str
-    runs: int
+    runs: int | None
     strength: int
-    builder: Callable[[], tuple[MixedArray, ConstructionCertificate]] | None = None
+    builder: Callable[..., tuple[MixedArray, ConstructionCertificate]] | None = None
     needs_seed: str | None = None
 
     @property
@@ -310,15 +316,16 @@ class FamilyEntry:
         """The profile the id names: ``3^1x2^8`` reads as ``3^1 2^8``."""
         return self.id.split("/", 1)[1].replace("x", " ")
 
+    @property
+    def buildable(self) -> bool:
+        """Whether ``catalog_build`` builds the entry without an imported seed."""
+        return self.needs_seed is None
+
 
 def _table3_replacement(levels):
     return lambda: two_uniform_from_scheme(
         12, 12, 2, replacement=trivial_moa(levels)
     )
-
-
-def _table5_builder(seed: DifferenceScheme):
-    return two_uniform_from_scheme(12, 6, 6, scheme=seed)
 
 
 _FAMILIES: list[FamilyEntry] = []
@@ -461,7 +468,7 @@ _register(
         "72-run family over 12^1 6^6 (needs the imported D(12,6,6))",
         72,
         2,
-        None,
+        lambda seed: two_uniform_from_scheme(12, 6, 6, scheme=seed),
         needs_seed="scheme-12x6-over-6",
     )
 )
@@ -469,9 +476,8 @@ _register(
     FamilyEntry(
         "table1/6^7x3^1x2^1",
         "strength-3 family over 6^7 3^1 2^1 (needs imported strength-3 hosts at 6 levels)",
-        0,
-        3,
         None,
+        3,
         needs_seed="iroa-6-levels-strength-3",
     )
 )
@@ -496,30 +502,38 @@ def catalog_list() -> list[FamilyEntry]:
 def catalog_build(
     entry_id: str, seed: DifferenceScheme | MixedArray | None = None
 ) -> tuple[MixedArray, ConstructionCertificate]:
-    """Build a registry entry and verify its expected certificate exactly."""
+    """Build a registry entry and verify its expected certificate exactly.
+
+    ``seed`` is the imported seed of an entry that needs one; it is checked
+    against that seed's predicate before the builder sees it.
+    """
     matches = [e for e in _FAMILIES if e.id == entry_id]
     if not matches:
         raise ParameterError(f"unknown catalog id {entry_id!r}")
     entry = matches[0]
-    if seed is not None and entry.needs_seed is None:
-        raise ParameterError(f"entry {entry.id} takes no seed")
-    if entry.builder is None:
-        if entry.id.startswith("table5/"):
-            if seed is None:
-                raise MissingSeedError(
-                    f"entry {entry.id} needs seed {entry.needs_seed}; pass --seed FILE"
-                )
-            if not isinstance(seed, DifferenceScheme):
-                raise ParameterError("table5 entries need a difference-scheme seed")
-            array, cert = _table5_builder(seed)
-        else:
-            raise MissingSeedError(
-                f"entry {entry.id} needs seed {entry.needs_seed}, which is externally "
-                "tabulated and has no generator here"
-            )
-    else:
+    if entry.needs_seed is None:
+        if seed is not None:
+            raise ParameterError(f"entry {entry.id} takes no seed")
         array, cert = entry.builder()
-    if entry.runs and array.runs != entry.runs:
+    elif entry.builder is None:
+        if seed is not None:
+            raise ParameterError(
+                f"entry {entry.id} has no builder here; a seed cannot build it"
+            )
+        raise MissingSeedError(
+            f"entry {entry.id} needs seed {entry.needs_seed}, which is externally "
+            "tabulated and has no generator here"
+        )
+    elif seed is None:
+        raise MissingSeedError(f"entry {entry.id} needs seed {entry.needs_seed}; pass --seed FILE")
+    else:
+        problem = _SEEDS[entry.needs_seed].predicate.violation(seed)
+        if problem is not None:
+            raise ParameterError(
+                f"--seed fails the predicate of seed {entry.needs_seed!r}: {problem}"
+            )
+        array, cert = entry.builder(seed)
+    if array.runs != entry.runs:
         raise VerificationError(
             f"{entry.id}: expected {entry.runs} runs, built {array.runs}"
         )
@@ -542,26 +556,15 @@ def catalog_build(
 def fixture_states() -> dict[str, SparseState]:
     """The named golden states, rebuilt from their constructions.
 
-    Each fixture's array is verified for its claimed uniformity before being
-    emitted as a ket list.
+    Each fixture's array is emitted as a ket list only after ``certify`` has
+    checked it: exact strength k with minimal distance >= k + 1, which is
+    k-uniformity by the criterion in ``quantum``.  The states are 2-, 2- and
+    3-uniform.
     """
-    fixtures: dict[str, tuple[MixedArray, int]] = {}
-    arr9, _ = two_uniform_3m2n(1, 9)
-    fixtures["3^1x2^9"] = (arr9, 2)
-    arr10, _ = two_uniform_3m2n(1, 10)
-    fixtures["3^1x2^10"] = (arr10, 2)
-    fixtures["4^5x2^2"] = (_fixture_4522(), 3)
-    out: dict[str, SparseState] = {}
-    for name, (array, k) in fixtures.items():
-        report = verify_k_uniform(array, k)
-        if not report.holds:
-            raise VerificationError(
-                f"fixture {name} failed {k}-uniformity at subset {report.witness_subset}"
-            )
-        out[name] = emit_state(array)
-    return out
-
-
-def _fixture_4522() -> MixedArray:
-    out, _cert = expansive_replace(bush_oa_even(4), {5: trivial_moa((2, 2))}, 3)
-    return out
+    replaced = expansive_replace(bush_oa_even(4), {5: trivial_moa((2, 2))}, 3)
+    fixtures = {
+        "3^1x2^9": two_uniform_3m2n(1, 9),
+        "3^1x2^10": two_uniform_3m2n(1, 10),
+        "4^5x2^2": (replaced[0], certify(*replaced)),
+    }
+    return {name: emit_state(array) for name, (array, _cert) in fixtures.items()}

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .arrays import distance_spectrum, is_irredundant, verify_strength
+from .arrays import distance_spectrum, verify_strength
 from .constructions import (
     certify,
     expansive_replace,
@@ -97,7 +97,7 @@ def _cmd_verify(args) -> int:
     k_ir = args.irredundant if args.irredundant is not None else args.strength
     irred = None
     if 1 <= k_ir < array.ncols:
-        irred = is_irredundant(array, k_ir)
+        irred = spectrum.irredundancy(k_ir)
     elif args.irredundant is not None:
         raise ParameterError(f"--irredundant must be in 1..{array.ncols - 1}, got {k_ir}")
     sys.stdout.write(dump_json(verification_report(strength, spectrum, irred)))
@@ -254,10 +254,10 @@ def _cmd_catalog_list(args) -> int:
         {
             "id": e.id,
             "description": e.description,
-            "runs": e.runs or None,
+            "runs": e.runs,
             "profile": e.profile,
             "strength": e.strength,
-            "buildable": e.builder is not None,
+            "buildable": e.buildable,
             "needs_seed": e.needs_seed,
         }
         for e in catalog.catalog_list()

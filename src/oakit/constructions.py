@@ -735,9 +735,7 @@ def _three_uniform_pipeline(
         order *= 2
     guaranteed_low = order // 2 + 4
     extra = max(0, guaranteed_low - n)
-    n_build = max(n, guaranteed_low)
-    if n_build > order:
-        raise ParameterError(f"n = {n} unreachable from scheme order {order}")
+    n_build = max(n, guaranteed_low)  # <= order, as base orders are at least 36
     left = left_scheme
     if keep_left < left.cols:
         left = left.select_columns(range(keep_left))

@@ -52,44 +52,32 @@ __all__ = [
 REPORT_SCHEMA = "oakit-report-v1"
 
 
-def _matrix_lines(cells: np.ndarray) -> list[str]:
-    return [" ".join(str(int(x)) for x in row) for row in cells]
-
-
-def serialize_array(array: MixedArray, strength: int | None = None) -> str:
-    lines = ["moa v1", f"runs {array.runs}", "levels " + " ".join(map(str, array.levels))]
+def _write(cells: np.ndarray, levels, kind: str | None = None, strength: int | None = None) -> str:
+    """The one moa v1 writer: header lines, ``rows:``, then one line per row."""
+    lines = ["moa v1"]
+    if kind is not None:
+        lines.append(f"kind {kind}")
+    lines += [f"runs {cells.shape[0]}", "levels " + " ".join(map(str, levels))]
     if strength is not None:
         lines.append(f"strength {strength}")
     lines.append("rows:")
-    lines.extend(_matrix_lines(array.cells))
+    lines.extend(" ".join(map(str, row.tolist())) for row in cells)
     return "\n".join(lines) + "\n"
+
+
+def serialize_array(array: MixedArray, strength: int | None = None) -> str:
+    return _write(array.cells, array.levels, strength=strength)
 
 
 def serialize_scheme(scheme: DifferenceScheme) -> str:
-    kind = f"kind ds {scheme.order} {scheme.strength}"
+    kind = f"ds {scheme.order} {scheme.strength}"
     if scheme.group.tag != "mod":
         kind += f" {scheme.group.tag}"
-    lines = [
-        "moa v1",
-        kind,
-        f"runs {scheme.rows}",
-        "levels " + " ".join([str(scheme.order)] * scheme.cols),
-        "rows:",
-    ]
-    lines.extend(_matrix_lines(scheme.cells))
-    return "\n".join(lines) + "\n"
+    return _write(scheme.cells, (scheme.order,) * scheme.cols, kind)
 
 
 def serialize_hadamard(h: HadamardMatrix01) -> str:
-    lines = [
-        "moa v1",
-        "kind hadamard",
-        f"runs {h.order}",
-        "levels " + " ".join(["2"] * h.order),
-        "rows:",
-    ]
-    lines.extend(_matrix_lines(h.cells))
-    return "\n".join(lines) + "\n"
+    return _write(h.cells, (2,) * h.order, "hadamard")
 
 
 _HEADER_KEYS = ("kind", "runs", "levels", "strength")

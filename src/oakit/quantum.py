@@ -269,7 +269,7 @@ def _close_pairs(array: MixedArray, lead: int, k: int):
 
 def _projection_keys(cells: np.ndarray, levels, columns: list[int]) -> np.ndarray:
     """Integers equal exactly when the rows' projections onto ``columns`` are."""
-    if sum(float(np.log2(levels[j])) for j in columns) < 62:
+    if prod(levels[j] for j in columns) < 1 << 62:
         return subset_codes(cells, levels, columns)
     # too wide for one int64 code: number the distinct projections
     _, ids = np.unique(cells[:, columns], axis=0, return_inverse=True)

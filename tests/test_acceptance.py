@@ -265,7 +265,7 @@ def test_criterion_9():
 
 @criterion(10, "catalog builds are byte-identical across CLI runs")
 def test_criterion_10(tmp_path):
-    buildable = [e.id for e in catalog.catalog_list() if e.builder is not None]
+    buildable = [e.id for e in catalog.catalog_list() if e.buildable]
     assert buildable
     for entry_id in buildable:
         outputs = []

@@ -8,9 +8,11 @@ import pytest
 
 import oakit.search
 from oakit import catalog
+from oakit.algebra import ds_linear
 from oakit.arrays import min_distance, verify_strength
 from oakit.catalog import (
     SeedEntry,
+    SeedPredicate,
     catalog_build,
     catalog_list,
     fixture_states,
@@ -98,7 +100,7 @@ class TestStoredSeeds:
             monkeypatch.setattr(module, "search_scheme", refuse)
         monkeypatch.setattr(catalog, "_SEED_CACHE", {})
         for entry in catalog_list():
-            if entry.builder is not None:
+            if entry.buildable:
                 assert catalog_build(entry.id)[1].verified
         assert set(SEARCH_SEEDS) <= set(catalog._SEED_CACHE)
 
@@ -144,7 +146,7 @@ class TestStoredSeeds:
 class TestRegistry:
     def test_every_buildable_entry_builds_and_verifies(self):
         for entry in catalog_list():
-            if entry.builder is None:
+            if not entry.buildable:
                 continue
             array, cert = catalog_build(entry.id)
             assert cert.verified
@@ -217,3 +219,23 @@ class TestFixtures:
         states = fixture_states()
         assert min_distance(states["3^1x2^9"].to_array()) >= 3
         assert min_distance(states["4^5x2^2"].to_array()) >= 4
+
+
+class TestSeededBuild:
+    def test_seed_is_checked_against_the_declared_predicate(self):
+        with pytest.raises(ParameterError, match=r"'scheme-12x6-over-6'.*\(rows, levels, strength\)"):
+            catalog_build("table5/12^1x6^6", seed=ds_linear(2, 2))
+
+    def test_seed_passing_the_predicate_reaches_the_builder(self, monkeypatch):
+        # a 4-row predicate stands in for D(12, 6, 6), which nothing here builds
+        name = "scheme-12x6-over-6"
+        entry = dataclasses.replace(
+            catalog._SEEDS[name], predicate=SeedPredicate("scheme", 4, (2,) * 4, 2)
+        )
+        monkeypatch.setitem(catalog._SEEDS, name, entry)
+        with pytest.raises(ParameterError, match="scheme row count must equal the index levels"):
+            catalog_build("table5/12^1x6^6", seed=ds_linear(2, 2))
+
+    def test_entry_without_builder_rejects_a_seed(self):
+        with pytest.raises(ParameterError, match="cannot build"):
+            catalog_build("table1/6^7x3^1x2^1", seed=trivial_moa((2, 2)))

@@ -1,13 +1,18 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oakit.arrays
+import oakit.cli
+from oakit.algebra import ds_linear
+from oakit.arrays import distance_spectrum
 from oakit.cli import main
 from oakit.constructions import trivial_moa
-from oakit.formats import parse_array, serialize_array
+from oakit.formats import parse_array, serialize_array, serialize_scheme
 
 
 @pytest.fixture()
@@ -401,3 +406,47 @@ class TestFeasibleAndCatalog:
             capsys, "catalog", "build", "table5/12^1x6^6", "--seed", str(path)
         )
         assert code == 4 and "difference-scheme" in err
+
+    def test_catalog_list_bytes_are_stable(self, capsys):
+        # the benchmark picks its catalog builds from these buildable flags
+        code, out, _ = run(capsys, "catalog", "list")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert code == 0
+        assert digest == "0ee6659dea5c77414e9f75501eaac474fcd6ee18954f79eb47e3f82a6910396d"
+
+    def test_catalog_seed_for_an_entry_without_builder_exits_4(self, tmp_path, capsys):
+        # no seed can build an entry that has no builder; it used to exit 3
+        path = tmp_path / "seed.moa"
+        path.write_text(serialize_array(trivial_moa((2, 2))))
+        code, _, err = run(
+            capsys, "catalog", "build", "table1/6^7x3^1x2^1", "--seed", str(path)
+        )
+        assert code == 4 and "cannot build" in err
+        code, _, err = run(capsys, "catalog", "build", "table1/6^7x3^1x2^1")
+        assert code == 3 and "seed" in err
+
+    def test_catalog_seed_failing_its_predicate_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "seed.moa"
+        path.write_text(serialize_scheme(ds_linear(2, 2)))
+        code, _, err = run(
+            capsys, "catalog", "build", "table5/12^1x6^6", "--seed", str(path)
+        )
+        assert code == 4
+        assert "'scheme-12x6-over-6'" in err and "(rows, levels, strength) is (4," in err
+
+
+class TestVerifyOnce:
+    def test_verify_computes_the_distance_spectrum_once(self, fixture_file, capsys, monkeypatch):
+        calls = []
+
+        def counted(array):
+            calls.append(array)
+            return distance_spectrum(array)
+
+        monkeypatch.setattr(oakit.cli, "distance_spectrum", counted)
+        monkeypatch.setattr(oakit.arrays, "distance_spectrum", counted)
+        code, out, _ = run(
+            capsys, "verify", str(fixture_file), "--strength", "2", "--irredundant", "2"
+        )
+        assert code == 0 and json.loads(out)["irredundant"] == {"k": 2, "holds": True}
+        assert len(calls) == 1
