@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import prod
+from itertools import accumulate, combinations
+from math import comb, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -160,6 +160,15 @@ class IrredundancyReport:
 
 _TILE_CELLS = 1 << 18  # cells per tile of row pairs (distance_spectrum, verify_k_uniform)
 
+# verify_strength's cost model, in rough nanoseconds on one core
+_SUBSET_NS = 10000  # the subset loop's fixed cost per subset
+_ROW_NS = 6  # the subset loop's cost per row of each subset
+_CALL_NS = 60000  # the row-set path's fixed cost per call
+_PACK_NS = 2  # its cost per row and slot, to pack the row sets
+_PREFIX_NS = 120000  # its fixed cost per prefix
+_STRIP_NS = 10000  # its fixed cost per strip
+_WORD_NS = 3  # its cost per ANDed and counted 64-bit word
+
 
 def _narrowest_unsigned(bound: int) -> type:
     """Smallest unsigned numpy integer type that holds ``bound``."""
@@ -196,36 +205,283 @@ def verify_strength(array: MixedArray, k: int) -> StrengthReport:
     Subsets are scanned in lexicographic order; the first failing subset and
     its lexicographically first bad tuple are reported.  A subset whose level
     product does not divide r fails with a divisibility witness.
+
+    Two exact counting paths give the same report.  The subset loop makes
+    one ``bincount`` of mixed-radix codes per k-subset.  The row-set path
+    counts from packed r-bit row sets, one per (column, symbol), with
+    popcounts of their ANDs; it pays off on wide arrays with few levels.
+    ``_bitsets_cheaper`` estimates the full-scan time of both from the
+    shape alone and picks one per call.
     """
     n = array.ncols
     if k < 0:
         raise ParameterError(f"strength must be >= 0, got {k}")
     if k > n:
         raise ParameterError(f"strength {k} exceeds column count {n}")
-    r = array.runs
     if k == 0:
-        return StrengthReport(0, True, r)
-    lambdas: set[int] = set()
-    for subset in combinations(range(n), k):
-        dims = [array.levels[j] for j in subset]
-        d_prod = prod(dims)
-        if r % d_prod != 0:
-            witness = StrengthWitness(subset, None, None, Fraction(r, d_prod))
-            return StrengthReport(k, False, None, witness)
-        lam = r // d_prod
-        counts = np.bincount(
-            subset_codes(array.cells, array.levels, subset), minlength=d_prod
+        return StrengthReport(0, True, array.runs)
+    # random arrays and too high a k fail on the first subset: one bincount
+    # settles them, where the row sets would be packed first
+    witness = _subset_witness(array, tuple(range(k)))
+    if witness is not None:
+        return _report(array, k, witness)
+    if _bitsets_cheaper(array.levels, array.runs, k):
+        return _strength_bitsets(array, k)
+    return _strength_loop(array, k)
+
+
+def _bitsets_cheaper(levels: tuple[int, ...], r: int, k: int) -> bool:
+    """Whether the row-set path should beat the subset loop on a full scan.
+
+    The loop costs C(N, k) * (per-subset overhead + r).  The row-set path
+    costs a packing pass, an overhead per prefix and per strip, and the
+    words it counts: per prefix symbol tuple, the margins of every later
+    column and the boxes of its strips.  Its counts come from suffix sums
+    of the levels, without enumerating prefixes.
+    """
+    n = len(levels)
+    # slots and box slots of the columns from m on, and box slot pairs of
+    # the strips of the columns from m on
+    after = [*accumulate(reversed(levels), initial=0)][::-1]
+    box_after = [*accumulate((d - 1 for d in reversed(levels)), initial=0)][::-1]
+    box_pairs = ((levels[j] - 1) * box_after[j + 1] for j in reversed(range(n)))
+    pairs = [*accumulate(box_pairs, initial=0)][::-1]
+    if k == 1:
+        prefixes, strips, slot_pairs = 0, 0, after[0]
+    else:
+        # index c + 1: the (k - 2)-column prefixes whose last column is c,
+        # counted and summed over their symbol tuples; the empty one ends at -1
+        ending, tuples = [1] + [0] * n, [1] + [0] * n
+        for _ in range(k - 2):
+            below, below_tuples = [*accumulate(ending)], [*accumulate(tuples)]
+            ending = [0, *below[:n]]
+            tuples = [0, *(levels[c] * below_tuples[c] for c in range(n))]
+        prefixes = sum(ending[: n - 1])
+        strips = sum(e * (n - 1 - i) for i, e in enumerate(ending[: n - 1]))
+        slot_pairs = sum(t * (q + a) for t, q, a in zip(tuples[: n - 1], pairs, after))
+    bitsets = (
+        _CALL_NS
+        + _PACK_NS * r * after[0]
+        + _PREFIX_NS * prefixes
+        + _STRIP_NS * strips
+        + _WORD_NS * slot_pairs * -(-r // 64)
+    )
+    return bitsets < comb(n, k) * (_SUBSET_NS + _ROW_NS * r)
+
+
+def _report(array: MixedArray, k: int, witness: StrengthWitness | None) -> StrengthReport:
+    """The report of a finished scan; ``witness`` is its first failure, if any."""
+    if witness is not None:
+        return StrengthReport(k, False, None, witness)
+    # every k-subset has the same level product iff all levels are equal or
+    # there is only one subset: otherwise swapping in a column of another
+    # level changes it
+    levels = array.levels
+    if len(set(levels)) > 1 and k < len(levels):
+        return StrengthReport(k, True, None)
+    return StrengthReport(k, True, array.runs // prod(levels[:k]))
+
+
+def _subset_witness(array: MixedArray, subset: tuple[int, ...]) -> StrengthWitness | None:
+    """Why ``subset`` is not balanced (divisibility or first bad tuple), or None."""
+    r = array.runs
+    dims = [array.levels[j] for j in subset]
+    d_prod = prod(dims)
+    if r % d_prod != 0:
+        return StrengthWitness(subset, None, None, Fraction(r, d_prod))
+    lam = r // d_prod
+    counts = np.bincount(subset_codes(array.cells, array.levels, subset), minlength=d_prod)
+    bad = np.flatnonzero(counts != lam)
+    if not bad.size:
+        return None
+    code = int(bad[0])
+    return StrengthWitness(subset, _decode(code, dims), int(counts[code]), Fraction(lam))
+
+
+def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
+    """The subset loop: one ``bincount`` per k-subset, in lexicographic order."""
+    for subset in combinations(range(array.ncols), k):
+        witness = _subset_witness(array, subset)
+        if witness is not None:
+            return _report(array, k, witness)
+    return _report(array, k, None)
+
+
+def _row_sets(array: MixedArray) -> tuple[np.ndarray, list[int]]:
+    """Packed row sets, one per (column, symbol), and each column's first slot.
+
+    Slot ``offsets[j] + s`` holds the rows where column j reads s, as bit
+    (i mod 64) of word (i div 64).  The result is word-major, W x slots of
+    uint64, so that a column's slots are a slice of every word row.
+    """
+    r = array.runs
+    offsets = [0, *accumulate(array.levels)]
+    padded = -(-r // 64) * 64
+    # the flat one-hot index of every cell, built in place
+    index = array.cells.T + np.asarray(offsets[:-1])[:, None]
+    index *= padded
+    index += np.arange(r)
+    onehot = np.zeros((offsets[-1], padded), dtype=bool)
+    onehot.ravel()[index] = True
+    del index
+    packed = np.packbits(onehot, axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view(np.uint64).T), offsets
+
+
+def _miscounted(
+    left: np.ndarray, right: np.ndarray, left_d: np.ndarray, right_d: np.ndarray, r: int
+) -> np.ndarray:
+    """``out[a, b]``: whether the rows that ``left[:, a]`` and ``right[:, b]``
+    share number other than r // (left_d[a] * right_d[b]).
+
+    Both row-set operands are word-major.  The ANDed words are counted in
+    tiles of at most ``_TILE_CELLS`` words, and each tile's counts are
+    compared with their lambdas before the next tile, so memory stays
+    bounded for any slot counts.
+    """
+    w, a = left.shape
+    b = right.shape[1]
+    b_step = max(1, min(b, _TILE_CELLS // w))
+    a_step = max(1, min(a, _TILE_CELLS // (w * b_step)))
+    tile = np.empty(w * a_step * b_step, dtype=np.uint64)
+    bits = tile.view(np.uint8)  # each popcount byte overwrites a word already counted
+    counts = np.empty(a_step * b_step, dtype=np.min_scalar_type(r))  # a count is at most r
+    out = np.empty((a, b), dtype=bool)
+    for lo in range(0, a, a_step):
+        hi = min(a, lo + a_step)
+        for start in range(0, b, b_step):
+            stop = min(b, start + b_step)
+            shape = (hi - lo, stop - start)
+            t = tile[: w * shape[0] * shape[1]].reshape(w, *shape)
+            np.bitwise_and(left[:, lo:hi, None], right[:, None, start:stop], out=t)
+            p = np.bitwise_count(t, out=bits[: t.size].reshape(t.shape))
+            c = np.add.reduce(p, axis=0, out=counts[: shape[0] * shape[1]].reshape(shape))
+            lam = r // (left_d[lo:hi, None] * right_d[start:stop])
+            np.not_equal(c, lam, out=out[lo:hi, start:stop])
+    return out
+
+
+def _strength_bitsets(array: MixedArray, k: int) -> StrengthReport:
+    """The row-set path: popcounts of ANDed row sets, strip by strip.
+
+    For each (k - 2)-column prefix, in lexicographic order, the row sets of
+    its symbol tuples are ANDed together.  The strip of a next column j then
+    covers the subsets prefix + (j, j') for all j' > j, which follow one
+    another in lexicographic order; so the first failing strip holds the
+    first failing subset, and that one subset is recounted by
+    ``_subset_witness`` for its witness.
+
+    A table of counts over (j, j') is all lambda iff its two margins are,
+    which are the counts of prefix + (j) and prefix + (j'), and so is the
+    box without the last symbol of j and of j'.  So each prefix counts its
+    margins once, and its strips count only that box: for every prefix
+    tuple and every symbol of j but the last, the rows shared with every
+    symbol but the last of every later column j'.  Divisibility and the
+    margins are tested per column pair before counting, and a strip is
+    counted only up to its first pair that fails them.  Small strips are
+    counted in bands of consecutive next columns, one strip first and
+    doubling while a band stays small, so that a late failure costs at most
+    one band more than its own strip.
+    """
+    r, n = array.cells.shape
+    levels = array.levels
+    sets, offsets = _row_sets(array)
+    d = np.asarray(levels, dtype=np.int64)
+    slot_levels = np.repeat(d, d)
+    column_starts = np.asarray(offsets[:-1])
+    # the rows of the empty prefix's one tuple: all of them
+    everyone = np.bitwise_or.reduce(sets[:, : levels[0]], axis=1, keepdims=True)
+
+    def unbalanced(prefix_sets, d_prefix, first):
+        """The first column c >= ``first`` for which prefix + (c) fails, or n."""
+        later = slice(offsets[first], None)
+        left_d = np.full(prefix_sets.shape[1], d_prefix)
+        bad = _miscounted(prefix_sets, sets[:, later], left_d, slot_levels[later], r).any(axis=0)
+        bad = np.logical_or.reduceat(bad, column_starts[first:] - offsets[first])
+        bad |= r % (d_prefix * d[first:]) != 0
+        return first + int(np.argmax(bad)) if bad.any() else n
+
+    if k == 1:
+        c = unbalanced(everyone, 1, 0)
+        return _report(array, k, _subset_witness(array, (c,)) if c < n else None)
+    w = sets.shape[0]
+    # the box's row sets: every column's slots but its last, from starts[c] on
+    box = np.ascontiguousarray(np.delete(sets, column_starts + d - 1, axis=1))
+    starts = [o - c for c, o in enumerate(offsets)]
+    box_starts = np.asarray(starts[:-1])
+    box_levels = np.repeat(d, d - 1)
+    ordered = np.arange(n)[:, None] < np.arange(n)  # column pairs (a, b) with a < b
+    # the distinct levels, and each column's among them: divisibility is
+    # tested per pair of distinct levels, not per pair of columns
+    position = {level: i for i, level in enumerate(sorted(set(levels)))}
+    kinds = np.asarray(list(position), dtype=np.int64)
+    kind = np.asarray([position[level] for level in levels])
+    indivisible: dict[int, np.ndarray] = {}
+    for prefix, d_prefix, prefix_sets in _prefix_sets(sets, offsets, levels, k - 2, everyone):
+        first = prefix[-1] + 1 if prefix else 0
+        if d_prefix not in indivisible:
+            # the pairs (a, b), a < b, whose subsets with such a prefix are indivisible
+            pairs = (r % (d_prefix * kinds[:, None] * kinds) != 0)[kind[:, None], kind]
+            indivisible[d_prefix] = pairs & ordered
+        undivided = indivisible[d_prefix]
+        # the first strip stops at its first pair that fails without counting:
+        # an indivisible one, or one that holds a column whose margin fails
+        row = undivided[first]
+        stop = min(
+            int(np.argmax(row)) if row.any() else n,
+            max(unbalanced(prefix_sets, d_prefix, first), first + 1),
         )
-        bad = np.flatnonzero(counts != lam)
-        if bad.size:
-            code = int(bad[0])
-            witness = StrengthWitness(
-                subset, _decode(code, dims), int(counts[code]), Fraction(lam)
-            )
-            return StrengthReport(k, False, None, witness)
-        lambdas.add(lam)
-    common = lambdas.pop() if len(lambdas) == 1 else None
-    return StrengthReport(k, True, common)
+        tuples = prefix_sets.shape[1]
+        j, band = first, 1
+        while j < n - 1:
+            if stop == j + 1:
+                return _report(array, k, _subset_witness(array, (*prefix, j, stop)))
+            end = j + 1 if stop < n else min(n - 1, j + band)
+            left, right = slice(starts[j], starts[end]), slice(starts[j + 1], starts[stop])
+            left_sets = (prefix_sets[:, :, None] & box[:, None, left]).reshape(w, -1)
+            width = left.stop - left.start
+            left_d = np.broadcast_to(d_prefix * box_levels[left], (tuples, width)).ravel()
+            miscounted = _miscounted(left_sets, box[:, right], left_d, box_levels[right], r)
+            miscounted = miscounted.reshape(tuples, -1, right.stop - right.start).any(axis=0)
+            fail = undivided[j:end, j + 1 : stop]
+            if miscounted.any():
+                # per column pair (a, b), kept where a < b
+                rows, cols = box_starts[j:end] - left.start, box_starts[j + 1 : stop] - right.start
+                miscounted = np.logical_or.reduceat(miscounted, rows, axis=0)
+                miscounted = np.logical_or.reduceat(miscounted, cols, axis=1)
+                fail = fail | (miscounted & ordered[j:end, j + 1 : stop])
+            if fail.any():
+                a = int(np.argmax(fail.any(axis=1)))
+                subset = (*prefix, j + a, j + 1 + int(np.argmax(fail[a])))
+                return _report(array, k, _subset_witness(array, subset))
+            if stop < n:
+                return _report(array, k, _subset_witness(array, (*prefix, j, stop)))
+            if 2 * left_sets.size * (right.stop - right.start) <= _TILE_CELLS >> 3:
+                band *= 2
+            j = end
+    return _report(array, k, None)
+
+
+def _prefix_sets(
+    sets: np.ndarray, offsets: list[int], levels: tuple[int, ...], depth: int, everyone: np.ndarray
+):
+    """Every ``depth``-column prefix that leaves two later columns, in lexicographic order.
+
+    Yields (prefix, product of its levels, its symbol tuples' row sets as a
+    word-major W x tuples array); the empty prefix's one tuple is ``everyone``.
+    """
+    n = len(levels)
+    w = sets.shape[0]
+
+    def extend(prefix, d_prefix, prefix_sets):
+        if len(prefix) == depth:
+            yield prefix, d_prefix, prefix_sets
+            return
+        for c in range(prefix[-1] + 1 if prefix else 0, n - 1 - depth + len(prefix)):
+            tuples = prefix_sets[:, :, None] & sets[:, None, offsets[c] : offsets[c + 1]]
+            yield from extend((*prefix, c), d_prefix * levels[c], tuples.reshape(w, -1))
+
+    return extend((), 1, everyone)
 
 
 def distance_spectrum(array: MixedArray) -> DistanceSpectrum:

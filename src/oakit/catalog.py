@@ -84,10 +84,10 @@ class SeedPredicate:
         if self.kind == "scheme":
             if not isinstance(obj, DifferenceScheme):
                 return "not a difference-scheme seed"
-            found = (obj.rows, (obj.order,) * obj.cols, obj.strength)
-            declared = (self.runs, self.levels, self.strength)
+            found = (obj.rows, obj.cols, obj.order, obj.strength)
+            declared = (self.runs, len(self.levels), self.levels[0], self.strength)
             if found != declared:
-                return f"(rows, levels, strength) is {found}, declared {declared}"
+                return f"(rows, columns, order, strength) is {found}, declared {declared}"
             return None
         if not isinstance(obj, MixedArray):
             return "not an array seed"

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to validate the library's kernels.
 
 Everything here is deliberately naive counting: pure Python over explicit
-tuples, or, for the per-subset uniformity test, numpy grouping one subset at
-a time.  None of it shares code with the package's kernels.
+tuples, or, for the per-subset strength report and uniformity test, numpy
+counting one subset at a time.  None of it shares code with the package's
+kernels.
 """
 
 from __future__ import annotations
@@ -102,6 +103,34 @@ def _codes(cells, levels, columns):
     for j in columns:
         codes = codes * levels[j] + cells[:, j]
     return codes
+
+
+def strength_report_loop(cells, levels, k):
+    """The full strength report, one subset at a time in lexicographic order.
+
+    Returns (holds, index, witness) where index is the count common to every
+    k-subset (None when the subsets' counts differ or a subset fails) and
+    witness is None or (columns, symbols, count, expected) for the first
+    failing subset: symbols and count are None when its level product does
+    not divide the row count, else its first tuple, in lexicographic order,
+    whose count is not the expected one.
+    """
+    r, n = cells.shape
+    lambdas = set()
+    for subset in combinations(range(n), k):
+        dims = [levels[j] for j in subset]
+        d_prod = prod(dims)
+        if r % d_prod:
+            return False, None, (subset, None, None, Fraction(r, d_prod))
+        lam = r // d_prod
+        counts = np.bincount(_codes(cells, levels, subset), minlength=d_prod)
+        bad = np.flatnonzero(counts != lam)
+        if bad.size:
+            code = int(bad[0])
+            symbols = tuple(code // prod(dims[i + 1 :]) % dims[i] for i in range(k))
+            return False, None, (subset, symbols, int(counts[code]), Fraction(lam))
+        lambdas.add(lam)
+    return True, lambdas.pop() if len(lambdas) == 1 else None, None
 
 
 def uniform_on_subset(cells, levels, subset) -> bool:

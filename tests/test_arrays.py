@@ -9,6 +9,9 @@ from hypothesis import given, settings, strategies as st
 from oakit.algebra import expand, hadamard01, juxtapose_scheme_raw, column_vector
 from oakit.arrays import (
     MixedArray,
+    _bitsets_cheaper,
+    _strength_bitsets,
+    _strength_loop,
     concat_columns,
     delete_columns,
     distance_spectrum,
@@ -18,7 +21,8 @@ from oakit.arrays import (
     select_columns,
     verify_strength,
 )
-from oakit.constructions import bush_oa, trivial_moa
+from oakit.catalog import catalog_build
+from oakit.constructions import bush_oa, three_uniform_dm2n, trivial_moa
 from oakit.errors import ParameterError
 
 from oracles import (
@@ -27,6 +31,7 @@ from oracles import (
     naive_min_distance,
     naive_spectrum,
     naive_strength,
+    strength_report_loop,
 )
 
 
@@ -131,6 +136,104 @@ class TestStrength:
         arr = trivial_moa((2, 3, 2))
         report = verify_strength(arr, 1)
         assert report.holds and report.index is None  # 12/2 vs 12/3 differ
+
+
+def _as_oracle_report(report):
+    w = report.witness
+    witness = None if w is None else (w.columns, w.symbols, w.count, w.expected)
+    return report.holds, report.index, witness
+
+
+def _damaged(base, rng, cells_flipped, rows_copied):
+    """Copies of ``base`` with one or two cells changed, or one row copied over another."""
+    r, n = base.cells.shape
+    out = []
+    for flips in range(cells_flipped):
+        cells = base.cells.copy()
+        for _ in range(1 + flips % 2):
+            i, j = int(rng.integers(r)), int(rng.integers(n))
+            cells[i, j] = (cells[i, j] + int(rng.integers(1, base.levels[j]))) % base.levels[j]
+        out.append(MixedArray(base.levels, cells))
+    for _ in range(rows_copied):
+        i, src = rng.choice(r, size=2, replace=False)
+        cells = base.cells.copy()
+        cells[i] = cells[src]
+        out.append(MixedArray(base.levels, cells))
+    return out
+
+
+def _strength_corpus():
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for levels in ((2, 3, 2), (4, 2, 2, 2), (3, 3, 3, 2), (2,) * 6):
+        # factorials pass at every k; their damaged copies fail
+        base = trivial_moa(levels)
+        ks = range(1, min(len(levels), 4) + 1)
+        cases += [(arr, k) for arr in [base, *_damaged(base, rng, 3, 1)] for k in ks]
+    while len(cases) < 1200:
+        n = int(rng.integers(1, 8))
+        levels = tuple(int(d) for d in rng.integers(2, 5, size=n))
+        r = int(rng.integers(1, 50))  # most row counts are not divisible by every product
+        cells = np.stack([rng.integers(0, d, size=r) for d in levels], axis=1)
+        cases += [(MixedArray(levels, cells), k) for k in range(1, min(n, 4) + 1)]
+    for base, ks in (
+        (three_uniform_dm2n(5, 4, 54)[0], range(1, 5)),  # 1000 x 58
+        (catalog_build("thm3/3^5x2^36")[0], range(1, 5)),  # 216 x 41
+        (bush_oa(5, 3), range(1, 5)),  # 125 x 6
+    ):
+        cases += [(arr, k) for arr in _damaged(base, rng, 12, 4) for k in ks]
+        cases += [(base, k) for k in ks if k < 3 or base.runs < 1000]
+    tall = bush_oa(16, 3, columns=6)  # 4096 x 6 at 16 levels
+    cases += [(arr, k) for arr in [tall, *_damaged(tall, rng, 2, 1)] for k in range(1, 5)]
+    return cases
+
+
+class TestStrengthCrossCheck:
+    """Both counting paths, and the dispatch, against the per-subset oracle, field by field."""
+
+    def test_both_paths_match_the_oracle(self):
+        verdicts, witnesses = set(), set()
+        for arr, k in _strength_corpus():
+            expected = strength_report_loop(arr.cells, arr.levels, k)
+            for path in (verify_strength, _strength_loop, _strength_bitsets):
+                report = path(arr, k)
+                assert report.strength_checked == k
+                assert _as_oracle_report(report) == expected, (path.__name__, arr, k)
+                if report.witness is not None:
+                    assert all(type(c) is int for c in report.witness.columns)
+            verdicts.add(expected[0])
+            witnesses.add(expected[2] is not None and expected[2][1] is None)
+        assert verdicts == {True, False} and witnesses == {True, False}
+
+    def test_dispatch_by_cost(self):
+        # tall arrays with many levels keep the subset loop: bush_oa(11, 4),
+        # bush_oa(16, 3) and bush_oa_even(16)
+        assert not _bitsets_cheaper((11,) * 12, 14641, 4)
+        assert not _bitsets_cheaper((16,) * 17, 4096, 3)
+        assert not _bitsets_cheaper((16,) * 18, 4096, 3)
+        # wide arrays with few levels take the row sets: three_uniform_dm2n(5, 4, 54)
+        # and the output of construct cor2 d=4 n=5
+        assert _bitsets_cheaper((5,) * 4 + (2,) * 54, 1000, 3)
+        assert _bitsets_cheaper((1024,) + (4,) * 1024, 4096, 2)
+
+    def test_memory_stays_bounded(self):
+        # OA(1024, 256^1 2^256, 2): a in Z_256, b in Z_2, and the 2-level
+        # columns l(a) + b for every linear form l on the bits of a.  The strip
+        # of the 256-level column ANDs 255 x 256 pairs of 16-word row sets:
+        # 8 MiB, were it not tiled
+        a, b = np.divmod(np.arange(512), 2)
+        forms = np.arange(256)
+        parity = np.bitwise_count(a[:, None] & forms[None, :]) % 2
+        cells = np.hstack([a[:, None], (parity + b[:, None]) % 2])
+        arr = MixedArray((256,) + (2,) * 256, np.vstack([cells, cells]))
+        tracemalloc.start()
+        try:
+            report = _strength_bitsets(arr, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.holds and report.index is None
+        assert peak < 8 << 20
 
 
 class TestDistanceSpectrum:

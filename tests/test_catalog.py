@@ -223,8 +223,16 @@ class TestFixtures:
 
 class TestSeededBuild:
     def test_seed_is_checked_against_the_declared_predicate(self):
-        with pytest.raises(ParameterError, match=r"'scheme-12x6-over-6'.*\(rows, levels, strength\)"):
+        with pytest.raises(ParameterError, match=r"'scheme-12x6-over-6'.*\(rows, columns, order, strength\)"):
             catalog_build("table5/12^1x6^6", seed=ds_linear(2, 2))
+
+    def test_wrong_shape_scheme_message_names_its_shape_not_its_levels(self):
+        # a 256-column scheme would otherwise print a 256-entry levels tuple
+        with pytest.raises(ParameterError) as info:
+            catalog_build("table5/12^1x6^6", seed=ds_linear(4, 4))
+        message = str(info.value)
+        assert "(rows, columns, order, strength) is (256, 256, 4, 2), declared (12, 6, 6, 2)" in message
+        assert "4, 4, 4" not in message and len(message) < 200
 
     def test_seed_passing_the_predicate_reaches_the_builder(self, monkeypatch):
         # a 4-row predicate stands in for D(12, 6, 6), which nothing here builds

@@ -432,7 +432,8 @@ class TestFeasibleAndCatalog:
             capsys, "catalog", "build", "table5/12^1x6^6", "--seed", str(path)
         )
         assert code == 4
-        assert "'scheme-12x6-over-6'" in err and "(rows, levels, strength) is (4," in err
+        assert "'scheme-12x6-over-6'" in err
+        assert "(rows, columns, order, strength) is (4, 4, 2, 2), declared (12, 6, 6, 2)" in err
 
 
 class TestVerifyOnce:
