@@ -22,7 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .arrays import MixedArray, StrengthReport, StrengthWitness, concat_columns, verify_strength
+from .arrays import (
+    MixedArray,
+    StrengthReport,
+    StrengthWitness,
+    concat_columns,
+    distance_spectrum,
+    verify_strength,
+)
 from .errors import ConstructionError, ParameterError, VerificationError
 
 __all__ = [
@@ -380,12 +387,8 @@ class HadamardMatrix01:
         if n > 1:
             if cells[0].any() or cells[:, 0].any():
                 raise VerificationError("matrix is not normalized")
-            for i in range(n - 1):
-                d = np.count_nonzero(cells[i + 1 :] != cells[i], axis=1)
-                if (d != n // 2).any():
-                    raise VerificationError(
-                        f"rows at Hamming distance != {n // 2}: not Hadamard"
-                    )
+            if distance_spectrum(MixedArray((2,) * n, cells)).distances != (n // 2,):
+                raise VerificationError(f"rows at Hamming distance != {n // 2}: not Hadamard")
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 

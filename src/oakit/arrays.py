@@ -158,7 +158,8 @@ class IrredundancyReport:
     min_distance: int
 
 
-_TILE_CELLS = 1 << 18  # cells per tile of row pairs (distance_spectrum, verify_k_uniform)
+# cells per tile of row pairs (distance_spectrum, verify_k_uniform) or of ANDed row-set words
+_TILE_CELLS = 1 << 18
 
 # verify_strength's cost model, in rough nanoseconds on one core
 _SUBSET_NS = 10000  # the subset loop's fixed cost per subset
@@ -166,7 +167,6 @@ _ROW_NS = 6  # the subset loop's cost per row of each subset
 _CALL_NS = 60000  # the row-set path's fixed cost per call
 _PACK_NS = 2  # its cost per row and slot, to pack the row sets
 _PREFIX_NS = 120000  # its fixed cost per prefix
-_STRIP_NS = 10000  # its fixed cost per strip
 _WORD_NS = 3  # its cost per ANDed and counted 64-bit word
 
 
@@ -234,20 +234,20 @@ def _bitsets_cheaper(levels: tuple[int, ...], r: int, k: int) -> bool:
     """Whether the row-set path should beat the subset loop on a full scan.
 
     The loop costs C(N, k) * (per-subset overhead + r).  The row-set path
-    costs a packing pass, an overhead per prefix and per strip, and the
-    words it counts: per prefix symbol tuple, the margins of every later
-    column and the boxes of its strips.  Its counts come from suffix sums
-    of the levels, without enumerating prefixes.
+    costs a packing pass, an overhead per prefix, and the words it counts:
+    per prefix symbol tuple, the margins of every later column and the box
+    of every later column pair.  Its counts come from suffix sums of the
+    levels, without enumerating prefixes.
     """
     n = len(levels)
     # slots and box slots of the columns from m on, and box slot pairs of
-    # the strips of the columns from m on
+    # the column pairs from m on
     after = [*accumulate(reversed(levels), initial=0)][::-1]
     box_after = [*accumulate((d - 1 for d in reversed(levels)), initial=0)][::-1]
     box_pairs = ((levels[j] - 1) * box_after[j + 1] for j in reversed(range(n)))
     pairs = [*accumulate(box_pairs, initial=0)][::-1]
     if k == 1:
-        prefixes, strips, slot_pairs = 0, 0, after[0]
+        prefixes, slot_pairs = 0, after[0]
     else:
         # index c + 1: the (k - 2)-column prefixes whose last column is c,
         # counted and summed over their symbol tuples; the empty one ends at -1
@@ -257,13 +257,11 @@ def _bitsets_cheaper(levels: tuple[int, ...], r: int, k: int) -> bool:
             ending = [0, *below[:n]]
             tuples = [0, *(levels[c] * below_tuples[c] for c in range(n))]
         prefixes = sum(ending[: n - 1])
-        strips = sum(e * (n - 1 - i) for i, e in enumerate(ending[: n - 1]))
         slot_pairs = sum(t * (q + a) for t, q, a in zip(tuples[: n - 1], pairs, after))
     bitsets = (
         _CALL_NS
         + _PACK_NS * r * after[0]
         + _PREFIX_NS * prefixes
-        + _STRIP_NS * strips
         + _WORD_NS * slot_pairs * -(-r // 64)
     )
     return bitsets < comb(n, k) * (_SUBSET_NS + _ROW_NS * r)
@@ -362,102 +360,68 @@ def _miscounted(
 
 
 def _strength_bitsets(array: MixedArray, k: int) -> StrengthReport:
-    """The row-set path: popcounts of ANDed row sets, strip by strip.
+    """The row-set path: popcounts of ANDed row sets, block by block.
 
     For each (k - 2)-column prefix, in lexicographic order, the row sets of
-    its symbol tuples are ANDed together.  The strip of a next column j then
-    covers the subsets prefix + (j, j') for all j' > j, which follow one
-    another in lexicographic order; so the first failing strip holds the
-    first failing subset, and that one subset is recounted by
-    ``_subset_witness`` for its witness.
-
-    A table of counts over (j, j') is all lambda iff its two margins are,
-    which are the counts of prefix + (j) and prefix + (j'), and so is the
-    box without the last symbol of j and of j'.  So each prefix counts its
-    margins once, and its strips count only that box: for every prefix
-    tuple and every symbol of j but the last, the rows shared with every
-    symbol but the last of every later column j'.  Divisibility and the
-    margins are tested per column pair before counting, and a strip is
-    counted only up to its first pair that fails them.  Small strips are
-    counted in bands of consecutive next columns, one strip first and
-    doubling while a band stays small, so that a late failure costs at most
-    one band more than its own strip.
+    its symbol tuples are ANDed together.  A table of counts over two next
+    columns (a, b) is all lambda iff its two margins are, which are the
+    counts of prefix + (a) and prefix + (b), and so is the box without the
+    last symbol of a and of b.  So each prefix counts its margins once, and
+    then the box of every pair, in blocks of consecutive columns a, each
+    against every column after the block's first.  The blocks cover the
+    subsets prefix + (a, b) in lexicographic order, so the first block with
+    a failing pair holds the first failing subset, and that one subset is
+    recounted by ``_subset_witness`` for its witness.  A block ANDs at most
+    an eighth of a tile of words (or one column's worth), so an early
+    failure costs little more than its margins.
     """
     r, n = array.cells.shape
     levels = array.levels
     sets, offsets = _row_sets(array)
     d = np.asarray(levels, dtype=np.int64)
-    slot_levels = np.repeat(d, d)
-    column_starts = np.asarray(offsets[:-1])
     # the rows of the empty prefix's one tuple: all of them
     everyone = np.bitwise_or.reduce(sets[:, : levels[0]], axis=1, keepdims=True)
 
-    def unbalanced(prefix_sets, d_prefix, first):
-        """The first column c >= ``first`` for which prefix + (c) fails, or n."""
-        later = slice(offsets[first], None)
+    def unbalanced(prefix_sets, d_prefix):
+        """Per column c: whether prefix + (c) fails (meaningless for c in the prefix)."""
         left_d = np.full(prefix_sets.shape[1], d_prefix)
-        bad = _miscounted(prefix_sets, sets[:, later], left_d, slot_levels[later], r).any(axis=0)
-        bad = np.logical_or.reduceat(bad, column_starts[first:] - offsets[first])
-        bad |= r % (d_prefix * d[first:]) != 0
-        return first + int(np.argmax(bad)) if bad.any() else n
+        bad = _miscounted(prefix_sets, sets, left_d, np.repeat(d, d), r).any(axis=0)
+        return np.logical_or.reduceat(bad, offsets[:-1]) | (r % (d_prefix * d) != 0)
 
-    if k == 1:
-        c = unbalanced(everyone, 1, 0)
-        return _report(array, k, _subset_witness(array, (c,)) if c < n else None)
-    w = sets.shape[0]
+    if k == 1:  # with no failure, argmax picks column 0, whose recount passes
+        c = int(np.argmax(unbalanced(everyone, 1)))
+        return _report(array, k, _subset_witness(array, (c,)))
     # the box's row sets: every column's slots but its last, from starts[c] on
-    box = np.ascontiguousarray(np.delete(sets, column_starts + d - 1, axis=1))
-    starts = [o - c for c, o in enumerate(offsets)]
-    box_starts = np.asarray(starts[:-1])
+    box = np.ascontiguousarray(np.delete(sets, np.subtract(offsets[1:], 1), axis=1))
     box_levels = np.repeat(d, d - 1)
+    starts = np.subtract(offsets, np.arange(n + 1))
     ordered = np.arange(n)[:, None] < np.arange(n)  # column pairs (a, b) with a < b
-    # the distinct levels, and each column's among them: divisibility is
-    # tested per pair of distinct levels, not per pair of columns
-    position = {level: i for i, level in enumerate(sorted(set(levels)))}
-    kinds = np.asarray(list(position), dtype=np.int64)
-    kind = np.asarray([position[level] for level in levels])
-    indivisible: dict[int, np.ndarray] = {}
     for prefix, d_prefix, prefix_sets in _prefix_sets(sets, offsets, levels, k - 2, everyone):
-        first = prefix[-1] + 1 if prefix else 0
-        if d_prefix not in indivisible:
-            # the pairs (a, b), a < b, whose subsets with such a prefix are indivisible
-            pairs = (r % (d_prefix * kinds[:, None] * kinds) != 0)[kind[:, None], kind]
-            indivisible[d_prefix] = pairs & ordered
-        undivided = indivisible[d_prefix]
-        # the first strip stops at its first pair that fails without counting:
-        # an indivisible one, or one that holds a column whose margin fails
-        row = undivided[first]
-        stop = min(
-            int(np.argmax(row)) if row.any() else n,
-            max(unbalanced(prefix_sets, d_prefix, first), first + 1),
-        )
-        tuples = prefix_sets.shape[1]
-        j, band = first, 1
+        margin = unbalanced(prefix_sets, d_prefix)
+        # the column pairs that fail without a count of their box
+        uncounted = (margin[:, None] | margin | (r % (d_prefix * np.outer(d, d)) != 0)) & ordered
+        w, tuples = prefix_sets.shape
+        j = prefix[-1] + 1 if prefix else 0
         while j < n - 1:
-            if stop == j + 1:
-                return _report(array, k, _subset_witness(array, (*prefix, j, stop)))
-            end = j + 1 if stop < n else min(n - 1, j + band)
-            left, right = slice(starts[j], starts[end]), slice(starts[j + 1], starts[stop])
+            right = slice(starts[j + 1], starts[n])
+            width = right.stop - right.start
+            # the block ends at the last column whose box slots keep its ANDed words in budget
+            reach = starts[j] + (_TILE_CELLS >> 3) // (w * tuples * width)
+            end = min(n - 1, max(j + 1, int(np.searchsorted(starts, reach, "right")) - 1))
+            left = slice(starts[j], starts[end])
             left_sets = (prefix_sets[:, :, None] & box[:, None, left]).reshape(w, -1)
-            width = left.stop - left.start
-            left_d = np.broadcast_to(d_prefix * box_levels[left], (tuples, width)).ravel()
-            miscounted = _miscounted(left_sets, box[:, right], left_d, box_levels[right], r)
-            miscounted = miscounted.reshape(tuples, -1, right.stop - right.start).any(axis=0)
-            fail = undivided[j:end, j + 1 : stop]
-            if miscounted.any():
-                # per column pair (a, b), kept where a < b
-                rows, cols = box_starts[j:end] - left.start, box_starts[j + 1 : stop] - right.start
-                miscounted = np.logical_or.reduceat(miscounted, rows, axis=0)
-                miscounted = np.logical_or.reduceat(miscounted, cols, axis=1)
-                fail = fail | (miscounted & ordered[j:end, j + 1 : stop])
+            left_d = np.tile(d_prefix * box_levels[left], tuples)
+            bad = _miscounted(left_sets, box[:, right], left_d, box_levels[right], r)
+            bad = bad.reshape(tuples, -1, width).any(axis=0)
+            fail = uncounted[j:end, j + 1 :]
+            if bad.any():  # per column pair (a, b), kept where a < b
+                bad = np.logical_or.reduceat(bad, starts[j:end] - left.start, axis=0)
+                bad = np.logical_or.reduceat(bad, starts[j + 1 : -1] - right.start, axis=1)
+                fail = fail | (bad & ordered[j:end, j + 1 :])
             if fail.any():
                 a = int(np.argmax(fail.any(axis=1)))
                 subset = (*prefix, j + a, j + 1 + int(np.argmax(fail[a])))
                 return _report(array, k, _subset_witness(array, subset))
-            if stop < n:
-                return _report(array, k, _subset_witness(array, (*prefix, j, stop)))
-            if 2 * left_sets.size * (right.stop - right.start) <= _TILE_CELLS >> 3:
-                band *= 2
             j = end
     return _report(array, k, None)
 

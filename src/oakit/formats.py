@@ -227,19 +227,18 @@ def verification_report(
     return out
 
 
-def uniformity_report(uniformity, spectrum: DistanceSpectrum | None = None) -> dict:
+def uniformity_report(uniformity, spectrum: DistanceSpectrum) -> dict:
     out = report(
         uniformity={
             "k": uniformity.k,
             "holds": uniformity.holds,
             "subsets_checked": uniformity.subsets_checked,
             "subsets_total": uniformity.subsets_total,
-        }
+        },
+        distance=distance_section(spectrum),
     )
     if uniformity.witness_subset is not None:
         out["uniformity"]["witness"] = {"columns": list(uniformity.witness_subset)}
-    if spectrum is not None:
-        out["distance"] = distance_section(spectrum)
     return out
 
 

@@ -209,6 +209,13 @@ class TestHadamard:
         with pytest.raises(ParameterError, match="only the symbols 0 and 1"):
             HadamardMatrix01(2, np.array([[0, 0], [0, symbol]]))
 
+    def test_rows_at_another_distance_rejected(self):
+        # normalized, but row 3 repeats row 1: that one pair is at distance 0, not 2
+        cells = hadamard01(4).cells.copy()
+        cells[3] = cells[1]
+        with pytest.raises(VerificationError, match="rows at Hamming distance != 2: not Hadamard"):
+            HadamardMatrix01(4, cells)
+
     def test_no_generator_error(self):
         with pytest.raises(ParameterError, match="applicable methods"):
             hadamard01(92)  # 92 = 4 * 23; 91 and 45 are not usable orders

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oakit.algebra import expand, hadamard01, juxtapose_scheme_raw, column_vector
+from oakit.algebra import ds_linear, expand, hadamard01, juxtapose_scheme_raw, column_vector
 from oakit.arrays import (
     MixedArray,
     _bitsets_cheaper,
@@ -176,13 +176,21 @@ def _strength_corpus():
         r = int(rng.integers(1, 50))  # most row counts are not divisible by every product
         cells = np.stack([rng.integers(0, d, size=r) for d in levels], axis=1)
         cases += [(MixedArray(levels, cells), k) for k in range(1, min(n, 4) + 1)]
+    thm3 = catalog_build("thm3/3^5x2^36")[0]  # 216 x 41
     for base, ks in (
         (three_uniform_dm2n(5, 4, 54)[0], range(1, 5)),  # 1000 x 58
-        (catalog_build("thm3/3^5x2^36")[0], range(1, 5)),  # 216 x 41
+        (thm3, range(1, 5)),
         (bush_oa(5, 3), range(1, 5)),  # 125 x 6
     ):
         cases += [(arr, k) for arr in _damaged(base, rng, 12, 4) for k in ks]
         cases += [(base, k) for k in ks if k < 3 or base.runs < 1000]
+    # a column copied over the next one fails only in the box of that late
+    # pair: the first failures are (61, 62) and (39, 40) at k = 2, and
+    # (0, 39, 40) at k = 3
+    for base, copied, ks in ((expand(ds_linear(4, 3)), 61, (2, 3)), (thm3, 39, (2, 3, 4))):
+        cells = base.cells.copy()
+        cells[:, copied + 1] = cells[:, copied]
+        cases += [(MixedArray(base.levels, cells), k) for k in ks]
     tall = bush_oa(16, 3, columns=6)  # 4096 x 6 at 16 levels
     cases += [(arr, k) for arr in [tall, *_damaged(tall, rng, 2, 1)] for k in range(1, 5)]
     return cases
