@@ -5,10 +5,11 @@ canonical form that touches every isomorphism class at least once: the
 first row is all zeros (per-column symbol relabeling), rows are
 lexicographically nondecreasing (row permutation), and columns with the
 same symbol range are lexicographically nondecreasing as vectors (column
-permutation).  Pruning uses exact partial counters plus an optional running
-distance floor against completed rows.  Depth-first order with ascending
-symbols makes the first result, the node count, and therefore every
-verdict, deterministic.
+permutation).  Pruning uses exact partial counters plus an optional
+distance floor, kept as agreement counts with the completed rows that a cell
+raises only for the rows holding its symbol.  Depth-first order with
+ascending symbols makes the first result, the node count, and therefore
+every verdict, deterministic.
 
 The engine knows nothing of what it searches for; three tables set it up.
 ``search_moa`` counts the raw tuple on every t-subset of columns.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import inf, prod
 from typing import Callable
 
 import numpy as np
@@ -96,22 +97,6 @@ class NonexistenceResult:
     reason: str | None = None
 
 
-class _Budget:
-    __slots__ = ("nodes", "limit", "hit")
-
-    def __init__(self, limit: int | None):
-        self.nodes = 0
-        self.limit = limit
-        self.hit = False
-
-    def tick(self) -> bool:
-        self.nodes += 1
-        if self.limit is not None and self.nodes > self.limit:
-            self.hit = True
-            return False
-        return True
-
-
 def _backtrack(
     runs: int,
     hi: tuple[int, ...],
@@ -128,75 +113,93 @@ def _backtrack(
     size, lam)`` holds ``size`` tallies, each of which must end at exactly
     ``lam``.  Placing v in its last column adds one to the tally at
     ``last[v] + sum(key[v][row[c]] * m)`` over the other (head) columns c and
-    their radix m.  ``floor`` bounds the distance between finished rows.
+    their radix m.  ``floor`` bounds the distance between finished rows: the
+    row being filled agrees with each on at most n - floor columns, and v in
+    column j adds an agreement for just the finished rows holding v there.
+    No cell rescans earlier rows: a row carries whether it still ties the
+    previous one, and per-column flags, renewed as each row finishes, say
+    which same-range neighbouring columns are still equal.
     """
     n = len(hi)
-    budget = _Budget(node_budget)
+    limit = inf if node_budget is None else node_budget
+    nodes = 0
     cells = [[0] * n for _ in range(runs)]
-    tallies: list[tuple[list[int], int]] = []
-    by_last: list[list[tuple[list[tuple[int, int]], list[int], int]]] = [[] for _ in range(n)]
+    by_last: list[list[tuple[list[tuple[int, int]], list[int]]]] = [[] for _ in range(n)]
+    # at_risk[left]: the tallies that starve, with `left` rows still to come,
+    # once a cell has more room than that (room: rows it takes until lam)
+    at_risk: list[list[list[int]]] = [[] for _ in range(runs)]
     for columns, radix, size, lam in counters:
-        tally = [0] * size
-        tally[last[0] + key[0][0] * sum(radix)] = 1  # the all-zero first row
-        tallies.append((tally, lam))
-        by_last[columns[-1]].append((list(zip(columns[:-1], radix)), tally, lam))
+        room = [lam] * size
+        room[last[0] + key[0][0] * sum(radix)] -= 1  # the all-zero first row
+        by_last[columns[-1]].append((list(zip(columns[:-1], radix)), room))
+        for left in range(min(lam, runs)):
+            at_risk[left].append(room)
+    holders = [[[0]] + [[] for _ in range(d - 1)] for d in hi]  # finished rows by cell
+    most = n - (floor or 0)  # agreements allowed with each finished row
 
-    def starved(rows_done: int) -> bool:
-        # a tally whose deficit exceeds the rows still to come can never
-        # reach its exact count
-        left = runs - rows_done
-        return any(lam > left and min(tally) < lam - left for tally, lam in tallies)
-
-    def fill_row(i: int) -> bool:
-        return i == runs or place(i, 0, [0] * i)
-
-    def place(i: int, j: int, pd: list[int]) -> bool:
+    def place(i: int, j: int, tied: bool, agree: list[int] | None, equal: list[bool]) -> bool:
+        nonlocal nodes
+        row = cells[i]
         if j == n:
-            return not starved(i + 1) and fill_row(i + 1)
-        row, prev = cells[i], cells[i - 1]
-        lo = prev[j] if row[:j] == prev[:j] else 0
-        # columns with the same symbol range stay lexicographically nondecreasing
-        if j and hi[j] == hi[j - 1] and all(cells[p][j - 1] == cells[p][j] for p in range(i)):
-            lo = max(lo, row[j - 1])
+            left = runs - i - 1
+            if any(max(room) > left for room in at_risk[left]):
+                return False
+            if not left:
+                return True
+            # columns with the same symbol range stay lexicographically nondecreasing
+            equal = [e and row[c - 1] == row[c] for c, e in enumerate(equal)]
+            if agree is None:
+                return place(i + 1, 0, True, None, equal)
+            for c, v in enumerate(row):
+                holders[c][v].append(i)
+            if place(i + 1, 0, True, [0] * (i + 1), equal):
+                return True
+            for c, v in enumerate(row):
+                holders[c][v].pop()
+            return False
+        above = cells[i - 1][j]
+        lo = above if tied else 0
+        if equal[j] and row[j - 1] > lo:
+            lo = row[j - 1]
         touched = by_last[j]
-        remaining = n - j - 1
+        holding = holders[j]
         for v in range(lo, hi[j]):
-            if not budget.tick():
+            nodes += 1
+            if nodes > limit:
                 return False
             row[j] = v
             kv = key[v]
-            ok = True
-            bumped: list[tuple[list[int], int]] = []
-            for head, tally, lam in touched:
+            codes = []
+            for head, room in touched:
                 code = last[v]
                 for c, m in head:
                     code += kv[row[c]] * m
-                if tally[code] >= lam:
-                    ok = False
+                if not room[code]:
                     break
-                tally[code] += 1
-                bumped.append((tally, code))
-            if ok and floor is not None:
-                moved = [p for p in range(i) if cells[p][j] != v]
-                for p in moved:
-                    pd[p] += 1
-                ok = all(d + remaining >= floor for d in pd) and place(i, j + 1, pd)
-                if not ok:
-                    for p in moved:
-                        pd[p] -= 1
-            elif ok:
-                ok = place(i, j + 1, pd)
-            if ok:
-                return True
-            for tally, code in bumped:
-                tally[code] -= 1
-            if budget.hit:
+                room[code] -= 1
+                codes.append(code)
+            else:
+                if agree is None:
+                    if place(i, j + 1, tied and v == above, None, equal):
+                        return True
+                elif most not in map(agree.__getitem__, same := holding[v]):
+                    # no finished row that agrees on `most` columns agrees on v
+                    for p in same:
+                        agree[p] += 1
+                    if place(i, j + 1, tied and v == above, agree, equal):
+                        return True
+                    for p in same:
+                        agree[p] -= 1
+            for (_, room), code in zip(touched, codes):
+                room[code] += 1
+            if nodes > limit:
                 return False
         return False
 
-    if fill_row(1):
-        return SearchResult("found", finish(np.array(cells, dtype=np.int64)), budget.nodes)
-    return SearchResult("budget" if budget.hit else "exhausted", nodes=budget.nodes)
+    equal = [j > 0 and hi[j] == hi[j - 1] for j in range(n)]
+    if runs == 1 or place(1, 0, True, [0] if floor else None, equal):
+        return SearchResult("found", finish(np.array(cells, dtype=np.int64)), nodes)
+    return SearchResult("budget" if nodes > limit else "exhausted", nodes=nodes)
 
 
 def search_moa(spec: SearchSpec) -> SearchResult:
@@ -258,6 +261,8 @@ def search_scheme(
     is the result's ``array``.
     """
     group = cyclic_group(order)
+    if rows < 1:
+        raise ParameterError("need at least one row")
     if strength < 2:
         raise ParameterError("scheme strength must be >= 2")
     if node_budget is not None and node_budget < 0:
@@ -295,6 +300,8 @@ def search_partition(array: MixedArray, block_count: int):
     deterministic order is returned, or None.
     """
     r, n = array.cells.shape
+    if block_count < 1:
+        raise ParameterError("need at least one block")
     if r % block_count:
         raise ParameterError(f"{r} rows not divisible into {block_count} blocks")
     size = r // block_count

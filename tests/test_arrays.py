@@ -226,8 +226,9 @@ class TestStrengthCrossCheck:
 
     def test_memory_stays_bounded(self):
         # OA(1024, 256^1 2^256, 2): a in Z_256, b in Z_2, and the 2-level
-        # columns l(a) + b for every linear form l on the bits of a.  The strip
-        # of the 256-level column ANDs 255 x 256 pairs of 16-word row sets:
+        # columns l(a) + b for every linear form l on the bits of a.  The first
+        # block of _strength_bitsets ANDs the 256-level column's 255 box slots
+        # against the 256 slots after it, 255 x 256 pairs of 16-word row sets:
         # 8 MiB, were it not tiled
         a, b = np.divmod(np.arange(512), 2)
         forms = np.arange(256)

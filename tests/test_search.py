@@ -23,13 +23,14 @@ from oracles import naive_min_distance, naive_strength
 class TestSearchMoa:
     def test_finds_the_12_run_seed(self):
         result = search_moa(SearchSpec(12, (3, 2, 2, 2, 2), 2, min_distance=1))
-        assert result.found
+        assert result.found and result.nodes == 174_513
         arr = result.array
         assert verify_strength(arr, 2).holds and min_distance(arr) >= 1
 
     def test_finds_the_ame_seed(self):
         result = search_moa(SearchSpec(6, (6, 3, 2), 1, min_distance=2))
         assert result.found and min_distance(result.array) >= 2
+        assert result.nodes == 29
 
     def test_divisibility_is_infeasible_not_nonexistent(self):
         result = search_moa(SearchSpec(4, (2, 2, 2), 3))
@@ -50,7 +51,7 @@ class TestSearchMoa:
 
     def test_budget_reported_distinctly(self):
         result = search_moa(SearchSpec(18, (2, 3, 3, 3, 3), 2, min_distance=3, node_budget=50))
-        assert result.status == "budget"
+        assert result.status == "budget" and result.nodes == 51
 
 
 class TestCompleteness:
@@ -67,14 +68,32 @@ class TestCompleteness:
         if not exists:
             assert result.status in ("exhausted", "infeasible")
 
+    @pytest.mark.parametrize(
+        "runs,levels,k,floor,nodes",
+        [
+            (4, (2, 2, 2), 1, 2, 13),
+            (6, (3, 2, 2), 1, 2, 105),
+            (8, (2, 2, 2, 2), 2, 2, 39),
+        ],
+    )
+    def test_verdict_with_distance_floor_matches_brute_force(self, runs, levels, k, floor, nodes):
+        result = search_moa(SearchSpec(runs, levels, k, min_distance=floor))
+        assert result.found == self._brute_force_exists(runs, levels, k, floor)
+        assert result.status in ("found", "exhausted") and result.nodes == nodes
+        if result.found:
+            rows = result.array.row_tuples()
+            assert naive_min_distance(rows, len(levels)) >= floor
+
     @staticmethod
-    def _brute_force_exists(runs, levels, k) -> bool:
+    def _brute_force_exists(runs, levels, k, floor=None) -> bool:
         symbols = [range(d) for d in levels]
         all_rows = list(product(*symbols))
         # enumerate nondecreasing row sequences (row multisets cover all arrays)
         def rec(start, picked):
             if len(picked) == runs:
-                return naive_strength(picked, levels, k)
+                return naive_strength(picked, levels, k) and (
+                    floor is None or naive_min_distance(picked, len(levels)) >= floor
+                )
             for idx in range(start, len(all_rows)):
                 if rec(idx, picked + [all_rows[idx]]):
                     return True
@@ -153,6 +172,11 @@ class TestSearchParameters:
         with pytest.raises(ParameterError):
             search_scheme(6, 3, 3, 2, node_budget=-1)
 
+    @pytest.mark.parametrize("rows", [0, -3])
+    def test_scheme_without_rows_rejected(self, rows):
+        with pytest.raises(ParameterError):
+            search_scheme(rows, 3, 3, 2)
+
     def test_zero_budget_stops_at_once(self):
         assert search_moa(SearchSpec(4, (2, 2), 1, node_budget=0)).status == "budget"
 
@@ -176,6 +200,13 @@ class TestSearchPartition:
         arr = MixedArray.from_rows((2,), [[0], [1]] * 3)
         with pytest.raises(ParameterError):
             search_partition(arr, 4)
+
+    @pytest.mark.parametrize("block_count", [0, -1])
+    def test_block_count_below_one_rejected(self, block_count):
+        # 0 used to divide by zero; -1 returned None, a false "no partition"
+        arr = MixedArray.from_rows((2,), [[0], [1]] * 3)
+        with pytest.raises(ParameterError):
+            search_partition(arr, block_count)
 
 
 class TestNonexistence:
@@ -203,7 +234,7 @@ class TestNonexistence:
         # the strongest distance floor the 12-run 3^1 2^4 profile cannot meet
         spec = SearchSpec(12, (3, 2, 2, 2, 2), 2, min_distance=2, node_budget=10_000_000)
         verdict = exhaustive_nonexistence(spec)
-        assert verdict.status == "proved"
+        assert verdict.status == "proved" and verdict.nodes == 396_980
 
 
 class TestOracleAgreement:
