@@ -16,7 +16,7 @@ then disagree in exactly n/2 places.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,6 +28,7 @@ from .arrays import (
     StrengthWitness,
     concat_columns,
     distance_spectrum,
+    select_columns,
     verify_strength,
 )
 from .errors import ConstructionError, ParameterError, VerificationError
@@ -376,21 +377,21 @@ class HadamardMatrix01:
 
     order: int
     cells: np.ndarray
+    _array: MixedArray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cells = np.ascontiguousarray(self.cells, dtype=np.int64)
         n = self.order
-        if cells.shape != (n, n):
+        if np.shape(self.cells) != (n, n):
             raise ParameterError(f"expected {n}x{n} matrix")
-        if ((cells != 0) & (cells != 1)).any():
-            raise ParameterError("a 0/1 Hadamard matrix holds only the symbols 0 and 1")
+        array = MixedArray((2,) * n, self.cells)
+        cells = array.cells
         if n > 1:
             if cells[0].any() or cells[:, 0].any():
                 raise VerificationError("matrix is not normalized")
-            if distance_spectrum(MixedArray((2,) * n, cells)).distances != (n // 2,):
+            if distance_spectrum(array).distances != (n // 2,):
                 raise VerificationError(f"rows at Hamming distance != {n // 2}: not Hadamard")
-        cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_array", array)
 
     def as_scheme(self, strength: int = 2) -> "DifferenceScheme":
         """The matrix as a strength-2 or strength-3 difference scheme over Z_2.
@@ -427,15 +428,7 @@ def _normalize_pm1(h: np.ndarray) -> np.ndarray:
 
 
 def _pm1_to_01(h: np.ndarray) -> np.ndarray:
-    return ((1 - h) // 2).astype(np.int64)
-
-
-def _sylvester(m: int) -> np.ndarray:
-    h = np.array([[1]], dtype=np.int64)
-    block = np.array([[1, 1], [1, -1]], dtype=np.int64)
-    for _ in range(m):
-        h = np.kron(h, block)
-    return h
+    return (1 - h) // 2
 
 
 def _jacobsthal(q: int) -> np.ndarray:
@@ -483,7 +476,8 @@ def _paley2_order(n: int) -> int | None:
 def hadamard01(order: int) -> HadamardMatrix01:
     """Generate a normalized 0/1 Hadamard matrix of the given order.
 
-    Generators are tried in the precedence Sylvester (n = 2^m), Paley I
+    Generators are tried in the precedence Sylvester (n = 2^m, where
+    (-1)^popcount(i & j) is entry (i, j) in +-1 form), Paley I
     (n = q + 1, q = 3 mod 4), Paley II (n = 2q + 2, q = 1 mod 4), then the
     Kronecker product H(a) x H(n/a) for the smallest basic order a dividing n
     whose cofactor also builds.  In 0/1 form that product is the Kronecker
@@ -494,7 +488,8 @@ def hadamard01(order: int) -> HadamardMatrix01:
     if n < 1:
         raise ParameterError(f"order must be >= 1, got {n}")
     if (n & (n - 1)) == 0:
-        return HadamardMatrix01(n, _pm1_to_01(_normalize_pm1(_sylvester(n.bit_length() - 1))))
+        i = np.arange(n)
+        return HadamardMatrix01(n, np.bitwise_count(i[:, None] & i) & 1)
     q = _paley1_order(n)
     if q is not None:
         return HadamardMatrix01(n, _pm1_to_01(_normalize_pm1(_paley1(q))))
@@ -504,7 +499,7 @@ def hadamard01(order: int) -> HadamardMatrix01:
     for a in range(2, n):
         if n % a == 0 and _basic_order(a):
             try:
-                factors = [MixedArray((2,) * m, hadamard01(m).cells) for m in (a, n // a)]
+                factors = [hadamard01(m)._array for m in (a, n // a)]
             except ParameterError:
                 continue
             return HadamardMatrix01(n, kronecker_sum(*factors, cyclic_group(2)).cells)
@@ -534,6 +529,7 @@ class DifferenceScheme:
     exact strength-t check.  Construction verifies that predicate unless
     ``verify=False`` is passed: for internal staging, and by
     `HadamardMatrix01.as_scheme`, whose matrix check already proves it.
+    The cells obey `MixedArray`'s rules with d levels on every column.
     """
 
     cells: np.ndarray
@@ -541,17 +537,18 @@ class DifferenceScheme:
     strength: int
     group: AdditiveGroup
     verify: bool = True
+    _array: MixedArray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cells = _scheme_cells(self.cells, self.order)
+        array = _single_level(self.order, self.cells)
         if self.group.order != self.order:
             raise ParameterError("group order does not match scheme order")
         if self.strength < 2:
             raise ParameterError("scheme strength tag must be >= 2")
-        cells.setflags(write=False)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", array.cells)
+        object.__setattr__(self, "_array", array)
         if self.verify:
-            report = is_difference_scheme(cells, self.order, self.strength, self.group)
+            report = _expansion_strength(array, self.strength, self.group)
             if not report.holds:
                 raise VerificationError(
                     f"matrix is not a strength-{self.strength} difference scheme: "
@@ -567,9 +564,9 @@ class DifferenceScheme:
         return self.cells.shape[1]
 
     def select_columns(self, indices: Sequence[int]) -> "DifferenceScheme":
-        return DifferenceScheme(
-            self.cells[:, list(indices)], self.order, self.strength, self.group, verify=False
-        )
+        """The scheme on the given columns, in order, under its tag and unchecked."""
+        cells = select_columns(self._array, indices).cells
+        return DifferenceScheme(cells, self.order, self.strength, self.group, verify=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DifferenceScheme):
@@ -579,18 +576,10 @@ class DifferenceScheme:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _scheme_cells(candidate, d: int) -> np.ndarray:
-    cells = np.ascontiguousarray(candidate, dtype=np.int64)
-    if cells.ndim != 2 or not cells.size:
-        raise ParameterError(f"scheme matrix must be 2-D and nonempty, got shape {cells.shape}")
-    if cells.min() < 0 or cells.max() >= d:
-        raise ParameterError("scheme entries out of range")
-    return cells
-
-
-def _expansion(cells: np.ndarray, group: AdditiveGroup) -> MixedArray:
-    d = group.order
-    return kronecker_sum(MixedArray((d,) * cells.shape[1], cells), column_vector(d), group)
+def _single_level(d: int, cells) -> MixedArray:
+    """``cells`` as a MixedArray with d levels on every column."""
+    shape = np.shape(cells)
+    return MixedArray((d,) * (shape[1] if len(shape) == 2 else 0), cells)
 
 
 def expand(scheme: DifferenceScheme) -> MixedArray:
@@ -599,7 +588,7 @@ def expand(scheme: DifferenceScheme) -> MixedArray:
     Output row d*i + s is row i shifted by s, so the rows of one scheme row
     stay consecutive (the canonical strength-1 partition blocks).
     """
-    return _expansion(scheme.cells, scheme.group)
+    return kronecker_sum(scheme._array, column_vector(scheme.order), scheme.group)
 
 
 def is_difference_scheme(
@@ -611,16 +600,22 @@ def is_difference_scheme(
     """Operational test: D is a strength-t scheme iff D (+) (d) has strength t.
 
     When d^(t-1) does not divide the row count, the expansion's divisibility
-    witness on columns 0..t-1 is returned without expanding it.
+    witness on columns 0..t-1 is returned without expanding it.  The cells
+    obey `MixedArray`'s rules with d levels on every column.
     """
-    cells = _scheme_cells(candidate, d)
-    rows, cols = cells.shape
+    return _expansion_strength(_single_level(d, candidate), t, group or cyclic_group(d))
+
+
+def _expansion_strength(array: MixedArray, t: int, group: AdditiveGroup) -> StrengthReport:
+    """`is_difference_scheme` on a scheme matrix already wrapped as a MixedArray."""
+    d = array.levels[0]
+    rows, cols = array.cells.shape
     if t > cols:
         raise ParameterError(f"strength {t} exceeds column count {cols}")
     if t >= 1 and rows % d ** (t - 1):
         witness = StrengthWitness(tuple(range(t)), None, None, Fraction(rows * d, d**t))
         return StrengthReport(t, False, None, witness)
-    return verify_strength(_expansion(cells, group or cyclic_group(d)), t)
+    return verify_strength(kronecker_sum(array, column_vector(d), group), t)
 
 
 def ds_linear(d: int, n: int) -> DifferenceScheme:
@@ -629,6 +624,11 @@ def ds_linear(d: int, n: int) -> DifferenceScheme:
     Rows and columns are indexed by GF(d)^n in big-endian digit order; the
     scheme's group is the additive group of GF(d).
     """
+    return _linear_scheme(d, n, verify=True)
+
+
+def _linear_scheme(d: int, n: int, verify: bool) -> DifferenceScheme:
+    """`ds_linear`, checked only with ``verify`` (a caller's output check may cover it)."""
     _require_prime_power(d)
     if n < 1:
         raise ParameterError(f"extension count must be >= 1, got {n}")
@@ -638,7 +638,7 @@ def ds_linear(d: int, n: int) -> DifferenceScheme:
     for i in range(n):
         digit = index // d**i % d
         cells = gf.add(cells, gf.mul(digit[:, None], digit[None, :]))
-    return DifferenceScheme(cells, d, 2, gf_additive_group(d), verify=True)
+    return DifferenceScheme(cells, d, 2, gf_additive_group(d), verify=verify)
 
 
 def ds_poly3(d: int) -> DifferenceScheme:
@@ -708,8 +708,6 @@ def product_construction(a: MixedArray, b: MixedArray) -> MixedArray:
 
 def column_vector(d: int) -> MixedArray:
     """(d) = the single column 0, 1, ..., d-1."""
-    if d < 2:
-        raise ParameterError("need d >= 2")
     return MixedArray((d,), np.arange(d, dtype=np.int64)[:, None])
 
 

@@ -33,8 +33,8 @@ import numpy as np
 
 from .algebra import (
     DifferenceScheme,
+    _linear_scheme,
     column_vector,
-    ds_linear,
     ds_poly3,
     expand,
     finite_field,
@@ -954,7 +954,7 @@ def two_uniform_prime_power(
     if d >= 2 and n >= 1:
         e = min(n, _CAP_EXPONENT)
         _check_cells(d ** (e + 1), d**e + 1, f"d={d}, n={n}")
-    scheme = ds_linear(d, n)
+    scheme = _linear_scheme(d, n, verify=False)  # `certify` checks its expansion columns
     size = d**n
     if replacement is not None and min_distance(replacement) < 1:
         raise ParameterError("replacement rows must be distinct")

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DifferenceScheme, cyclic_group, is_difference_scheme
+from .algebra import DifferenceScheme, cyclic_group
 from .arrays import MixedArray, min_distance, verify_strength
 from .constructions import OrthogonalPartition, five_column_feasibility
 from .errors import ParameterError, VerificationError
@@ -281,14 +281,9 @@ def search_scheme(
     symbols = np.arange(order)
     differences = group.sub(symbols[None, :], symbols[:, None]).tolist()  # [v][x] = x - v
 
-    def finish(matrix: np.ndarray) -> DifferenceScheme:
-        if not is_difference_scheme(matrix, order, strength, group).holds:
-            raise VerificationError("scheme search result failed the expansion oracle")
-        return DifferenceScheme(matrix, order, strength, group, verify=False)
-
     return _backtrack(
         rows, (1,) + (order,) * (cols - 1), counters, differences, [0] * order,
-        None, node_budget, finish,
+        None, node_budget, lambda matrix: DifferenceScheme(matrix, order, strength, group),
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from oakit.algebra import (
     column_vector,
+    DifferenceScheme,
     FiniteField,
     HadamardMatrix01,
     cyclic_group,
@@ -203,11 +204,21 @@ class TestHadamard:
             d = np.count_nonzero(cells[i + 1 :] != cells[i], axis=1)
             assert (d == n // 2).all()
 
-    @pytest.mark.parametrize("symbol", [2, -1])
-    def test_symbols_other_than_0_and_1_rejected(self, symbol):
+    @pytest.mark.parametrize(
+        "symbol, message",
+        [(2, "column 1 holds symbol 2 but has only 2 levels"), (-1, "negative symbol")],
+        ids=["2", "-1"],
+    )
+    def test_symbols_other_than_0_and_1_rejected(self, symbol, message):
         # both matrices are normalized with rows at distance 1 = n/2
-        with pytest.raises(ParameterError, match="only the symbols 0 and 1"):
+        with pytest.raises(ParameterError, match=message):
             HadamardMatrix01(2, np.array([[0, 0], [0, symbol]]))
+
+    def test_sylvester_orders_match_the_pm1_kronecker_powers(self):
+        h = np.array([[1]])
+        for m in range(9):
+            assert np.array_equal(hadamard01(2**m).cells, (1 - h) // 2), 2**m
+            h = np.kron(h, np.array([[1, 1], [1, -1]]))
 
     def test_rows_at_another_distance_rejected(self):
         # normalized, but row 3 repeats row 1: that one pair is at distance 0, not 2
@@ -318,11 +329,14 @@ class TestDifferenceSchemes:
             is_difference_scheme(np.zeros((2, 0), dtype=int), 2, 2)
 
     def test_corrupted_scheme_rejected_at_construction(self):
-        from oakit.algebra import DifferenceScheme
-
         bad = np.zeros((4, 3), dtype=int)
         with pytest.raises(VerificationError):
             DifferenceScheme(bad, 2, 2, cyclic_group(2))
+
+    @pytest.mark.parametrize("indices", [[-1], [0, 4]], ids=["negative", "past-the-end"])
+    def test_select_columns_out_of_range_rejected(self, indices):
+        with pytest.raises(ParameterError, match="out of range 0..3"):
+            hadamard01(4).as_scheme().select_columns(indices)
 
     def test_square_scheme_distance_contract(self):
         # MD(D(r, r, d) (+) (d)) = r - r/d for every generated square scheme
@@ -332,6 +346,26 @@ class TestDifferenceSchemes:
         assert min_distance(expand(ds_linear(3, 1))) == 2
         assert min_distance(expand(ds_linear(3, 2))) == 6
         assert min_distance(expand(ds_linear(4, 1))) == 3
+
+
+@pytest.mark.parametrize(
+    "cells",
+    # integer parts [[0, 0], [0, 1]]: a scheme and a normalized Hadamard matrix
+    [np.array([[0.0, 0.0], [0.3, 1.7]]), np.array([[False, False], [False, True]])],
+    ids=["float", "bool"],
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda cells: DifferenceScheme(cells, 2, 2, cyclic_group(2)),
+        lambda cells: is_difference_scheme(cells, 2, 2),
+        lambda cells: HadamardMatrix01(2, cells),
+    ],
+    ids=["DifferenceScheme", "is_difference_scheme", "HadamardMatrix01"],
+)
+def test_non_integer_cells_rejected(make, cells):
+    with pytest.raises(ParameterError, match="cells must have an integer dtype"):
+        make(cells)
 
 
 class TestKroneckerAndStacking:

@@ -474,6 +474,22 @@ class TestVerifyOnce:
         _, cert = catalog_build(entry_id)
         assert calls == [2] and cert.verified
 
+    def test_linear_scheme_build_checks_strength_once(self, monkeypatch):
+        # `construct cor2`: the linear scheme is covered by the output's check
+        import oakit.algebra
+        import oakit.constructions
+
+        calls = []
+
+        def counting(array, k):
+            calls.append(k)
+            return verify_strength(array, k)
+
+        for module in (oakit.algebra, oakit.constructions):
+            monkeypatch.setattr(module, "verify_strength", counting)
+        _, cert = two_uniform_prime_power(4, 2)
+        assert calls == [2] and cert.verified
+
     def test_replacement_with_other_than_n_rows_rejected(self):
         with pytest.raises(ParameterError, match="4 rows, not N = 12"):
             two_uniform_from_scheme(12, 12, 2, replacement=trivial_moa((2, 2)))

@@ -9,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_search_and_nonexistence.py is left out: its searches take about 17 s.
+# 05_search_and_nonexistence.py is left out: its searches take about 8 s.
 DEMOS = [
     "01_verify_and_distances.py",
     "02_schemes_and_juxtaposition.py",
