@@ -500,6 +500,7 @@ def trivial_moa(levels) -> MixedArray:
     if not levels or any(d < 2 for d in levels):
         raise ParameterError("levels must be a nonempty list of integers >= 2")
     runs = prod(levels)
+    _check_cells(runs, len(levels), f"levels {levels}")
     cells = np.zeros((runs, len(levels)), dtype=np.int64)
     reps = runs
     for j, d in enumerate(levels):

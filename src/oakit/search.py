@@ -9,18 +9,24 @@ permutation).  Pruning uses exact partial counters plus an optional
 distance floor, kept as agreement counts with the completed rows that a cell
 raises only for the rows holding its symbol.  Depth-first order with
 ascending symbols makes the first result, the node count, and therefore
-every verdict, deterministic.
+every verdict, deterministic.  The search is one loop over per-row and
+per-cell records, not recursion, so its stack depth does not grow with the
+array.
 
 The engine knows nothing of what it searches for; three tables set it up.
 ``search_moa`` counts the raw tuple on every t-subset of columns.
 ``search_scheme`` counts, on every 2-subset (and t-subset when t > 2), the
 differences of the earlier columns against the last one, which are what a
 column shift leaves invariant, and pins its first column to zero by giving
-it a single symbol.
+it a single symbol.  ``search_partition`` gives the engine the array's
+columns as fixed leading columns and searches one label column after them:
+it counts each (symbol, block label) pair, and a row may open at most one
+label that no earlier row used.
 
 A search that exhausts the canonical space proves nonexistence; running out
-of node budget is reported distinctly.  Returned arrays and schemes are
-always re-checked by the exact oracles; the searcher never self-certifies.
+of node budget is reported distinctly.  Returned arrays, schemes and
+partitions are always re-checked by the exact oracles; the searcher never
+self-certifies.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchResult:
     status: str  # "found" | "exhausted" | "budget" | "infeasible"
-    array: MixedArray | DifferenceScheme | None = None
+    array: MixedArray | DifferenceScheme | OrthogonalPartition | None = None
     nodes: int = 0
     reason: str | None = None
 
@@ -105,7 +111,8 @@ def _backtrack(
     last: list[int],
     floor: int | None,
     node_budget: int | None,
-    finish: Callable[[np.ndarray], MixedArray | DifferenceScheme],
+    finish: Callable[[np.ndarray], MixedArray | DifferenceScheme | OrthogonalPartition],
+    given: np.ndarray | None = None,
 ) -> SearchResult:
     """The canonical search; ``finish`` checks the found int64 rows and wraps them.
 
@@ -119,54 +126,62 @@ def _backtrack(
     No cell rescans earlier rows: a row carries whether it still ties the
     previous one, and per-column flags, renewed as each row finishes, say
     which same-range neighbouring columns are still equal.
+
+    ``given`` (no floor) fixes every row's cells in the leading columns; a
+    row then ties the previous one only where those cells agree, no counter
+    ends in them, and the searched columns hold labels, of which a row opens
+    at most one that no earlier row used.  Row 0 is otherwise all zeros.
     """
     n = len(hi)
     limit = inf if node_budget is None else node_budget
     nodes = 0
-    cells = [[0] * n for _ in range(runs)]
+    g = 0 if given is None else given.shape[1]
+    fronts = [[]] * runs if given is None else given.tolist()
+    cells = [front + [0] * (n - g) for front in fronts]
     by_last: list[list[tuple[list[tuple[int, int]], list[int]]]] = [[] for _ in range(n)]
     # at_risk[left]: the tallies that starve, with `left` rows still to come,
     # once a cell has more room than that (room: rows it takes until lam)
     at_risk: list[list[list[int]]] = [[] for _ in range(runs)]
+    first = cells[0]
     for columns, radix, size, lam in counters:
         room = [lam] * size
-        room[last[0] + key[0][0] * sum(radix)] -= 1  # the all-zero first row
+        x = first[columns[-1]]
+        room[last[x] + sum(key[x][first[c]] * m for c, m in zip(columns, radix))] -= 1
         by_last[columns[-1]].append((list(zip(columns[:-1], radix)), room))
         for left in range(min(lam, runs)):
             at_risk[left].append(room)
-    holders = [[[0]] + [[] for _ in range(d - 1)] for d in hi]  # finished rows by cell
+    holders = [[[] for _ in range(d)] for d in hi]  # finished rows by cell
     most = n - (floor or 0)  # agreements allowed with each finished row
-
-    def place(i: int, j: int, tied: bool, agree: list[int] | None, equal: list[bool]) -> bool:
-        nonlocal nodes
-        row = cells[i]
-        if j == n:
-            left = runs - i - 1
-            if any(max(room) > left for room in at_risk[left]):
-                return False
+    # kept per row: the equal-column flags, the agreements with each finished
+    # row, the label bounds (one past the next new label), and per cell the
+    # tie flag before it and the tally codes it added
+    equal = [j > g and hi[j] == hi[j - 1] for j in range(n)]
+    agree = [] if floor else None
+    top = [0] * n if g else hi
+    saved: list = [None] * runs
+    i, j, row, left = 0, n, first, runs - 1
+    while True:
+        if j == n:  # row i is finished: stop after the last row, else start the next
             if not left:
-                return True
+                return SearchResult("found", finish(np.array(cells, dtype=np.int64)), nodes)
             # columns with the same symbol range stay lexicographically nondecreasing
             equal = [e and row[c - 1] == row[c] for c, e in enumerate(equal)]
-            if agree is None:
-                return place(i + 1, 0, True, None, equal)
-            for c, v in enumerate(row):
-                holders[c][v].append(i)
-            if place(i + 1, 0, True, [0] * (i + 1), equal):
-                return True
-            for c, v in enumerate(row):
-                holders[c][v].pop()
-            return False
-        above = cells[i - 1][j]
-        lo = above if tied else 0
-        if equal[j] and row[j - 1] > lo:
-            lo = row[j - 1]
-        touched = by_last[j]
-        holding = holders[j]
-        for v in range(lo, hi[j]):
+            if agree is not None:
+                for c, x in enumerate(row):
+                    holders[c][x].append(i)
+                agree = [0] * (i + 1)
+            if g:
+                top = [min(d, max(t, x + 2)) for d, t, x in zip(hi, top, row)]
+            ties, added = [False] * n, [()] * n
+            i, j, left, above, row = i + 1, g, left - 1, row, cells[i + 1]
+            saved[i] = equal, agree, top, ties, added
+            tied = row[:g] == above[:g]
+            v = above[g] if tied else 0
+        touched, holding = by_last[j], holders[j]
+        for v in range(v, top[j]):
             nodes += 1
             if nodes > limit:
-                return False
+                return SearchResult("budget", nodes=nodes)
             row[j] = v
             kv = key[v]
             codes = []
@@ -179,27 +194,43 @@ def _backtrack(
                 room[code] -= 1
                 codes.append(code)
             else:
-                if agree is None:
-                    if place(i, j + 1, tied and v == above, None, equal):
-                        return True
-                elif most not in map(agree.__getitem__, same := holding[v]):
-                    # no finished row that agrees on `most` columns agrees on v
-                    for p in same:
-                        agree[p] += 1
-                    if place(i, j + 1, tied and v == above, agree, equal):
-                        return True
-                    for p in same:
-                        agree[p] -= 1
+                # no finished row that agrees on `most` columns agrees on v,
+                # and a last cell leaves no tally needing more than `left` rows
+                if (agree is None or most not in map(agree.__getitem__, holding[v])) and (
+                    j + 1 < n or not any(max(room) > left for room in at_risk[left])
+                ):
+                    break
             for (_, room), code in zip(touched, codes):
                 room[code] += 1
-            if nodes > limit:
-                return False
-        return False
-
-    equal = [j > 0 and hi[j] == hi[j - 1] for j in range(n)]
-    if runs == 1 or place(1, 0, True, [0] if floor else None, equal):
-        return SearchResult("found", finish(np.array(cells, dtype=np.int64)), nodes)
-    return SearchResult("budget" if nodes > limit else "exhausted", nodes=nodes)
+        else:  # no symbol left here: go back to the cell before and its next symbol
+            if j == g:
+                if i == 1:
+                    return SearchResult("exhausted", nodes=nodes)
+                i, j, left, row = i - 1, n, left + 1, above
+                above = cells[i - 1]
+                equal, agree, top, ties, added = saved[i]
+                if agree is not None:
+                    for c, x in enumerate(row):
+                        holders[c][x].pop()
+            j -= 1
+            v = row[j]
+            for (_, room), code in zip(by_last[j], added[j]):
+                room[code] += 1
+            if agree is not None:
+                for p in holders[j][v]:
+                    agree[p] -= 1
+            tied = ties[j]
+            v += 1
+            continue
+        ties[j], added[j] = tied, codes
+        if agree is not None:
+            for p in holding[v]:
+                agree[p] += 1
+        tied = tied and v == above[j]
+        j += 1
+        if j < n:
+            lo = above[j] if tied else 0
+            v = row[j - 1] if equal[j] and row[j - 1] > lo else lo
 
 
 def search_moa(spec: SearchSpec) -> SearchResult:
@@ -287,14 +318,16 @@ def search_scheme(
     )
 
 
-def search_partition(array: MixedArray, block_count: int):
+def search_partition(array: MixedArray, block_count: int) -> OrthogonalPartition | None:
     """Find an orthogonal partition of strength 1 with the given block count.
 
-    Rows are assigned in order; a row may open at most one new block, which
-    removes block-permutation symmetry.  The first partition in that
-    deterministic order is returned, or None.
+    The engine labels each row with its block, the array's columns given:
+    every (column, label) pair must hold each symbol size / level times, and
+    a row opens at most one new block, which removes block-permutation
+    symmetry.  The first partition in that deterministic order is returned,
+    or None.
     """
-    r, n = array.cells.shape
+    r = array.runs
     if block_count < 1:
         raise ParameterError("need at least one block")
     if r % block_count:
@@ -305,40 +338,18 @@ def search_partition(array: MixedArray, block_count: int):
             raise ParameterError(
                 f"block size {size} not divisible by level {d} of column {j}"
             )
-    quota = [size // d for d in array.levels]
-    counts = [
-        [np.zeros(d, dtype=np.int64) for d in array.levels] for _ in range(block_count)
+    n, levels = array.ncols, array.levels + (block_count,)
+    counters = [
+        ((j, n), (block_count,), d * block_count, size // d) for j, d in enumerate(array.levels)
     ]
-    fill = [0] * block_count
-    assign = [-1] * r
-    rows = array.cells
-
-    def feasible(b: int, i: int) -> bool:
-        if fill[b] == size:
-            return False
-        return all(counts[b][j][rows[i, j]] < quota[j] for j in range(n))
-
-    def place(i: int, opened: int) -> bool:
-        if i == r:
-            return True
-        for b in range(min(opened + 1, block_count)):
-            if feasible(b, i):
-                assign[i] = b
-                fill[b] += 1
-                for j in range(n):
-                    counts[b][j][rows[i, j]] += 1
-                if place(i + 1, max(opened, b + 1)):
-                    return True
-                fill[b] -= 1
-                for j in range(n):
-                    counts[b][j][rows[i, j]] -= 1
-                assign[i] = -1
-        return False
-
-    if not place(0, 0):
-        return None
-    blocks = [tuple(i for i in range(r) if assign[i] == b) for b in range(block_count)]
-    return OrthogonalPartition(array, tuple(blocks))
+    symbols = list(range(max(levels)))  # the tallies count raw (symbol, label) pairs
+    return _backtrack(
+        r, levels, counters, [symbols] * len(symbols), symbols, None, None,
+        lambda cells: OrthogonalPartition(
+            array, tuple(np.flatnonzero(cells[:, n] == b) for b in range(block_count))
+        ),
+        array.cells,
+    ).array
 
 
 def exhaustive_nonexistence(spec: SearchSpec) -> NonexistenceResult:

@@ -266,3 +266,29 @@ def naive_gf_pow(a, e, p, modulus):
         a = naive_gf_mul(a, a, p, modulus)
         e >>= 1
     return out
+
+
+def naive_partition(array, block_count):
+    """First strength-1 partition of the rows into ``block_count`` equal blocks.
+
+    Label vectors are tried in lexicographic order, among those whose labels
+    first appear in increasing order (one vector per partition) and that use
+    every label equally often.  Returns the blocks as row-index tuples, or None.
+    """
+    rows = array.row_tuples()
+    r = len(rows)
+    size = r // block_count
+
+    def vectors(prefix):
+        if len(prefix) == r:
+            yield prefix
+            return
+        for label in range(min(max(prefix, default=-1) + 2, block_count)):
+            if prefix.count(label) < size:
+                yield from vectors(prefix + (label,))
+
+    for labels in vectors(()):
+        blocks = [[i for i in range(r) if labels[i] == b] for b in range(block_count)]
+        if all(naive_strength([rows[i] for i in block], array.levels, 1) for block in blocks):
+            return tuple(tuple(block) for block in blocks)
+    return None

@@ -295,6 +295,16 @@ class TestConstructReplaceSearch:
         assert code == 0
         assert parse_array(out_path.read_text()).runs == 6
 
+    def test_deep_search_found(self, tmp_path, capsys):
+        # 128 rows of 8 cells: far deeper than one stack frame per cell allows
+        out_path = tmp_path / "deep.moa"
+        code, _, err = run(
+            capsys, "search", "--runs", "128", "--levels", "2,2,2,2,2,2,2,2",
+            "--strength", "1", "-o", str(out_path),
+        )
+        assert code == 0 and "after 1017 nodes" in err
+        assert parse_array(out_path.read_text()).runs == 128
+
     @pytest.mark.parametrize("option", ["--budget", "--min-distance"])
     def test_search_negative_parameter_exits_4(self, capsys, option):
         code, _, err = run(

@@ -269,6 +269,11 @@ class TestTrivialMoa:
     def test_single_column(self):
         assert trivial_moa((2,)) == column_vector(2)
 
+    def test_cell_cap_checked_before_allocating(self):
+        # 2^40 runs of 2 columns: 16 TiB of int64 cells
+        with pytest.raises(ParameterError, match="cap"):
+            trivial_moa((1 << 20, 1 << 20))
+
 
 class TestFeasibility:
     @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 """Canonical backtracking search: soundness, completeness, determinism."""
 
+import sys
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
-from oakit.algebra import ds_linear, expand, is_difference_scheme
+from oakit.algebra import ds_linear, expand, hadamard01, is_difference_scheme
 from oakit.arrays import MixedArray, min_distance, verify_strength
+from oakit.catalog import seed_array
+from oakit.constructions import bush_oa, trivial_moa
 from oakit.errors import ParameterError
 from oakit.search import (
     NonexistenceResult,
@@ -17,7 +20,24 @@ from oakit.search import (
     search_scheme,
 )
 
-from oracles import naive_min_distance, naive_strength
+from oracles import naive_min_distance, naive_partition, naive_strength
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def _shallow(call):
+    """Run ``call`` with room for only 50 more frames than the caller has."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        return call()
+    finally:
+        sys.setrecursionlimit(old)
 
 
 class TestSearchMoa:
@@ -190,8 +210,6 @@ class TestSearchPartition:
         assert partition.blocks == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
 
     def test_oa_9_3_has_three_blocks(self):
-        from oakit.constructions import bush_oa
-
         arr = bush_oa(3, 2, columns=3)
         partition = search_partition(arr, 3)
         assert partition is not None and partition.block_count == 3
@@ -207,6 +225,66 @@ class TestSearchPartition:
         arr = MixedArray.from_rows((2,), [[0], [1]] * 3)
         with pytest.raises(ParameterError):
             search_partition(arr, block_count)
+
+    def test_800_rows_pair_up_without_deep_recursion(self):
+        # the expansion's rows come in complementary pairs; one stack frame
+        # per row would not fit in 50
+        parent = expand(hadamard01(400).as_scheme().select_columns(range(8)))
+        partition = _shallow(lambda: search_partition(parent, 400))
+        assert partition is not None and parent.runs == 800
+        assert partition.blocks == tuple((i, i + 1) for i in range(0, 800, 2))
+
+    @staticmethod
+    def _corpus():
+        moa12 = seed_array("moa-12-3x2^4")
+        yield "trivial-2x2", trivial_moa((2, 2))
+        yield "trivial-3x2", trivial_moa((3, 2))
+        yield "trivial-2x2x3", trivial_moa((2, 2, 3))
+        oa = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+        yield "oa-4-3-2", MixedArray.from_rows((2, 2, 2), oa)  # no 2-block partition
+        yield "bush-9", bush_oa(3, 2, columns=3)
+        yield "scheme-9", expand(ds_linear(3, 1))
+        yield "moa-12", moa12
+        yield "h12-cols", MixedArray((2,) * 4, hadamard01(12).cells[:, :4])
+        pairs = trivial_moa((2, 2))
+        yield "doubled-rows", MixedArray(pairs.levels, np.repeat(pairs.cells, 2, axis=0))
+        yield "stacked-rows", MixedArray(pairs.levels, np.vstack([pairs.cells] * 3))
+        yield "repeated-row", MixedArray.from_rows((2,), [[0], [0], [1], [1]] * 2)
+        for name, arr in [("bush-9", bush_oa(3, 2, columns=3)), ("moa-12", moa12)]:
+            for i, j in [(0, 0), (arr.runs - 1, arr.ncols - 1), (4, 1)]:
+                cells = arr.cells.copy()
+                cells[i, j] = (cells[i, j] + 1) % arr.levels[j]
+                yield f"{name}-corrupt-{i}-{j}", MixedArray(arr.levels, cells)
+
+    def test_matches_the_naive_partition_oracle(self):
+        verdicts = set()
+        for name, arr in self._corpus():
+            for b in range(1, arr.runs + 1):
+                if arr.runs % b:
+                    continue
+                if any((arr.runs // b) % d for d in arr.levels):
+                    with pytest.raises(ParameterError):
+                        search_partition(arr, b)
+                    continue
+                expected = naive_partition(arr, b)
+                found = search_partition(arr, b)
+                assert (found and found.blocks) == expected, (name, b)
+                verdicts.add(expected is None)
+        assert verdicts == {True, False}
+
+
+class TestSearchDepth:
+    """A search's stack depth does not grow with its rows or cells."""
+
+    def test_128_binary_runs_of_strength_1(self):
+        result = _shallow(lambda: search_moa(SearchSpec(128, (2,) * 8, 1)))
+        assert result.found and result.nodes == 1017
+        assert verify_strength(result.array, 1).holds
+
+    def test_200_runs_of_strength_0(self):
+        result = search_moa(SearchSpec(200, (2,) * 5, 0))
+        assert result.found and result.nodes == 995
+        assert result.array.runs == 200
 
 
 class TestNonexistence:
