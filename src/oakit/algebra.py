@@ -1,13 +1,14 @@
-"""Group and field arithmetic, Hadamard matrices, difference schemes.
+"""Finite fields, Hadamard matrices, difference schemes.
 
 Difference schemes live over a finite abelian group of order d written on
 the symbols {0, ..., d-1}: either the cyclic group Z_d or, for prime powers
 q = p^m, the additive group of GF(q) under the canonical base-p integer
-encoding.  A matrix D over such a group is a difference scheme of strength t
-exactly when its expansion D (+) (d), every row shifted by every group
-element, is an orthogonal array of strength t; that operational predicate
-is the only acceptance test for schemes, so generation without verification
-never happens here.
+encoding.  Both groups come from `oakit.groups`, whose group and
+number-theory names this module re-exports.  A matrix D over such a group
+is a difference scheme of strength t exactly when its expansion D (+) (d),
+every row shifted by every group element, is an orthogonal array of
+strength t; that operational predicate is the only acceptance test for
+schemes, so generation without verification never happens here.
 
 Hadamard matrices are kept in 0/1 form (x = (1 - h)/2 for a +-1 matrix h),
 normalized so the first row and column are all zero; any two distinct rows
@@ -32,6 +33,20 @@ from .arrays import (
     verify_strength,
 )
 from .errors import ConstructionError, ParameterError, VerificationError
+from .groups import (  # the group and number-theory names are re-exported
+    FIELD_ORDER_CAP,
+    AdditiveGroup,
+    _prime_factors,
+    _require_prime_power,
+    add_digits,
+    cyclic_group,
+    decode,
+    encode,
+    gf_additive_group,
+    is_prime,
+    prime_power_decomposition,
+    sub_digits,
+)
 
 __all__ = [
     "AdditiveGroup",
@@ -57,145 +72,11 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# groups
+# finite fields
 
 
-def _digitwise(a, b, sign: int, p: int, m: int):
-    """a + sign * b in GF(p^m): base-p digit by digit mod p, elementwise."""
-    out = 0
-    pk = 1
-    for _ in range(m):
-        out = out + (a // pk + sign * (b // pk)) % p * pk
-        pk *= p
-    return out
-
-
-@dataclass(frozen=True)
-class AdditiveGroup:
-    """A finite abelian group on the symbols 0..order-1, computed, not tabulated.
-
-    Tag "mod" is the cyclic group Z_order.  Tag "gf" is the additive group
-    of GF(order), order a prime power up to 2^16, on the field's base-p
-    labels; a prime order is cyclic either way, so there the tag becomes
-    "mod".  ``add`` and ``sub`` work elementwise on ints and numpy arrays.
-    """
-
-    order: int
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("mod", "gf"):
-            raise ParameterError(f"unknown group tag {self.tag!r}")
-        if self.tag == "gf" and _require_prime_power(self.order)[1] == 1:
-            object.__setattr__(self, "tag", "mod")
-        if self.tag == "gf" and self.order > 1 << 16:
-            raise ParameterError(f"field order {self.order} exceeds 2^16")
-        if self.order < 2:
-            raise ParameterError(f"group order must be >= 2, got {self.order}")
-
-    def add(self, a, b):
-        if self.tag == "mod":
-            return (a + b) % self.order
-        return _digitwise(a, b, 1, *prime_power_decomposition(self.order))
-
-    def sub(self, a, b):
-        if self.tag == "mod":
-            return (a - b) % self.order
-        return _digitwise(a, b, -1, *prime_power_decomposition(self.order))
-
-
-def cyclic_group(d: int) -> AdditiveGroup:
-    return AdditiveGroup(d, "mod")
-
-
-def gf_additive_group(q: int) -> AdditiveGroup:
-    """Additive group of GF(q) on base-p integer labels (carry-free addition)."""
-    return AdditiveGroup(q, "gf")
-
-
-# ---------------------------------------------------------------------------
-# primality and finite fields
-
-
-# The first 12 prime bases make the strong-probable-prime test exact below
-# this bound (the smallest strong pseudoprime to all of them), which covers
-# every order of at most 19 digits that moa v1 can declare.
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MILLER_RABIN_LIMIT = 318_665_857_834_031_151_167_461
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test for n below 3.18 * 10^23."""
-    if n >= _MILLER_RABIN_LIMIT:
-        raise ParameterError(f"{n} is beyond the exact primality range (< 3.18e23)")
-    if n < 2:
-        return False
-    for a in _MILLER_RABIN_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _integer_root(q: int, m: int) -> int:
-    """floor(q^(1/m)) for m >= 2: a float estimate, corrected exactly."""
-    x = int(round(q ** (1.0 / m)))
-    while x**m > q:
-        x -= 1
-    while (x + 1) ** m <= q:
-        x += 1
-    return x
-
-
-def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """Return (p, m) with q = p^m and p prime, or None (q below 3.18 * 10^23)."""
-    if q < 2:
-        return None
-    if is_prime(q):
-        return q, 1
-    for m in range(2, q.bit_length()):
-        p = _integer_root(q, m)
-        if p < 2:
-            break
-        if p**m == q and is_prime(p):
-            return p, m
-    return None
-
-
-def _require_prime_power(q: int) -> tuple[int, int]:
-    pm = prime_power_decomposition(q)
-    if pm is None:
-        raise ParameterError(f"{q} is not a prime power")
-    return pm
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    return out + [n] if n > 1 else out
-
-
-# Polynomials over GF(p) are little-endian coefficient lists with no trailing
-# zeros; the zero polynomial is [].
+# Polynomials over GF(p) are little-endian coefficient sequences; results have
+# no trailing zeros, and the zero polynomial is [].
 
 
 def _poly_rem(a: list[int], f: list[int], p: int) -> list[int]:
@@ -261,8 +142,9 @@ class FiniteField:
     """GF(p^m) for q = p^m <= 2^16, elements encoded as integers 0..q-1 in base p.
 
     Label a stands for the polynomial sum_i a_i x^i over GF(p), where a_i is
-    the i-th base-p digit of a, so addition and subtraction are digit-wise
-    mod p.  The modulus is the smallest monic irreducible polynomial of
+    the i-th base-p digit of a counted from the least significant, so
+    addition and subtraction are digit-wise mod p under the radices
+    ``(p,) * m``.  The modulus is the smallest monic irreducible polynomial of
     degree m over GF(p) when read as the integer p^m + c_{m-1} p^{m-1} + ...
     + c_0, found with Rabin's test in gcd form; this makes element labels
     reproducible across builds.  For m = 1 the modulus is x and arithmetic
@@ -277,24 +159,24 @@ class FiniteField:
     """
 
     def __init__(self, q: int):
-        if q > 1 << 16:
+        if q > FIELD_ORDER_CAP:
             raise ParameterError(f"field order {q} exceeds 2^16")
         p, m = _require_prime_power(q)
         self.p, self.m, self.q = p, m, q
+        self.radices = (p,) * m
         self.modulus = self._smallest_irreducible() if m > 1 else (0, 1)
         modulus = list(self.modulus)
+        # a label's digits, reversed, are its polynomial's coefficients from x^0 up
         primitive = next(
             g
             for g in range(1, q)
             if all(
-                _poly_powmod(self._poly(g), (q - 1) // r, modulus, p) != [1]
+                _poly_powmod(decode(g, self.radices)[::-1], (q - 1) // r, modulus, p) != [1]
                 for r in _prime_factors(q - 1)
             )
         )
-        # label -> label * g, as the GF(p)-linear map on digit vectors
-        digit_weights = p ** np.arange(m)
-        digits = np.arange(q)[:, None] // digit_weights % p
-        g = self._poly(primitive)
+        # label -> label * g, as the GF(p)-linear map on coefficient vectors
+        g = decode(primitive, self.radices)[::-1]
         images = np.array(
             [
                 (_poly_mulmod([0] * i + [1], g, modulus, p) + [0] * m)[:m]
@@ -302,7 +184,8 @@ class FiniteField:
             ],
             dtype=np.int64,
         )
-        times_g = (digits @ images % p @ digit_weights).tolist()
+        coefficients = np.stack(decode(np.arange(q), self.radices)[::-1], axis=1)
+        times_g = encode((coefficients @ images % p).T[::-1], self.radices).tolist()
         exp = [1] * (q - 1)
         for i in range(1, q - 1):
             exp[i] = times_g[exp[i - 1]]
@@ -310,27 +193,20 @@ class FiniteField:
         self._log = np.zeros(q, dtype=np.int64)
         self._log[self._exp[: q - 1]] = np.arange(q - 1)
 
-    def _poly(self, a: int) -> list[int]:
-        out = []
-        while a:
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
     def _smallest_irreducible(self) -> tuple[int, ...]:
         p, m = self.p, self.m
         for tail in range(p**m):
-            modulus = [tail // p**i % p for i in range(m)] + [1]
+            modulus = [*decode(tail, self.radices)[::-1], 1]
             if _is_irreducible(modulus, p):
                 return tuple(modulus)
         raise ConstructionError(f"no irreducible polynomial found for GF({p}^{m})")
 
     # -- arithmetic ----------------------------------------------------------
     def add(self, a, b):
-        return _digitwise(a, b, 1, self.p, self.m)
+        return add_digits(a, b, self.radices)
 
     def sub(self, a, b):
-        return _digitwise(a, b, -1, self.p, self.m)
+        return sub_digits(a, b, self.radices)
 
     def neg(self, a):
         return self.sub(0, a)
@@ -633,10 +509,8 @@ def _linear_scheme(d: int, n: int, verify: bool) -> DifferenceScheme:
     if n < 1:
         raise ParameterError(f"extension count must be >= 1, got {n}")
     gf = finite_field(d)
-    index = np.arange(d**n)
     cells = 0
-    for i in range(n):
-        digit = index // d**i % d
+    for digit in decode(np.arange(d**n), (d,) * n):
         cells = gf.add(cells, gf.mul(digit[:, None], digit[None, :]))
     return DifferenceScheme(cells, d, 2, gf_additive_group(d), verify=verify)
 
@@ -652,9 +526,9 @@ def ds_poly3(d: int) -> DifferenceScheme:
     if p == 2:
         raise ParameterError(f"order must be odd, got {d}")
     gf = finite_field(d)
-    row = np.arange(d * d)[:, None]
+    a, b = decode(np.arange(d * d)[:, None], (d, d))
     c = np.arange(d)[None, :]
-    cells = gf.mul(c, gf.add(row // d, gf.mul(row % d, c)))  # c * (a + b*c)
+    cells = gf.mul(c, gf.add(a, gf.mul(b, c)))  # c * (a + b*c)
     try:
         return DifferenceScheme(cells, d, 3, gf_additive_group(d), verify=True)
     except VerificationError as exc:
@@ -692,16 +566,14 @@ def product_construction(a: MixedArray, b: MixedArray) -> MixedArray:
     """Symbol-pairing product on the first min(N_a, N_b) columns.
 
     Rows are indexed by (i, j) with i major; column c carries the pair
-    a(i, c), b(j, c) encoded as a * d_b(c) + b.  Strength k of both inputs is
+    a(i, c), b(j, c) encoded as the two digits under the radices (d_a(c),
+    d_b(c)), that is a * d_b(c) + b.  Strength k of both inputs is
     preserved and MD(product) >= min(MD(a), MD(b)).
     """
     n = min(a.ncols, b.ncols)
-    ac = a.cells[:, :n]
-    bc = b.cells[:, :n]
-    db = np.asarray(b.levels[:n])
-    out = (ac[:, None, :] * db[None, None, :] + bc[None, :, :]).reshape(
-        a.runs * b.runs, n
-    )
+    radices = (np.asarray(a.levels[:n]), np.asarray(b.levels[:n]))
+    out = encode((a.cells[:, None, :n], b.cells[None, :, :n]), radices)
+    out = out.reshape(a.runs * b.runs, n)
     levels = tuple(a.levels[c] * b.levels[c] for c in range(n))
     return MixedArray(levels, out)
 

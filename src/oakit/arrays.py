@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterError
+from .groups import decode, encode
 
 __all__ = [
     "MixedArray",
@@ -184,19 +185,9 @@ def subset_codes(cells: np.ndarray, levels: Sequence[int], subset: Sequence[int]
     The first column of the subset is the most significant digit, so code
     order equals lexicographic tuple order.
     """
-    codes = np.zeros(cells.shape[0], dtype=np.int64)
-    for j in subset:
-        codes *= levels[j]
-        codes += cells[:, j]
-    return codes
-
-
-def _decode(code: int, dims: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for d in reversed(dims):
-        out.append(code % d)
-        code //= d
-    return tuple(reversed(out))
+    if len(subset) == 0:
+        return np.zeros(cells.shape[0], dtype=np.int64)
+    return encode([cells[:, j] for j in subset], [levels[j] for j in subset])
 
 
 def verify_strength(array: MixedArray, k: int) -> StrengthReport:
@@ -293,7 +284,7 @@ def _subset_witness(array: MixedArray, subset: tuple[int, ...]) -> StrengthWitne
     if not bad.size:
         return None
     code = int(bad[0])
-    return StrengthWitness(subset, _decode(code, dims), int(counts[code]), Fraction(lam))
+    return StrengthWitness(subset, decode(code, dims), int(counts[code]), Fraction(lam))
 
 
 def _strength_loop(array: MixedArray, k: int) -> StrengthReport:

@@ -40,7 +40,6 @@ from .algebra import (
     finite_field,
     hadamard01,
     juxtapose_scheme_raw,
-    prime_power_decomposition,
     product_construction,
 )
 from .arrays import (
@@ -51,6 +50,7 @@ from .arrays import (
     verify_strength,
 )
 from .errors import ConstructionError, ParameterError, VerificationError
+from .groups import _require_prime_power, decode, encode, prime_power_decomposition
 
 # Largest output, in cells, that a size-checked builder attempts (2^24 int64
 # cells are 128 MiB); larger parameters raise ParameterError before building.
@@ -126,7 +126,7 @@ class OrthogonalPartition:
         bad = np.ones((u, len(levels)), dtype=bool)
         for j, d in enumerate(levels):
             if size % d == 0:
-                codes = label * d + self.parent.cells[:, j]
+                codes = encode((label, self.parent.cells[:, j]), (u, d))
                 counts = np.bincount(codes, minlength=u * d).reshape(u, d)
                 bad[:, j] = (counts != size // d).any(axis=1)
         if bad.any():
@@ -424,7 +424,7 @@ def expansive_replace(
 # polynomial-evaluation arrays
 
 
-def _evaluations(q: int, k: int, points: int) -> tuple[np.ndarray, list[np.ndarray]]:
+def _evaluations(q: int, k: int, points: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """Every polynomial of degree < k over GF(q), evaluated at field elements.
 
     Row m is the polynomial whose coefficient of x^j is the j-th base-q digit
@@ -432,8 +432,7 @@ def _evaluations(q: int, k: int, points: int) -> tuple[np.ndarray, list[np.ndarr
     Horner's rule, and the coefficient columns.
     """
     gf = finite_field(q)
-    m = np.arange(q**k)[:, None]
-    coeffs = [m // q**j % q for j in range(k)]
+    coeffs = decode(np.arange(q**k)[:, None], (q,) * k)[::-1]
     e = np.arange(points)[None, :]
     values = 0
     for c in reversed(coeffs):
@@ -452,8 +451,7 @@ def bush_oa(q: int, k: int, columns: int | None = None) -> MixedArray:
     and only those are computed.  Above ``OUTPUT_CELL_CAP`` cells the call
     raises ``ParameterError`` before building anything.
     """
-    if prime_power_decomposition(q) is None:
-        raise ParameterError(f"{q} is not a prime power")
+    _require_prime_power(q)
     if k < 1:
         raise ParameterError("strength must be >= 1")
     if q + 1 < 2 * k:
@@ -501,12 +499,7 @@ def trivial_moa(levels) -> MixedArray:
         raise ParameterError("levels must be a nonempty list of integers >= 2")
     runs = prod(levels)
     _check_cells(runs, len(levels), f"levels {levels}")
-    cells = np.zeros((runs, len(levels)), dtype=np.int64)
-    reps = runs
-    for j, d in enumerate(levels):
-        reps //= d
-        cells[:, j] = np.tile(np.repeat(np.arange(d), reps), runs // (reps * d))
-    return MixedArray(levels, cells)
+    return MixedArray(levels, np.stack(decode(np.arange(runs), levels), axis=1))
 
 
 # ---------------------------------------------------------------------------

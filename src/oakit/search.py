@@ -38,10 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DifferenceScheme, cyclic_group
+from .algebra import DifferenceScheme
 from .arrays import MixedArray, min_distance, verify_strength
-from .constructions import OrthogonalPartition, five_column_feasibility
+from .constructions import OUTPUT_CELL_CAP, OrthogonalPartition, five_column_feasibility
 from .errors import ParameterError, VerificationError
+from .groups import cyclic_group, place_values
 
 __all__ = [
     "SearchSpec",
@@ -131,7 +132,14 @@ def _backtrack(
     row then ties the previous one only where those cells agree, no counter
     ends in them, and the searched columns hold labels, of which a row opens
     at most one that no earlier row used.  Row 0 is otherwise all zeros.
+
+    More than ``OUTPUT_CELL_CAP`` cells (runs x columns) raise
+    ``ParameterError`` before anything is allocated.
     """
+    if runs * len(hi) > OUTPUT_CELL_CAP:
+        raise ParameterError(
+            f"{runs} runs x {len(hi)} columns exceed the cap of {OUTPUT_CELL_CAP} cells"
+        )
     n = len(hi)
     limit = inf if node_budget is None else node_budget
     nodes = 0
@@ -254,7 +262,7 @@ def search_moa(spec: SearchSpec) -> SearchResult:
     if spec.strength:  # strength 0 counts nothing
         for columns in combinations(range(len(levels)), spec.strength):
             dims = [levels[c] for c in columns]
-            radix = tuple(prod(dims[p + 1 :]) for p in range(len(dims) - 1))
+            radix = place_values(dims)[:-1]
             counters.append((columns, radix, prod(dims), spec.runs // prod(dims)))
     symbols = list(range(max(levels, default=0)))  # the tallies count raw tuples
     return _backtrack(
@@ -306,7 +314,7 @@ def search_scheme(
         return SearchResult("infeasible", reason="fewer columns than the strength")
     counters = []
     for size in sorted({2, strength}):
-        radix = tuple(order**p for p in range(size - 2, -1, -1))
+        radix = place_values((order,) * (size - 1))
         for columns in combinations(range(cols), size):
             counters.append((columns, radix, order ** (size - 1), rows // order ** (size - 1)))
     symbols = np.arange(order)

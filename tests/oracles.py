@@ -190,6 +190,16 @@ def naive_spectrum(cells) -> dict[int, int]:
     return out
 
 
+def naive_codes(radices):
+    """Every digit tuple under ``radices``, most significant first, in code order.
+
+    ``itertools.product`` varies the last digit fastest, so its i-th tuple is
+    the one whose mixed-radix code is i.  It is lazy: take a prefix of it
+    when the product of the radices is large.
+    """
+    return product(*(range(d) for d in radices))
+
+
 def naive_prime_power(q):
     """(p, m) with q = p^m and p prime, or None, by trial division up to sqrt(q)."""
     if q < 2:

@@ -312,6 +312,12 @@ class TestConstructReplaceSearch:
         )
         assert code == 4 and err.startswith("error: ")
 
+    def test_search_above_the_cell_cap_exits_4(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--runs", "1000000000", "--levels", "2", "--strength", "1",
+        )
+        assert code == 4 and out == "" and err.startswith("error: ") and "cap" in err
+
     def test_search_negative_verdict(self, capsys):
         code, out, _ = run(
             capsys, "search", "--runs", "4", "--levels", "2,2,2", "--strength", "3",

@@ -45,3 +45,27 @@ def test_package_reexports_resolve():
     ]
     assert "hadamard01" in names and "catalog" in names
     assert [n for n in names if not hasattr(oakit, n)] == []
+
+
+def _oakit_imports(module: str) -> set[str]:
+    """The oakit modules that ``module`` imports anywhere in its source ("" is the package)."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("oakit." if node.level else "") + (node.module or "")
+            if node.module:
+                names.add(base)
+            else:  # from . import module
+                names.update(base + alias.name for alias in node.names)
+    inside = (name.split(".") for name in names)
+    return {parts[1] if len(parts) > 1 else "" for parts in inside if parts[0] == "oakit"}
+
+
+def test_import_direction():
+    # the digit groups sit below arrays and algebra, which both build on them
+    assert _oakit_imports("groups") <= {"errors"}
+    assert not _oakit_imports("arrays") & {"algebra", ""}
+    assert {"groups", "arrays"} <= _oakit_imports("algebra")

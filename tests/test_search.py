@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 import pytest
 
+from oakit import search
 from oakit.algebra import ds_linear, expand, hadamard01, is_difference_scheme
 from oakit.arrays import MixedArray, min_distance, verify_strength
 from oakit.catalog import seed_array
@@ -199,6 +200,26 @@ class TestSearchParameters:
 
     def test_zero_budget_stops_at_once(self):
         assert search_moa(SearchSpec(4, (2, 2), 1, node_budget=0)).status == "budget"
+
+    # above the cell cap each search refuses before it allocates a row, so
+    # these return at once instead of building 10^9 row lists
+    def test_moa_above_the_cell_cap_rejected(self):
+        with pytest.raises(ParameterError, match="cap"):
+            search_moa(SearchSpec(10**9, (2,), 1))
+
+    def test_scheme_above_the_cell_cap_rejected(self):
+        with pytest.raises(ParameterError, match="cap"):
+            search_scheme(1 << 30, 2, 2, 2)
+
+    def test_partition_above_the_cell_cap_rejected(self, monkeypatch):
+        # an array of 2^24 cells would take 128 MiB, so lower the cap instead:
+        # 12 runs of 5 columns and a label column are 72 cells
+        moa12 = seed_array("moa-12-3x2^4")
+        monkeypatch.setattr(search, "OUTPUT_CELL_CAP", 72)
+        assert search_partition(moa12, 2) is None  # at the cap it searches
+        monkeypatch.setattr(search, "OUTPUT_CELL_CAP", 71)
+        with pytest.raises(ParameterError, match="cap of 71 cells"):
+            search_partition(moa12, 2)
 
 
 class TestSearchPartition:
