@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParameterError
-from .groups import decode, encode
+from .groups import _prime_factors, add_digits, decode, encode, sub_digits
 
 __all__ = [
     "MixedArray",
@@ -439,14 +439,157 @@ def _prefix_sets(
     return extend((), 1, everyone)
 
 
+def _split_radices(d: int) -> tuple[int, ...]:
+    """The digit radices of d split into its prime-power factors.
+
+    The factors go in ascending order, most significant first, each as
+    GF(p^m)'s additive group on its base-p labels, (p,) * m: the "gf" group
+    for a prime power, and ``product_construction``'s symbol pairing for a
+    product of coprime ones.
+    """
+    factors = []
+    for p in _prime_factors(d):
+        digits = []
+        while d % p == 0:
+            d //= p
+            digits.append(p)
+        factors.append(digits)
+    return tuple(chain.from_iterable(sorted(factors, key=prod)))
+
+
+def _coset_weights(array: MixedArray) -> np.ndarray | None:
+    """Each row's Hamming distance from row 0, if the rows form a group coset.
+
+    Returns None unless the rows are distinct and form a coset s0 + H of a
+    subgroup H of the product of the column groups, each level split into
+    its prime-power factors as GF(q) digits (``_split_radices``).  For such
+    an array the differences between a row and the others run over
+    H \\ {0} once, whatever the row, so the distances from row 0 are the
+    distances from every row.
+
+    The check is exact.  A few sums of rows are looked for among the rows
+    first, which rejects most other arrays for the cost of a few scans.
+    Each column must then take its symbols equally often, which rejects a
+    group array with a changed cell in one pass, and no row may repeat.
+    Then H is grown from generators, one coset of the part grown so far at
+    a time, and every element must be a row; the rows are a coset once the
+    part grown reaches r elements.  Rows are looked up by their bytes in
+    the one narrow copy of the cells, in chunks of at most 2^18 cells.
+    """
+    levels = array.levels
+    r, n = array.cells.shape
+    if r == 1 or prod(levels) % r:  # |H| divides the order of the product
+        return None
+    narrow = np.ascontiguousarray(array.cells, dtype=_narrowest_unsigned(2 * max(levels)))
+    split_level = {d: _split_radices(d) for d in set(levels)}
+    if not _is_coset(narrow, [split_level[d] for d in levels]):
+        return None
+    chunk = max(1, _TILE_CELLS // n)
+    blocks = (narrow[lo : lo + chunk] != narrow[0] for lo in range(0, r, chunk))
+    return np.concatenate([np.count_nonzero(b, axis=1) for b in blocks])
+
+
+def _is_coset(narrow: np.ndarray, radices: list[tuple[int, ...]]) -> bool:
+    """Whether the rows of ``narrow`` are distinct and form a coset of a subgroup.
+
+    The group is the product over columns of the digit-wise groups on
+    ``radices[j]``.  ``narrow`` is C-contiguous and its dtype holds twice
+    every level.
+    """
+    r, n = narrow.shape
+    depth = max(map(len, radices))
+    # per digit position, most significant first, each column's radix, with
+    # radix 1 padding the columns that have fewer digits: the digit format
+    # of ``groups`` taken column-wise
+    padded = [(1,) * (depth - len(rs)) + rs for rs in radices]
+    digits = list(np.array(padded, dtype=narrow.dtype).T)
+    wide = list(np.array(padded, dtype=np.int64).T)  # for differences, which go negative
+    binary = all(d == 2 for rs in radices for d in rs)
+
+    def add(x, t):
+        """x + t in the group, row-wise: over binary digits, XOR."""
+        return x ^ t if binary else add_digits(x, t, digits)
+
+    def minus(i):
+        """row i - row 0 in the group."""
+        a, b = narrow[i].astype(np.int64), narrow[0].astype(np.int64)
+        return sub_digits(a, b, wide).astype(narrow.dtype)
+
+    def has_row(row):
+        hits = np.flatnonzero(narrow[:, 0] == row[0])
+        return bool((narrow[hits] == row).all(axis=1).any())
+
+    # row i + (row j - row 0) is a row of every coset: cheap probes first
+    for i, j in ((1, r - 1), (r // 2, 1), (r - 1, r - 1)):
+        if not has_row(add(narrow[i], minus(j))):
+            return False
+    chunk = max(1, _TILE_CELLS // n)
+    # each column of a coset takes the symbols it takes equally often, which
+    # a changed cell upsets
+    levels = [prod(rs) for rs in radices]
+    offsets = np.cumsum([0, *levels[:-1]])
+    counts = np.zeros(sum(levels), dtype=np.int64)
+    for lo in range(0, r, chunk):
+        counts += np.bincount((narrow[lo : lo + chunk] + offsets).ravel(), minlength=counts.size)
+    seen = np.where(counts, counts, r)
+    if (np.maximum.reduceat(counts, offsets) != np.minimum.reduceat(seen, offsets)).any():
+        return False
+    key = np.dtype((np.void, n * narrow.itemsize))
+    keys = narrow.view(key).ravel()
+    order = np.argsort(keys)
+    for lo in range(0, r - 1, chunk):  # a repeated row sorts next to its copy
+        near = keys[order[lo : lo + chunk + 1]]
+        if (near[1:] == near[:-1]).any():
+            return False
+
+    def shift(members, t):
+        """The row index of each member's row + t, or None if one is not a row."""
+        out = np.empty_like(members)
+        for lo in range(0, members.size, chunk):
+            wanted = add(narrow[members[lo : lo + chunk]], t).view(key).ravel()
+            found = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), r - 1)]
+            if (keys[found] != wanted).any():
+                return None
+            out[lo : lo + chunk] = found
+        return out
+
+    # members: the rows of s0 + H for the part H grown so far, row 0 first
+    members = np.zeros(1, dtype=np.intp)
+    grown = np.zeros(r, dtype=bool)
+    grown[0] = True
+    while members.size < r:
+        t = minus(int(np.argmin(grown)))  # a row outside s0 + H gives a new generator
+        cosets, layer = [members], members
+        while True:  # the cosets s0 + H + c t, until c t falls in H
+            layer = shift(layer, t)
+            if layer is None:
+                return False
+            if grown[layer[0]]:
+                break
+            grown[layer] = True
+            cosets.append(layer)
+        members = np.concatenate(cosets)
+    return True
+
+
+def _spectrum(counts: np.ndarray) -> DistanceSpectrum:
+    """The spectrum of per-distance pair counts."""
+    attained = np.flatnonzero(counts)
+    return DistanceSpectrum(
+        tuple(int(d) for d in attained),
+        int(attained[0]),
+        {int(d): int(counts[d]) for d in attained},
+    )
+
+
 def distance_spectrum(array: MixedArray) -> DistanceSpectrum:
     """Exact Hamming distances over all row pairs.
 
-    Rows are compared in tiles: a block of b consecutive rows against itself
-    and every later row, with b * r <= 2^18 cells.  Besides one copy of the
-    cells, transposed into the narrowest unsigned dtype, the working memory
-    is one boolean and one distance tile of at most 2^18 cells each, reused
-    across tiles: under 1 MiB at any row count.
+    When the rows are a group coset (``_coset_weights``), the pairs at
+    distance w number r * A_w / 2, where A_w counts the rows at distance w
+    from row 0: one pass over the rows instead of r^2 / 2 pair compares.
+    Every other array, repeated rows included, goes to ``_pair_spectrum``,
+    which compares the pairs; both give the same spectrum.
 
     A one-row array has the conventional empty spectrum with minimal
     distance N + 1 so that irredundancy predicates degrade gracefully.
@@ -454,6 +597,24 @@ def distance_spectrum(array: MixedArray) -> DistanceSpectrum:
     r, n = array.cells.shape
     if r == 1:
         return DistanceSpectrum((), n + 1, {})
+    weights = _coset_weights(array)
+    if weights is None:
+        return _pair_spectrum(array)
+    counts = np.bincount(weights, minlength=n + 1) * r // 2
+    counts[0] = 0  # the rows are distinct: row 0 is the only one at distance 0
+    return _spectrum(counts)
+
+
+def _pair_spectrum(array: MixedArray) -> DistanceSpectrum:
+    """The spectrum of an array of at least two rows, one row pair at a time.
+
+    Rows are compared in tiles: a block of b consecutive rows against itself
+    and every later row, with b * r <= 2^18 cells.  Besides one copy of the
+    cells, transposed into the narrowest unsigned dtype, the working memory
+    is one boolean and one distance tile of at most 2^18 cells each, reused
+    across tiles: under 1 MiB at any row count.
+    """
+    r, n = array.cells.shape
     columns = np.ascontiguousarray(array.cells.T, dtype=_narrowest_unsigned(max(array.levels)))
     b = max(1, min(r, _TILE_CELLS // r))
     unequal = np.empty(b * r, dtype=bool)
@@ -474,12 +635,7 @@ def distance_spectrum(array: MixedArray) -> DistanceSpectrum:
         counts += np.bincount(acc[:, :h][later[:h, :h]], minlength=n + 1)
         for top in range(0, h, count_rows):
             counts += np.bincount(acc[top : top + count_rows, h:].ravel(), minlength=n + 1)
-    attained = np.flatnonzero(counts)
-    return DistanceSpectrum(
-        tuple(int(d) for d in attained),
-        int(attained[0]),
-        {int(d): int(counts[d]) for d in attained},
-    )
+    return _spectrum(counts)
 
 
 def min_distance(array: MixedArray) -> int:

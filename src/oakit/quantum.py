@@ -32,6 +32,7 @@ import numpy as np
 from .arrays import (
     _TILE_CELLS,
     MixedArray,
+    _coset_weights,
     _narrowest_unsigned,
     subset_codes,
     verify_strength,
@@ -168,12 +169,21 @@ def verify_k_uniform(array: MixedArray, k: int) -> UniformityReport:
     on every column outside it.  The first unbalanced subset comes from
     ``verify_strength``; close pairs are only searched among the columns
     whose first k-subset precedes it.
+
+    Two cases need no search.  At strength k with index 1 every k-column
+    projection is injective, so two rows differ in at least N - k + 1
+    columns, and with N >= 2k that is more than k: there are no close
+    pairs, whatever the symbols' labels.  And when the rows are a group
+    coset, ``_close_pairs`` reads them off the rows' differences from row 0;
+    every other array has its row pairs compared.
     """
     n = array.ncols
     if not 1 <= k < n:
         raise ParameterError(f"uniformity strength must satisfy 1 <= k < {n}, got {k}")
     total = comb(n, k)
     strength = verify_strength(array, k)
+    if strength.index == 1 and n >= 2 * k:
+        return UniformityReport(k, True, None, total, total)
     witness = None if strength.holds else strength.witness.columns
     lead = n if witness is None else sum(_first_superset((c,), k) < witness for c in range(n))
     for differ in _close_pairs(array, lead, k):
@@ -230,17 +240,48 @@ def _lex_rank(subset: tuple[int, ...], n: int) -> int:
 def _close_pairs(array: MixedArray, lead: int, k: int):
     """Difference masks, on columns 0..lead-1, of close row pairs.
 
-    Yields boolean chunks, one row per pair of rows that agree on every
-    column from ``lead`` on and differ in at most k of the first ``lead``
-    (duplicate rows included).  Such a pair agrees on at least one of k + 1
-    blocks of the leading columns, so rows are grouped by their projection
-    onto the trailing columns plus one block at a time, and only pairs inside
-    a group are compared.  A pair may be yielded once per block it agrees
-    on.  Each chunk holds at most 2^18 cells, the tile bound of
-    ``distance_spectrum``.
+    Returns an iterator of boolean chunks of at most 2^18 cells, the tile
+    bound of ``distance_spectrum``, with one row per pair of rows that agree
+    on every column from ``lead`` on and differ in at most k of the first
+    ``lead`` (duplicate rows included).  A pair may be yielded more than
+    once.  When the rows are a group coset the pairs' difference masks are
+    those of the rows at distance 1..k from row 0 (``_coset_masks``);
+    otherwise the pairs are compared (``_paired_masks``).
     """
     if lead == 0:
-        return
+        return iter(())
+    weights = _coset_weights(array)
+    if weights is None:
+        return _paired_masks(array, lead, k)
+    return _coset_masks(array, weights, lead, k)
+
+
+def _coset_masks(array: MixedArray, weights: np.ndarray, lead: int, k: int):
+    """The close-pair masks of a group coset, from each row's distance to row 0.
+
+    The differences a - b of the row pairs of a coset s0 + H run over the
+    nonzero elements of H, and so do the differences s - s0 from row 0.  So
+    the masks are the supports of the rows at distance 1..k from row 0 that
+    lie in the leading columns.
+    """
+    cells = array.cells
+    near = np.flatnonzero((weights >= 1) & (weights <= k))
+    chunk = max(1, _TILE_CELLS // cells.shape[1])
+    for lo in range(0, near.size, chunk):
+        differ = cells[near[lo : lo + chunk]] != cells[0]
+        differ = differ[~differ[:, lead:].any(axis=1), :lead]
+        if differ.size:
+            yield differ
+
+
+def _paired_masks(array: MixedArray, lead: int, k: int):
+    """The close-pair masks, by comparing the row pairs that may be close.
+
+    A close pair agrees on at least one of k + 1 blocks of the leading
+    columns, so rows are grouped by their projection onto the trailing
+    columns plus one block at a time, and only pairs inside a group are
+    compared; a pair is yielded once per block it agrees on.
+    """
     cells, levels = array.cells, array.levels
     r, n = cells.shape
     head = np.ascontiguousarray(cells[:, :lead].T, dtype=_narrowest_unsigned(max(levels)))

@@ -190,6 +190,33 @@ def naive_spectrum(cells) -> dict[int, int]:
     return out
 
 
+def krawtchouk(j, w, n, q):
+    """K_j(w) of the Hamming scheme on n coordinates over q symbols."""
+    return sum(
+        (-1) ** s * (q - 1) ** (j - s) * comb(w, s) * comb(n - w, j - s) for s in range(j + 1)
+    )
+
+
+def macwilliams_strength(weights, q):
+    """Strength of a linear array over GF(q) from its weight distribution alone.
+
+    ``weights[w]`` counts the rows of weight w.  The MacWilliams transform
+    B_j = (1/r) sum_w A_w K_j(w) is the dual code's weight distribution, in
+    exact rationals, and by Delsarte's theorem the array has strength t iff
+    B_1 = ... = B_t = 0: its strength is the dual's minimal nonzero weight
+    minus one (all n columns when the dual is {0}).
+    """
+    n = len(weights) - 1
+    r = sum(weights)
+    dual = [
+        Fraction(sum(a * krawtchouk(j, w, n, q) for w, a in enumerate(weights)), r)
+        for j in range(n + 1)
+    ]
+    if dual[0] != 1 or any(b < 0 or b.denominator != 1 for b in dual):
+        raise AssertionError(f"not the weight distribution of a linear code: dual {dual}")
+    return next((j - 1 for j in range(1, n + 1) if dual[j]), n)
+
+
 def naive_codes(radices):
     """Every digit tuple under ``radices``, most significant first, in code order.
 

@@ -6,10 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oakit.algebra import ds_linear, expand, hadamard01, juxtapose_scheme_raw, column_vector
+from oakit.algebra import (
+    column_vector,
+    ds_linear,
+    expand,
+    hadamard01,
+    juxtapose_scheme_raw,
+    repeat_rows_each,
+)
 from oakit.arrays import (
     MixedArray,
     _bitsets_cheaper,
+    _coset_weights,
+    _pair_spectrum,
     _strength_bitsets,
     _strength_loop,
     concat_columns,
@@ -22,10 +31,18 @@ from oakit.arrays import (
     verify_strength,
 )
 from oakit.catalog import catalog_build
-from oakit.constructions import bush_oa, three_uniform_dm2n, trivial_moa
+from oakit.constructions import (
+    bush_oa,
+    bush_oa_even,
+    k_uniform_product,
+    three_uniform_dm2n,
+    trivial_moa,
+    two_uniform_prime_power,
+)
 from oakit.errors import ParameterError
 
 from oracles import (
+    macwilliams_strength,
     naive_distances,
     naive_irredundant,
     naive_min_distance,
@@ -310,6 +327,140 @@ class TestDistanceSpectrum:
             tracemalloc.stop()
         assert spec.distances == (15, 16, 17)
         assert peak < 8 << 20
+
+
+def group_arrays():
+    """Arrays whose rows are a coset of a subgroup of the column groups' product."""
+    bush, even = bush_oa(5, 2), bush_oa_even(4)
+    return {
+        "bush_oa(5,2)": bush,
+        "bush_oa(7,3)": bush_oa(7, 3),
+        "bush_oa_even(4)": even,
+        "ds_linear(4,2) expanded": expand(ds_linear(4, 2)),
+        # thm7 over GF(8), its column 3 split into 4 x 2: radices (2, 2, 2)
+        "thm7 k=2 factors=8 split=3:4,2": k_uniform_product(2, [8], plan=[(3, (4, 2))])[0],
+        "k_uniform_product(2,[3,4])": k_uniform_product(2, [3, 4])[0],  # 12 as 3 x 4
+        "trivial_moa(6,12)": trivial_moa((6, 12)),
+        "bush_oa(5,2) + (1,2,3,4,0,1)": MixedArray(
+            bush.levels, (bush.cells + [1, 2, 3, 4, 0, 1]) % 5
+        ),
+        "bush_oa_even(4) + (1,2,3,1,2,3)": MixedArray(even.levels, even.cells ^ [1, 2, 3, 1, 2, 3]),
+        # every permutation of 4 symbols is affine over GF(4)'s (2, 2)
+        "bush_oa_even(4) relabelled": _relabelled(even, np.random.default_rng(5)),
+    }
+
+
+def _relabelled(array, rng):
+    """Each column's symbols permuted at random."""
+    cells = [rng.permutation(d)[array.cells[:, j]] for j, d in enumerate(array.levels)]
+    return MixedArray(array.levels, np.stack(cells, axis=1))
+
+
+def fallback_arrays():
+    """Arrays that are no coset: seeded copies of group arrays with a cell
+    changed, a row repeated or every column relabelled, a group array with
+    every row twice, and a union of three cosets that passes the probes."""
+    rng = np.random.default_rng(20261019)
+    out = {}
+    for name in ("bush_oa(5,2)", "bush_oa_even(4)", "k_uniform_product(2,[3,4])"):
+        base = group_arrays()[name]
+        r, n = base.cells.shape
+        cells = base.cells.copy()
+        i, j = int(rng.integers(r)), int(rng.integers(n))
+        cells[i, j] = (cells[i, j] + int(rng.integers(1, base.levels[j]))) % base.levels[j]
+        out[f"{name} one cell changed"] = MixedArray(base.levels, cells)
+        cells = base.cells.copy()
+        cells[int(rng.integers(1, r))] = cells[0]
+        out[f"{name} row 0 repeated"] = MixedArray(base.levels, cells)
+        if name != "bush_oa_even(4)":  # its relabellings are cosets too
+            out[f"{name} relabelled"] = _relabelled(base, rng)
+    # balanced columns and rows whose sums the probes find, but no coset:
+    # K, K + a and K + b for independent a, b mod K lack a + b, and rows 1,
+    # r // 2 and r - 1 are taken from K
+    k = bush_oa(3, 2).cells
+    cosets = [k, (k + [0, 0, 0, 1]) % 3, (k + [0, 0, 1, 0]) % 3]
+    rows = np.vstack(cosets)
+    rows[[2, 3, 13, 26]] = rows[[13, 26, 2, 3]]
+    out["bush_oa(3,2) + three cosets"] = MixedArray((3,) * 4, rows)
+    even = bush_oa_even(4)
+    out["bush_oa_even(4) twice"] = MixedArray(even.levels, np.vstack([even.cells, even.cells]))
+    # every row next to its copy, in row order and in seeded row orders
+    doubled = repeat_rows_each(even, 2)
+    out["bush_oa_even(4) rows each twice"] = doubled
+    for s in range(3):
+        rows = doubled.cells[rng.permutation(doubled.runs)]
+        out[f"bush_oa_even(4) rows each twice, shuffle {s}"] = MixedArray(even.levels, rows)
+    return out
+
+
+class TestCosetPath:
+    """distance_spectrum's translation-group path against the pair kernel and oracle."""
+
+    @pytest.mark.parametrize("name", group_arrays())
+    def test_group_arrays_take_it_and_match(self, name):
+        arr = group_arrays()[name]
+        assert _coset_weights(arr) is not None
+        spec = distance_spectrum(arr)
+        assert spec == _pair_spectrum(arr)
+        assert spec.counts == naive_spectrum(arr.cells)
+
+    @pytest.mark.parametrize("name", fallback_arrays())
+    def test_other_arrays_fall_back_and_match(self, name):
+        arr = fallback_arrays()[name]
+        assert _coset_weights(arr) is None
+        spec = distance_spectrum(arr)
+        assert spec == _pair_spectrum(arr)
+        assert spec.counts == naive_spectrum(arr.cells)
+
+    def test_gf4_and_z4_columns(self):
+        # (a, a >> 1) is additive over GF(4) = (2, 2) but not over Z_4:
+        # (1, 0) + (1, 0) = (2, 0) is no row
+        gf = MixedArray.from_rows((4, 2), [(a, a >> 1) for a in range(4)])
+        assert _coset_weights(gf) is not None
+        # <(1, 1, 0), (0, 1, 1)> in Z_4^3 is no GF(4) subspace:
+        # (1, 1, 0) xor (0, 1, 1) = (1, 0, 1) is no row, so the pairs answer
+        rows = [(a, (a + b) % 4, b) for a in range(4) for b in range(4)]
+        z4 = MixedArray.from_rows((4, 4, 4), rows)
+        assert _coset_weights(z4) is None
+        for arr in (gf, z4):
+            assert distance_spectrum(arr).counts == naive_spectrum(arr.cells)
+
+    def test_column_over_more_than_255_levels(self):
+        arr, _ = two_uniform_prime_power(4, 4)  # 1024 x 257, its index column over 256 levels
+        assert max(arr.levels) == 256
+        assert _coset_weights(arr) is not None
+        assert distance_spectrum(arr) == _pair_spectrum(arr)
+
+    def test_thm7_state_over_gf8(self):
+        # `construct thm7 k=4 factors=8 split=7:4,2`: 4096 x 9 over 8^7 4^1 2^1
+        arr, _ = k_uniform_product(4, [8], plan=[(7, (4, 2))])
+        assert _coset_weights(arr) is not None
+        assert distance_spectrum(arr) == _pair_spectrum(arr)
+
+    def test_pair_kernel_memory_stays_bounded(self):
+        arr = bush_oa(16, 3)  # 4096 x 17
+        tracemalloc.start()
+        try:
+            spec = _pair_spectrum(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.distances == (15, 16, 17)
+        assert peak < 8 << 20
+
+    @pytest.mark.parametrize(
+        "q, build",
+        [(7, lambda: bush_oa(7, 4)), (8, lambda: bush_oa(8, 3)), (4, lambda: bush_oa_even(4))],
+        ids=["bush_oa(7,4)", "bush_oa(8,3)", "bush_oa_even(4)"],
+    )
+    def test_strength_matches_the_macwilliams_transform(self, q, build):
+        # a linear array: its rows' weights are its distances from the zero row
+        arr = build()
+        assert not arr.cells[0].any()
+        weights = np.bincount(np.count_nonzero(arr.cells, axis=1), minlength=arr.ncols + 1)
+        t = macwilliams_strength(weights.tolist(), q)
+        assert verify_strength(arr, t).holds
+        assert t == arr.ncols or not verify_strength(arr, t + 1).holds
 
 
 class TestIrredundancy:

@@ -495,6 +495,25 @@ class TestVerifyOnce:
         _, cert = two_uniform_prime_power(4, 2)
         assert calls == [2] and cert.verified
 
+    def test_group_chain_compares_no_row_pairs(self, monkeypatch):
+        # expansive_replace measures its host's distance again after
+        # bush_oa_even has; on these group arrays no pair is compared
+        import oakit.arrays
+
+        calls = []
+
+        def counting(array):
+            calls.append(array.cells.shape)
+            return pair_spectrum(array)
+
+        pair_spectrum = oakit.arrays._pair_spectrum
+        monkeypatch.setattr(oakit.arrays, "_pair_spectrum", counting)
+        host = bush_oa_even(4)
+        out, cert = expansive_replace(host, {5: trivial_moa((2, 2))}, 3)
+        cert = certify(out, cert)
+        assert calls == []
+        assert cert.verified and cert.measured_md == min_distance(out) == 4
+
     def test_replacement_with_other_than_n_rows_rejected(self):
         with pytest.raises(ParameterError, match="4 rows, not N = 12"):
             two_uniform_from_scheme(12, 12, 2, replacement=trivial_moa((2, 2)))

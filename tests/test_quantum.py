@@ -9,10 +9,19 @@ import pytest
 
 from oakit import catalog
 from oakit.algebra import ds_linear, expand, hadamard01
-from oakit.arrays import MixedArray, min_distance, verify_strength
-from oakit.constructions import bush_oa, three_uniform_dm2n, trivial_moa, two_uniform_3m2n
+import oakit.quantum
+from oakit.arrays import MixedArray, _coset_weights, min_distance, select_columns, verify_strength
+from oakit.constructions import (
+    bush_oa,
+    k_uniform_product,
+    three_uniform_dm2n,
+    trivial_moa,
+    two_uniform_3m2n,
+)
 from oakit.errors import ParameterError
 from oakit.quantum import (
+    _close_pairs,
+    _paired_masks,
     emit_state,
     is_ame,
     reduced_density,
@@ -21,6 +30,7 @@ from oakit.quantum import (
 )
 
 from oracles import k_uniform_loop, naive_k_uniform, naive_reduced_density
+from test_arrays import _relabelled, fallback_arrays, group_arrays
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +266,72 @@ class TestKernelCrossCheck:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+def _mask_rows(chunks, lead):
+    """The distinct mask rows of a close-pair search, each as a bit code, sorted."""
+    assert lead < 63
+    rows = np.vstack([np.zeros((0, lead), dtype=bool), *chunks])
+    return np.unique(rows.astype(np.int64) @ (1 << np.arange(lead)))
+
+
+class TestCosetPath:
+    """_close_pairs's translation-group path against the pair kernel and oracle."""
+
+    @pytest.mark.parametrize("name", [*group_arrays(), *fallback_arrays()])
+    def test_close_pairs_match_the_pair_kernel(self, name):
+        arr = {**group_arrays(), **fallback_arrays()}[name]
+        n = arr.ncols
+        for k in range(1, min(n, 4)):
+            for lead in (n, n - 1, k + 1):
+                got = _mask_rows(_close_pairs(arr, lead, k), lead)
+                assert np.array_equal(got, _mask_rows(_paired_masks(arr, lead, k), lead)), (k, lead)
+
+    @pytest.mark.parametrize("name", [*group_arrays(), *fallback_arrays()])
+    def test_reports_match_the_subset_loop(self, name):
+        arr = {**group_arrays(), **fallback_arrays()}[name]
+        for k in range(1, min(arr.ncols, 4)):
+            r = verify_k_uniform(arr, k)
+            got = (r.holds, r.witness_subset, r.subsets_checked, r.subsets_total)
+            assert got == k_uniform_loop(arr.cells, arr.levels, k), k
+
+    def test_thm7_state_over_gf8(self):
+        # `construct thm7 k=4 factors=8 split=7:4,2`: 4096 x 9, minimal distance 5
+        arr, _ = k_uniform_product(4, [8], plan=[(7, (4, 2))])
+        got = _mask_rows(_close_pairs(arr, 9, 5), 9)
+        assert len(got) and np.array_equal(got, _mask_rows(_paired_masks(arr, 9, 5), 9))
+
+
+class TestIndexOneBound:
+    """At strength k with index 1 and N >= 2k there is nothing to search."""
+
+    def test_below_2k_columns_still_searches(self):
+        arr = select_columns(bush_oa(3, 2), [0, 1, 2])  # index 1, N = 3 = 2k - 1
+        assert verify_strength(arr, 2).index == 1
+        report = verify_k_uniform(arr, 2)
+        assert not report.holds
+        got = (report.holds, report.witness_subset, report.subsets_checked, report.subsets_total)
+        assert got == k_uniform_loop(arr.cells, arr.levels, 2)
+
+    @pytest.mark.parametrize(
+        "build, k",
+        [(lambda: bush_oa(5, 2), 2), (lambda: bush_oa(7, 3), 3), (lambda: bush_oa(11, 4), 4)],
+        ids=["bush_oa(5,2)", "bush_oa(7,3)", "bush_oa(11,4)"],
+    )
+    def test_relabelled_index_one_array_skips_the_search(self, build, k, monkeypatch):
+        arr = _relabelled(build(), np.random.default_rng(k))
+        assert _coset_weights(arr) is None and verify_strength(arr, k).index == 1
+        expected = verify_k_uniform(arr, k)
+
+        def entered(*args):
+            raise AssertionError("_close_pairs was entered")
+
+        monkeypatch.setattr(oakit.quantum, "_close_pairs", entered)
+        assert verify_k_uniform(arr, k) == expected
+        assert expected.holds and expected.subsets_checked == comb(arr.ncols, k)
+        if arr.runs < 1000:
+            got = (expected.holds, expected.witness_subset, expected.subsets_checked)
+            assert got == k_uniform_loop(arr.cells, arr.levels, k)[:3]
 
 
 class TestAme:
