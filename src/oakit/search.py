@@ -1,17 +1,22 @@
 """Backtracking search for small arrays, schemes, and partitions.
 
-One engine, ``_backtrack``, fills rows top-down, cell by cell, under a
-canonical form that touches every isomorphism class at least once: the
-first row is all zeros (per-column symbol relabeling), rows are
-lexicographically nondecreasing (row permutation), and columns with the
-same symbol range are lexicographically nondecreasing as vectors (column
-permutation).  Pruning uses exact partial counters plus an optional
-distance floor, kept as agreement counts with the completed rows that a cell
-raises only for the rows holding its symbol.  Depth-first order with
-ascending symbols makes the first result, the node count, and therefore
-every verdict, deterministic.  The search is one loop over per-row and
-per-cell records, not recursion, so its stack depth does not grow with the
-array.
+One engine, ``_backtrack``, fills rows top-down under a canonical form that
+touches every isomorphism class at least once: the first row is all zeros
+(per-column symbol relabeling), rows are lexicographically nondecreasing
+(row permutation), and columns with the same symbol range are
+lexicographically nondecreasing as vectors (column permutation).  Pruning
+uses exact partial counters plus an optional distance floor.  The search is
+defined cell by cell: depth-first, ascending symbols, one node per (cell,
+symbol) tried, which makes the first result, the node count, and therefore
+every verdict, deterministic.
+
+The engine walks it a row at a time.  A row's candidates are the tuples of
+the searched columns in lexicographic order, at most ``CANDIDATE_CAP`` of
+them, and every rule and counter becomes a Python-int bitset over them, so
+one row costs a few big-int operations per column instead of a Python step
+per node, and the nodes are counted from the bitsets exactly.  The walk is
+one loop with an explicit stack of rows, not recursion, so its stack depth
+does not grow with the array.
 
 The engine knows nothing of what it searches for; three tables set it up.
 ``search_moa`` counts the raw tuple on every t-subset of columns.
@@ -32,9 +37,10 @@ self-certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import inf, prod
-from typing import Callable
+from operator import or_
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -42,7 +48,7 @@ from .algebra import DifferenceScheme
 from .arrays import MixedArray, min_distance, verify_strength
 from .constructions import OUTPUT_CELL_CAP, OrthogonalPartition, five_column_feasibility
 from .errors import ParameterError, VerificationError
-from .groups import cyclic_group, place_values
+from .groups import cyclic_group, decode, encode
 
 __all__ = [
     "SearchSpec",
@@ -69,6 +75,8 @@ class SearchSpec:
         object.__setattr__(self, "levels", tuple(int(d) for d in self.levels))
         if self.runs < 1:
             raise ParameterError("need at least one run")
+        if not self.levels:
+            raise ParameterError("need at least one column")
         if any(d < 2 for d in self.levels):
             raise ParameterError("levels must all be >= 2")
         if not 0 <= self.strength <= len(self.levels):
@@ -104,12 +112,21 @@ class NonexistenceResult:
     reason: str | None = None
 
 
+# The most candidates a row of a search may have.  The engine keeps its rules
+# and tallies as bitsets over them, and a distance floor one bitset per column
+# for each candidate placed, so its memory grows with the square of this.
+CANDIDATE_CAP = 1 << 12
+
+
+def _bits(mask: np.ndarray) -> int:
+    """The bitset of a boolean vector: bit r set where mask[r] is true."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 def _backtrack(
     runs: int,
     hi: tuple[int, ...],
-    counters: list[tuple[tuple[int, ...], tuple[int, ...], int, int]],
-    key: list[list[int]],
-    last: list[int],
+    counters: Iterable[tuple[tuple[int, ...], np.ndarray, int]],
     floor: int | None,
     node_budget: int | None,
     finish: Callable[[np.ndarray], MixedArray | DifferenceScheme | OrthogonalPartition],
@@ -117,128 +134,210 @@ def _backtrack(
 ) -> SearchResult:
     """The canonical search; ``finish`` checks the found int64 rows and wraps them.
 
-    Column j takes the symbols below ``hi[j]``.  A counter ``(columns, radix,
-    size, lam)`` holds ``size`` tallies, each of which must end at exactly
-    ``lam``.  Placing v in its last column adds one to the tally at
-    ``last[v] + sum(key[v][row[c]] * m)`` over the other (head) columns c and
-    their radix m.  ``floor`` bounds the distance between finished rows: the
-    row being filled agrees with each on at most n - floor columns, and v in
-    column j adds an agreement for just the finished rows holding v there.
-    No cell rescans earlier rows: a row carries whether it still ties the
-    previous one, and per-column flags, renewed as each row finishes, say
-    which same-range neighbouring columns are still equal.
+    Column j takes the symbols below ``hi[j]``.  A counter ``(columns, table,
+    lam)`` sorts each row into the tally ``table[row[columns]]``, and every
+    tally must end at exactly ``lam`` rows.  ``floor`` bounds the distance
+    between rows: a row agrees with each earlier one on at most n - floor
+    columns.  ``given`` (no floor) fixes every row's cells in the leading
+    columns; a row then ties the previous one only where those cells agree,
+    no counter ends in them, and the searched columns hold labels, of which
+    a row opens at most one that no earlier row used.  Row 0 is otherwise
+    all zeros.
 
-    ``given`` (no floor) fixes every row's cells in the leading columns; a
-    row then ties the previous one only where those cells agree, no counter
-    ends in them, and the searched columns hold labels, of which a row opens
-    at most one that no earlier row used.  Row 0 is otherwise all zeros.
+    The walk places a row at a time.  A row's candidates are the searched
+    columns' symbol tuples in lexicographic order, so the candidates sharing
+    a j-cell prefix form a block of consecutive indices, and a set of
+    prefixes is a Python-int bitset over the candidates.  When a row opens,
+    T_j, the prefixes the cell order tries in column j, is A_{j-1}, those
+    alive after column j - 1, within the canonical rules: at or after the
+    row above, equal-range columns nondecreasing, labels below the next new
+    one.  A_j is T_j less the prefixes that hit a full tally of a counter
+    ending at j or agree with an earlier row on too many columns.  The
+    j-blocks of T_j up to a candidate are the (cell, symbol) nodes the cell
+    order visits before it, so node counts and budget cuts are exact.
+    Taking a row uses up its tallies, and a tally that fills cuts its
+    candidates from every later row; going back gives them back.
 
-    More than ``OUTPUT_CELL_CAP`` cells (runs x columns) raise
-    ``ParameterError`` before anything is allocated.
+    More than ``OUTPUT_CELL_CAP`` cells (runs x columns) or ``CANDIDATE_CAP``
+    candidate rows raise ``ParameterError`` before anything is allocated,
+    ``counters`` included: it is read only after these checks.
     """
-    if runs * len(hi) > OUTPUT_CELL_CAP:
-        raise ParameterError(
-            f"{runs} runs x {len(hi)} columns exceed the cap of {OUTPUT_CELL_CAP} cells"
-        )
     n = len(hi)
-    limit = inf if node_budget is None else node_budget
-    nodes = 0
+    if runs * n > OUTPUT_CELL_CAP:
+        raise ParameterError(
+            f"{runs} runs x {n} columns exceed the cap of {OUTPUT_CELL_CAP} cells"
+        )
     g = 0 if given is None else given.shape[1]
-    fronts = [[]] * runs if given is None else given.tolist()
-    cells = [front + [0] * (n - g) for front in fronts]
-    by_last: list[list[tuple[list[tuple[int, int]], list[int]]]] = [[] for _ in range(n)]
-    # at_risk[left]: the tallies that starve, with `left` rows still to come,
-    # once a cell has more room than that (room: rows it takes until lam)
-    at_risk: list[list[list[int]]] = [[] for _ in range(runs)]
-    first = cells[0]
-    for columns, radix, size, lam in counters:
-        room = [lam] * size
-        x = first[columns[-1]]
-        room[last[x] + sum(key[x][first[c]] * m for c, m in zip(columns, radix))] -= 1
-        by_last[columns[-1]].append((list(zip(columns[:-1], radix)), room))
-        for left in range(min(lam, runs)):
-            at_risk[left].append(room)
-    holders = [[[] for _ in range(d)] for d in hi]  # finished rows by cell
-    most = n - (floor or 0)  # agreements allowed with each finished row
-    # kept per row: the equal-column flags, the agreements with each finished
-    # row, the label bounds (one past the next new label), and per cell the
-    # tie flag before it and the tally codes it added
-    equal = [j > g and hi[j] == hi[j - 1] for j in range(n)]
-    agree = [] if floor else None
-    top = [0] * n if g else hi
-    saved: list = [None] * runs
-    i, j, row, left = 0, n, first, runs - 1
+    searched = hi[g:]
+    count = prod(searched)
+    if count > CANDIDATE_CAP:
+        raise ParameterError(
+            f"{count} candidate rows exceed the cap of {CANDIDATE_CAP} per row"
+        )
+    counters = list(counters)
+    m = n - g
+    full = (1 << count) - 1
+    digits = np.stack(decode(np.arange(count), searched), axis=1)
+    rows = [tuple(row) for row in digits.tolist()]
+    holds = [[_bits(digits[:, j] == x) for x in range(d)] for j, d in enumerate(searched)]
+    block = [prod(searched[j + 1 :]) for j in range(m)]
+    firsts = [_bits(np.arange(count) % size == 0) for size in block]
+    rising = [_bits(digits[:, j] >= digits[:, j - 1]) if j else full for j in range(m)]
+    # equal-column flags, bit j for columns j - 1 and j: those of the same
+    # range, and per candidate those it fills with the same symbol
+    equal = sum(1 << j for j in range(1, m) if searched[j] == searched[j - 1])
+    repeats = ((digits[:, 1:] == digits[:, :-1]) << np.arange(1, m)).sum(axis=1).tolist()
+
+    # All tallies in one list.  A full tally cuts, from every later row, the
+    # candidates that would hit it: a bitset kept in the slot of the counter's
+    # last column.  A counter with given heads tallies a packed index (its
+    # given symbols, then the candidate), so it keeps its own slot, shifted
+    # down by each row's given symbols when the row opens.
+    fronts = np.zeros((runs, 0), dtype=np.int64) if given is None else given.astype(np.int64)
+    labelled = any(c < g for columns, _, _ in counters for c in columns)
+    rooms: list[int] = []
+    hits: list[int] = []
+    slot_of: list[int] = []
+    bases, tables, offsets = [], [], []  # with given heads: per counter
+    # tally ids stay below 2^25: under the bound a counter has at most 2^12
+    # tallies, and there are at most 2^13 counters
+    name = np.zeros((0 if labelled else count, len(counters)), dtype=np.int32)
+    shifted: list[list[tuple[int, list[int]]]] = [[] for _ in range(m)]
+    for k, (columns, table, lam) in enumerate(counters):
+        heads = [c for c in columns if c < g]
+        dims = [hi[c] for c in heads]
+        combos = np.indices(dims).reshape(len(dims), prod(dims))
+        index = tuple(
+            combos[heads.index(c)][:, None] if c < g else digits[:, c - g][None, :]
+            for c in columns
+        )
+        codes = np.broadcast_to(table[index], (combos.shape[1], count)).ravel()
+        sets = [0] * (int(table.max()) + 1)
+        for p, code in enumerate(codes.tolist()):
+            sets[code] |= 1 << p
+        slot = columns[-1] - g
+        if labelled:
+            offset = (np.broadcast_to(encode(fronts[:, heads].T, dims), (runs,)) * count).tolist()
+            if heads:
+                slot = m + sum(map(len, shifted))
+                shifted[columns[-1] - g].append((slot, offset))
+            bases.append(len(rooms))
+            tables.append(codes.tolist())
+            offsets.append(offset)
+        else:
+            name[:, k] = codes + len(rooms)
+        rooms += [lam] * len(sets)
+        hits += sets
+        slot_of += [slot] * len(sets)
+    offsets = list(zip(*offsets))
+    # without given heads a candidate names the same tallies in every row, so
+    # they are listed once per candidate (summing them per row took about a
+    # fifth more time on the benchmark's searches)
+    named: list[list[int] | None] = [None] * count
+    linked = [True] + (fronts[1:] == fronts[:-1]).all(axis=1).tolist()
+    most = n - (floor or 0)  # agreements allowed with each earlier row
+    planes: list[list[int] | None] = [None] * count
+
+    def agreeing(r: int) -> list[int]:
+        """Per column j: the candidates agreeing with row r on > most of columns 0..j."""
+        atleast = [full] + [0] * (most + 1)
+        out = planes[r] = []
+        for j, x in enumerate(rows[r]):
+            hit = holds[j][x]
+            for a in range(min(j + 1, most + 1), 0, -1):
+                atleast[a] |= atleast[a - 1] & hit
+            out.append(atleast[most + 1])
+        return out
+
+    # labels: the candidates below each symbol, per column
+    below = [list(accumulate(sets, or_, initial=0)) for sets in holds] if g else []
+
+    def push(i: int, r: int, state: tuple) -> tuple[list[int], tuple]:
+        """Place candidate r as row i; return its tallies and the next row's state."""
+        cut, eq, top = state
+        if floor:
+            cut = [a | b for a, b in zip(cut, planes[r] or agreeing(r))]
+        if g:
+            top = tuple(min(d, max(t, x + 2)) for d, t, x in zip(searched, top, rows[r]))
+        if labelled:
+            codes = [b + t[o + r] for b, t, o in zip(bases, tables, offsets[i])]
+        else:
+            codes = named[r]
+            if codes is None:
+                codes = named[r] = name[r].tolist()
+        for c in codes:
+            rooms[c] -= 1
+            if not rooms[c]:
+                if cut is state[0]:
+                    cut = cut.copy()
+                cut[slot_of[c]] |= hits[c]
+        return codes, (cut, eq & repeats[r], top)
+
+    def open_row(i: int, state: tuple) -> tuple[list[int], int, int]:
+        """The j-blocks each column tries, their count, and the candidates left alive."""
+        cut, eq, top = state
+        above = chosen[i - 1] if linked[i] else 0
+        tried, total, alive = [], 0, full
+        for j, (first, dead) in enumerate(zip(firsts, cut)):
+            start = above - above % block[j]  # at or after the row above
+            alive = alive >> start << start
+            if eq >> j & 1:  # not below the equal column before
+                alive &= rising[j]
+            if top:  # at most one new label
+                alive &= below[j][top[j]]
+            if not alive:
+                break
+            tried.append(alive & first)
+            total += tried[-1].bit_count()
+            alive &= ~dead
+            if labelled:
+                for s, shift in shifted[j]:
+                    alive &= ~(cut[s] >> shift[i])
+        return tried, total, alive
+
+    limit = inf if node_budget is None else node_budget
+    chosen = [0] * runs
+    _, state = push(0, 0, ([0] * (m + sum(map(len, shifted))), equal, (0,) * m if g else ()))
+    if runs == 1:
+        return SearchResult("found", finish(np.hstack([fronts, digits[chosen]])), 0)
+    # nodes counts every node of each row opened so far; while rows are open,
+    # those past their taken candidates are still to come
+    tried, nodes, rest = open_row(1, state)
+    # per open row: its tried blocks, candidates left, the one taken and its
+    # tallies, and the state the row opened with; row i is stack[i - 1]
+    stack = [[tried, rest, -1, None, state]]
+
+    def visited() -> int:
+        """The nodes the cell order has visited up to the candidates taken now."""
+        return nodes - sum((t >> r + 1).bit_count() for tried, _, r, _, _ in stack for t in tried)
+
     while True:
-        if j == n:  # row i is finished: stop after the last row, else start the next
-            if not left:
-                return SearchResult("found", finish(np.array(cells, dtype=np.int64)), nodes)
-            # columns with the same symbol range stay lexicographically nondecreasing
-            equal = [e and row[c - 1] == row[c] for c, e in enumerate(equal)]
-            if agree is not None:
-                for c, x in enumerate(row):
-                    holders[c][x].append(i)
-                agree = [0] * (i + 1)
-            if g:
-                top = [min(d, max(t, x + 2)) for d, t, x in zip(hi, top, row)]
-            ties, added = [False] * n, [()] * n
-            i, j, left, above, row = i + 1, g, left - 1, row, cells[i + 1]
-            saved[i] = equal, agree, top, ties, added
-            tied = row[:g] == above[:g]
-            v = above[g] if tied else 0
-        touched, holding = by_last[j], holders[j]
-        for v in range(v, top[j]):
-            nodes += 1
-            if nodes > limit:
-                return SearchResult("budget", nodes=nodes)
-            row[j] = v
-            kv = key[v]
-            codes = []
-            for head, room in touched:
-                code = last[v]
-                for c, m in head:
-                    code += kv[row[c]] * m
-                if not room[code]:
-                    break
-                room[code] -= 1
-                codes.append(code)
-            else:
-                # no finished row that agrees on `most` columns agrees on v,
-                # and a last cell leaves no tally needing more than `left` rows
-                if (agree is None or most not in map(agree.__getitem__, holding[v])) and (
-                    j + 1 < n or not any(max(room) > left for room in at_risk[left])
-                ):
-                    break
-            for (_, room), code in zip(touched, codes):
-                room[code] += 1
-        else:  # no symbol left here: go back to the cell before and its next symbol
-            if j == g:
-                if i == 1:
-                    return SearchResult("exhausted", nodes=nodes)
-                i, j, left, row = i - 1, n, left + 1, above
-                above = cells[i - 1]
-                equal, agree, top, ties, added = saved[i]
-                if agree is not None:
-                    for c, x in enumerate(row):
-                        holders[c][x].pop()
-            j -= 1
-            v = row[j]
-            for (_, room), code in zip(by_last[j], added[j]):
-                room[code] += 1
-            if agree is not None:
-                for p in holders[j][v]:
-                    agree[p] -= 1
-            tied = ties[j]
-            v += 1
+        i, frame = len(stack), stack[-1]
+        tried, rest, _, codes, state = frame
+        if codes is not None:  # back from the row below: give its tallies back
+            for c in codes:
+                rooms[c] += 1
+        if not rest:  # row i has no candidate left: back to the row above
+            stack.pop()
+            if not stack:
+                if nodes > limit:
+                    return SearchResult("budget", nodes=int(limit) + 1)
+                return SearchResult("exhausted", nodes=nodes)
             continue
-        ties[j], added[j] = tied, codes
-        if agree is not None:
-            for p in holding[v]:
-                agree[p] += 1
-        tied = tied and v == above[j]
-        j += 1
-        if j < n:
-            lo = above[j] if tied else 0
-            v = row[j - 1] if equal[j] and row[j - 1] > lo else lo
+        low = rest & -rest
+        frame[1] = rest ^ low
+        r = frame[2] = chosen[i] = low.bit_length() - 1
+        if nodes > limit and visited() > limit:
+            return SearchResult("budget", nodes=int(limit) + 1)
+        if i == runs - 1:
+            return SearchResult("found", finish(np.hstack([fronts, digits[chosen]])), visited())
+        frame[3], state = push(i, r, state)
+        tried, total, rest = open_row(i + 1, state)
+        nodes += total
+        if rest:
+            stack.append([tried, rest, -1, None, state])
+        elif nodes > limit and visited() > limit:  # a dead end, visited whole
+            return SearchResult("budget", nodes=int(limit) + 1)
 
 
 def search_moa(spec: SearchSpec) -> SearchResult:
@@ -258,16 +357,16 @@ def search_moa(spec: SearchSpec) -> SearchResult:
                 f"{len(spec.levels)} columns",
             )
     levels = spec.levels
-    counters = []
-    if spec.strength:  # strength 0 counts nothing
-        for columns in combinations(range(len(levels)), spec.strength):
-            dims = [levels[c] for c in columns]
-            radix = place_values(dims)[:-1]
-            counters.append((columns, radix, prod(dims), spec.runs // prod(dims)))
-    symbols = list(range(max(levels, default=0)))  # the tallies count raw tuples
+
+    def counters():
+        if spec.strength:  # strength 0 counts nothing
+            for columns in combinations(range(len(levels)), spec.strength):
+                dims = [levels[c] for c in columns]
+                size = prod(dims)
+                yield columns, np.arange(size).reshape(dims), spec.runs // size
+
     return _backtrack(
-        spec.runs, levels, counters, [symbols] * len(symbols), symbols,
-        spec.min_distance, spec.node_budget,
+        spec.runs, levels, counters(), spec.min_distance, spec.node_budget,
         lambda cells: _certify(MixedArray(levels, cells), spec),
     )
 
@@ -312,17 +411,18 @@ def search_scheme(
         )
     if cols < strength:
         return SearchResult("infeasible", reason="fewer columns than the strength")
-    counters = []
-    for size in sorted({2, strength}):
-        radix = place_values((order,) * (size - 1))
-        for columns in combinations(range(cols), size):
-            counters.append((columns, radix, order ** (size - 1), rows // order ** (size - 1)))
-    symbols = np.arange(order)
-    differences = group.sub(symbols[None, :], symbols[:, None]).tolist()  # [v][x] = x - v
+    hi = (1,) + (order,) * (cols - 1)
+
+    def counters():
+        for size in sorted({2, strength}):
+            for columns in combinations(range(cols), size):
+                grid = np.indices([hi[c] for c in columns])
+                table = encode(group.sub(grid[:-1], grid[-1]), (order,) * (size - 1))
+                yield columns, table, rows // order ** (size - 1)
 
     return _backtrack(
-        rows, (1,) + (order,) * (cols - 1), counters, differences, [0] * order,
-        None, node_budget, lambda matrix: DifferenceScheme(matrix, order, strength, group),
+        rows, hi, counters(), None, node_budget,
+        lambda matrix: DifferenceScheme(matrix, order, strength, group),
     )
 
 
@@ -335,6 +435,10 @@ def search_partition(array: MixedArray, block_count: int) -> OrthogonalPartition
     symmetry.  The first partition in that deterministic order is returned,
     or None.
     """
+    return _search_partition(array, block_count).array
+
+
+def _search_partition(array: MixedArray, block_count: int) -> SearchResult:
     r = array.runs
     if block_count < 1:
         raise ParameterError("need at least one block")
@@ -346,18 +450,18 @@ def search_partition(array: MixedArray, block_count: int) -> OrthogonalPartition
             raise ParameterError(
                 f"block size {size} not divisible by level {d} of column {j}"
             )
-    n, levels = array.ncols, array.levels + (block_count,)
+    n = array.ncols
     counters = [
-        ((j, n), (block_count,), d * block_count, size // d) for j, d in enumerate(array.levels)
+        ((j, n), np.arange(d * block_count).reshape(d, block_count), size // d)
+        for j, d in enumerate(array.levels)
     ]
-    symbols = list(range(max(levels)))  # the tallies count raw (symbol, label) pairs
     return _backtrack(
-        r, levels, counters, [symbols] * len(symbols), symbols, None, None,
+        r, array.levels + (block_count,), counters, None, None,
         lambda cells: OrthogonalPartition(
             array, tuple(np.flatnonzero(cells[:, n] == b) for b in range(block_count))
         ),
         array.cells,
-    ).array
+    )
 
 
 def exhaustive_nonexistence(spec: SearchSpec) -> NonexistenceResult:

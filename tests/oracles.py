@@ -329,3 +329,83 @@ def naive_partition(array, block_count):
         if all(naive_strength([rows[i] for i in block], array.levels, 1) for block in blocks):
             return tuple(tuple(block) for block in blocks)
     return None
+
+
+class _BudgetSpent(Exception):
+    pass
+
+
+def naive_canonical_search(levels, runs, counters, floor=None, budget=None, given=None):
+    """The canonical search cell by cell, recounting everything at every cell.
+
+    Rows are filled top-down, each left to right, and cell j takes symbols
+    below ``levels[j]`` in ascending order; every (cell, symbol) tried is a
+    node.  Row 0 is the first given row followed by zeros, and each later
+    row starts from its given cells.  A symbol is tried when:
+
+    - the row so far is not below the row above wherever they tie so far;
+    - a searched column whose range equals the column before it, and that
+      has equalled it in every earlier row, is not below it in this row;
+    - with given cells, it is at most one past every symbol the column held
+      in earlier rows (a row opens at most one new label).
+
+    It is kept when, for every ``(columns, key, lam)`` counter ending at this
+    column, at most ``lam`` rows so far share the row's key on ``columns``,
+    and when the row so far agrees with no earlier row on more than
+    n - ``floor`` columns.  Returns ``(status, nodes, rows)``: "found" with
+    the rows, "exhausted", or "budget" after ``budget`` + 1 nodes.
+    """
+    n = len(levels)
+    g = 0 if given is None else len(given[0])
+    fronts = [list(row) for row in given] if given is not None else [[] for _ in range(runs)]
+    rows = [fronts[0] + [0] * (n - g)]
+    nodes = 0
+
+    def keeps(i, j):
+        row = rows[i]
+        for columns, key, lam in counters:
+            if columns[-1] == j:
+                mine = key([row[c] for c in columns])
+                if sum(key([other[c] for c in columns]) == mine for other in rows) > lam:
+                    return False
+        for other in rows[:i] if floor else ():
+            if sum(a == b for a, b in zip(row[: j + 1], other)) > n - floor:
+                return False
+        return True
+
+    def symbols(i, j):
+        row, above = rows[i], rows[i - 1]
+        low = above[j] if row[:j] == above[:j] else 0
+        if j > g and levels[j] == levels[j - 1]:
+            if all(other[j - 1] == other[j] for other in rows[:i]):
+                low = max(low, row[j - 1])
+        high = levels[j]
+        if g:
+            high = min(high, max(other[j] for other in rows[:i]) + 2)
+        return range(low, high)
+
+    def fill(i, j):
+        nonlocal nodes
+        if j == n:
+            if i == runs - 1:
+                return True
+            rows.append(fronts[i + 1] + [0] * (n - g))
+            if fill(i + 1, g):
+                return True
+            rows.pop()
+            return False
+        for v in symbols(i, j):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise _BudgetSpent
+            rows[i][j] = v
+            if keeps(i, j) and fill(i, j + 1):
+                return True
+        return False
+
+    try:
+        if fill(0, n):
+            return "found", nodes, [tuple(row) for row in rows]
+    except _BudgetSpent:
+        return "budget", nodes, None
+    return "exhausted", nodes, None

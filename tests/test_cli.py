@@ -318,6 +318,12 @@ class TestConstructReplaceSearch:
         )
         assert code == 4 and out == "" and err.startswith("error: ") and "cap" in err
 
+    def test_search_above_the_candidate_cap_exits_4(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--runs", "2", "--levels", ",".join(["2"] * 13), "--strength", "1",
+        )
+        assert code == 4 and out == "" and "8192 candidate rows exceed the cap" in err
+
     def test_search_negative_verdict(self, capsys):
         code, out, _ = run(
             capsys, "search", "--runs", "4", "--levels", "2,2,2", "--strength", "3",

@@ -1,7 +1,9 @@
 """Canonical backtracking search: soundness, completeness, determinism."""
 
 import sys
-from itertools import combinations_with_replacement, product
+import tracemalloc
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -21,7 +23,12 @@ from oakit.search import (
     search_scheme,
 )
 
-from oracles import naive_min_distance, naive_partition, naive_strength
+from oracles import (
+    naive_canonical_search,
+    naive_min_distance,
+    naive_partition,
+    naive_strength,
+)
 
 
 def _stack_depth() -> int:
@@ -198,6 +205,11 @@ class TestSearchParameters:
         with pytest.raises(ParameterError):
             search_scheme(rows, 3, 3, 2)
 
+    def test_empty_levels_rejected(self):
+        # search_moa used to fail with an IndexError inside the engine
+        with pytest.raises(ParameterError, match="column"):
+            search_moa(SearchSpec(3, (), 0))
+
     def test_zero_budget_stops_at_once(self):
         assert search_moa(SearchSpec(4, (2, 2), 1, node_budget=0)).status == "budget"
 
@@ -210,6 +222,44 @@ class TestSearchParameters:
     def test_scheme_above_the_cell_cap_rejected(self):
         with pytest.raises(ParameterError, match="cap"):
             search_scheme(1 << 30, 2, 2, 2)
+
+    # 2^12 candidate rows per row, each a bit in every table of the engine
+    def test_moa_at_the_candidate_cap_runs(self):
+        result = search_moa(SearchSpec(2, (2,) * 12, 1))
+        assert result.found and result.nodes == 13
+        assert result.array.cells[1].all()
+
+    def test_scheme_at_the_candidate_cap_runs(self):
+        # its first column is pinned, so 13 columns leave 2^12 candidates
+        assert search_scheme(2, 13, 2, 2).status == "exhausted"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: search_moa(SearchSpec(2, (2,) * 13, 1)),
+            lambda: search_scheme(2, 14, 2, 2),
+            # 2.3 billion counters, none of them built
+            lambda: search_scheme(1 << 10, 40, 2, 11),
+        ],
+        ids=["moa", "scheme", "scheme-many-counters"],
+    )
+    def test_above_the_candidate_cap_rejected_before_allocating(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=r"\d+ candidate rows exceed the cap of 4096"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_partition_above_the_candidate_cap_rejected(self, monkeypatch):
+        moa12 = seed_array("moa-12-3x2^4")  # its labels are the candidates
+        monkeypatch.setattr(search, "CANDIDATE_CAP", 2)
+        assert search_partition(moa12, 2) is None
+        monkeypatch.setattr(search, "CANDIDATE_CAP", 1)
+        with pytest.raises(ParameterError, match="2 candidate rows exceed the cap of 1"):
+            search_partition(moa12, 2)
 
     def test_partition_above_the_cell_cap_rejected(self, monkeypatch):
         # an array of 2^24 cells would take 128 MiB, so lower the cap instead:
@@ -292,6 +342,103 @@ class TestSearchPartition:
                 assert (found and found.blocks) == expected, (name, b)
                 verdicts.add(expected is None)
         assert verdicts == {True, False}
+
+
+class TestNodeCountOracle:
+    """The engine visits the nodes of the plain cell-by-cell canonical walk."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SearchSpec(1, (3, 2), 0),
+            SearchSpec(4, (2, 2, 2), 2),
+            SearchSpec(4, (2, 2, 2, 2), 2),
+            SearchSpec(8, (2, 2, 2, 2), 3),
+            SearchSpec(6, (3, 2), 2),
+            SearchSpec(8, (4, 2, 2), 2),
+            SearchSpec(9, (3, 3, 3), 2),
+            SearchSpec(8, (2,) * 5, 2, node_budget=100),
+            SearchSpec(4, (2, 2, 2), 1, min_distance=2),
+            SearchSpec(6, (3, 2, 2), 1, min_distance=2),
+            SearchSpec(8, (2, 2, 2, 2), 2, min_distance=2),
+            SearchSpec(6, (6, 3, 2), 1, min_distance=2),
+            SearchSpec(9, (3, 3, 3, 3), 2, min_distance=3),
+            SearchSpec(8, (2,) * 5, 2, min_distance=1),
+            SearchSpec(16, (4, 2, 2, 2, 2), 2, min_distance=2),
+            SearchSpec(4, (2, 2, 2, 2), 2, min_distance=2),
+            SearchSpec(12, (3, 2, 2, 2, 2), 2, min_distance=3),
+            SearchSpec(12, (3, 2, 2, 2, 2), 2, min_distance=2, node_budget=3000),
+            SearchSpec(18, (2, 3, 3, 3, 3), 2, min_distance=3, node_budget=500),
+            SearchSpec(18, (2, 3, 3, 3, 3), 2, min_distance=3, node_budget=501),
+            SearchSpec(12, (2,) * 6, 2, min_distance=2, node_budget=2000),
+            SearchSpec(4, (2, 2), 1, node_budget=0),
+        ],
+        ids=repr,
+    )
+    def test_moa(self, spec):
+        counters = [
+            (columns, tuple, spec.runs // prod(spec.levels[c] for c in columns))
+            for columns in combinations(range(len(spec.levels)), spec.strength)
+        ] if spec.strength else []
+        status, nodes, rows = naive_canonical_search(
+            spec.levels, spec.runs, counters, spec.min_distance, spec.node_budget
+        )
+        result = search_moa(spec)
+        assert (result.status, result.nodes) == (status, nodes)
+        assert (result.array and result.array.row_tuples()) == rows
+
+    @pytest.mark.parametrize(
+        "rows,cols,order,t,budget",
+        [
+            (4, 3, 2, 2, None),
+            (4, 5, 2, 2, None),
+            (3, 4, 3, 2, None),
+            (6, 4, 2, 2, None),
+            (6, 3, 3, 2, None),
+            (9, 4, 3, 2, None),
+            (12, 5, 2, 2, 1000),
+            (4, 3, 2, 3, None),
+            (8, 3, 2, 3, None),
+            (12, 4, 2, 3, None),
+            (8, 4, 2, 3, 20),
+            (16, 5, 2, 3, 3000),
+        ],
+    )
+    def test_scheme(self, rows, cols, order, t, budget):
+        def differences(xs):
+            return tuple((x - xs[-1]) % order for x in xs[:-1])
+
+        counters = [
+            (columns, differences, rows // order ** (size - 1))
+            for size in sorted({2, t})
+            for columns in combinations(range(cols), size)
+        ]
+        status, nodes, found = naive_canonical_search(
+            (1,) + (order,) * (cols - 1), rows, counters, budget=budget
+        )
+        result = search_scheme(rows, cols, order, t, budget)
+        assert (result.status, result.nodes) == (status, nodes)
+        assert (result.array and [tuple(row) for row in result.array.cells.tolist()]) == found
+
+    def test_partition(self):
+        cases = 0
+        for name, arr in TestSearchPartition._corpus():
+            for b in range(1, arr.runs + 1):
+                if arr.runs % b or any((arr.runs // b) % d for d in arr.levels):
+                    continue
+                size, n = arr.runs // b, arr.ncols
+                counters = [((j, n), tuple, size // d) for j, d in enumerate(arr.levels)]
+                status, nodes, rows = naive_canonical_search(
+                    arr.levels + (b,), arr.runs, counters, given=arr.row_tuples()
+                )
+                result = search._search_partition(arr, b)
+                assert (result.status, result.nodes) == (status, nodes), (name, b)
+                blocks = rows and tuple(
+                    tuple(i for i, row in enumerate(rows) if row[n] == label) for label in range(b)
+                )
+                assert (result.array and result.array.blocks) == blocks, (name, b)
+                cases += 1
+        assert cases == 39
 
 
 class TestSearchDepth:
