@@ -198,11 +198,11 @@ def verify_strength(array: MixedArray, k: int) -> StrengthReport:
     product does not divide r fails with a divisibility witness.
 
     Two exact counting paths give the same report.  The subset loop makes
-    one ``bincount`` of mixed-radix codes per k-subset.  The row-set path
-    counts from packed r-bit row sets, one per (column, symbol), with
-    popcounts of their ANDs; it pays off on wide arrays with few levels.
-    ``_bitsets_cheaper`` estimates the full-scan time of both from the
-    shape alone and picks one per call.
+    one ``bincount`` of mixed-radix codes per k-subset.  The row-set path,
+    at k = 2 and 3 only, counts from packed r-bit row sets, one per (column,
+    symbol), with popcounts of their ANDs; it pays off on wide arrays with
+    few levels.  ``_bitsets_cheaper`` estimates the full-scan time of both
+    from the shape alone and picks one per call.
     """
     n = array.ncols
     if k < 0:
@@ -224,12 +224,15 @@ def verify_strength(array: MixedArray, k: int) -> StrengthReport:
 def _bitsets_cheaper(levels: tuple[int, ...], r: int, k: int) -> bool:
     """Whether the row-set path should beat the subset loop on a full scan.
 
-    The loop costs C(N, k) * (per-subset overhead + r).  The row-set path
-    costs a packing pass, an overhead per prefix, and the words it counts:
-    per prefix symbol tuple, the margins of every later column and the box
-    of every later column pair.  Its counts come from suffix sums of the
-    levels, without enumerating prefixes.
+    Only k = 2 and k = 3 may take the row sets.  The loop costs
+    C(N, k) * (per-subset overhead + r).  The row-set path costs a packing
+    pass, an overhead per prefix, and the words it counts: per prefix symbol
+    tuple, the margins of every later column and the box of every later
+    column pair.  At k = 2 the one prefix is empty, with one tuple; at k = 3
+    the prefixes are the single columns c <= N - 3, with ``levels[c]`` tuples.
     """
+    if k not in (2, 3):
+        return False
     n = len(levels)
     # slots and box slots of the columns from m on, and box slot pairs of
     # the column pairs from m on
@@ -237,22 +240,13 @@ def _bitsets_cheaper(levels: tuple[int, ...], r: int, k: int) -> bool:
     box_after = [*accumulate((d - 1 for d in reversed(levels)), initial=0)][::-1]
     box_pairs = ((levels[j] - 1) * box_after[j + 1] for j in reversed(range(n)))
     pairs = [*accumulate(box_pairs, initial=0)][::-1]
-    if k == 1:
-        prefixes, slot_pairs = 0, after[0]
-    else:
-        # index c + 1: the (k - 2)-column prefixes whose last column is c,
-        # counted and summed over their symbol tuples; the empty one ends at -1
-        ending, tuples = [1] + [0] * n, [1] + [0] * n
-        for _ in range(k - 2):
-            below, below_tuples = [*accumulate(ending)], [*accumulate(tuples)]
-            ending = [0, *below[:n]]
-            tuples = [0, *(levels[c] * below_tuples[c] for c in range(n))]
-        prefixes = sum(ending[: n - 1])
-        slot_pairs = sum(t * (q + a) for t, q, a in zip(tuples[: n - 1], pairs, after))
+    # (symbol tuples, first later column) of each prefix
+    prefixes = [(1, 0)] if k == 2 else [(levels[c], c + 1) for c in range(n - 2)]
+    slot_pairs = sum(t * (pairs[m] + after[m]) for t, m in prefixes)
     bitsets = (
         _CALL_NS
         + _PACK_NS * r * after[0]
-        + _PREFIX_NS * prefixes
+        + _PREFIX_NS * len(prefixes)
         + _WORD_NS * slot_pairs * -(-r // 64)
     )
     return bitsets < comb(n, k) * (_SUBSET_NS + _ROW_NS * r)
@@ -351,11 +345,12 @@ def _miscounted(
 
 
 def _strength_bitsets(array: MixedArray, k: int) -> StrengthReport:
-    """The row-set path: popcounts of ANDed row sets, block by block.
+    """The row-set path, at k = 2 or 3: popcounts of ANDed row sets, in blocks.
 
-    For each (k - 2)-column prefix, in lexicographic order, the row sets of
-    its symbol tuples are ANDed together.  A table of counts over two next
-    columns (a, b) is all lambda iff its two margins are, which are the
+    Each (k - 2)-column prefix, in lexicographic order, has the row sets of
+    its symbol tuples: at k = 2 the empty prefix's one tuple, met by every
+    row, and at k = 3 a column's own row sets.  A table of counts over two
+    next columns (a, b) is all lambda iff its two margins are, which are the
     counts of prefix + (a) and prefix + (b), and so is the box without the
     last symbol of a and of b.  So each prefix counts its margins once, and
     then the box of every pair, in blocks of consecutive columns a, each
@@ -370,25 +365,21 @@ def _strength_bitsets(array: MixedArray, k: int) -> StrengthReport:
     levels = array.levels
     sets, offsets = _row_sets(array)
     d = np.asarray(levels, dtype=np.int64)
-    # the rows of the empty prefix's one tuple: all of them
-    everyone = np.bitwise_or.reduce(sets[:, : levels[0]], axis=1, keepdims=True)
-
-    def unbalanced(prefix_sets, d_prefix):
-        """Per column c: whether prefix + (c) fails (meaningless for c in the prefix)."""
-        left_d = np.full(prefix_sets.shape[1], d_prefix)
-        bad = _miscounted(prefix_sets, sets, left_d, np.repeat(d, d), r).any(axis=0)
-        return np.logical_or.reduceat(bad, offsets[:-1]) | (r % (d_prefix * d) != 0)
-
-    if k == 1:  # with no failure, argmax picks column 0, whose recount passes
-        c = int(np.argmax(unbalanced(everyone, 1)))
-        return _report(array, k, _subset_witness(array, (c,)))
     # the box's row sets: every column's slots but its last, from starts[c] on
     box = np.ascontiguousarray(np.delete(sets, np.subtract(offsets[1:], 1), axis=1))
     box_levels = np.repeat(d, d - 1)
     starts = np.subtract(offsets, np.arange(n + 1))
     ordered = np.arange(n)[:, None] < np.arange(n)  # column pairs (a, b) with a < b
-    for prefix, d_prefix, prefix_sets in _prefix_sets(sets, offsets, levels, k - 2, everyone):
-        margin = unbalanced(prefix_sets, d_prefix)
+    if k == 2:
+        everyone = np.bitwise_or.reduce(sets[:, : levels[0]], axis=1, keepdims=True)
+        prefixes = [((), 1, everyone)]
+    else:  # the columns that leave two later ones
+        prefixes = (((c,), levels[c], sets[:, offsets[c] : offsets[c + 1]]) for c in range(n - 2))
+    for prefix, d_prefix, prefix_sets in prefixes:
+        # per column c: whether prefix + (c) fails (meaningless for c in the prefix)
+        left_d = np.full(prefix_sets.shape[1], d_prefix)
+        margin = _miscounted(prefix_sets, sets, left_d, np.repeat(d, d), r).any(axis=0)
+        margin = np.logical_or.reduceat(margin, offsets[:-1]) | (r % (d_prefix * d) != 0)
         # the column pairs that fail without a count of their box
         uncounted = (margin[:, None] | margin | (r % (d_prefix * np.outer(d, d)) != 0)) & ordered
         w, tuples = prefix_sets.shape
@@ -415,28 +406,6 @@ def _strength_bitsets(array: MixedArray, k: int) -> StrengthReport:
                 return _report(array, k, _subset_witness(array, subset))
             j = end
     return _report(array, k, None)
-
-
-def _prefix_sets(
-    sets: np.ndarray, offsets: list[int], levels: tuple[int, ...], depth: int, everyone: np.ndarray
-):
-    """Every ``depth``-column prefix that leaves two later columns, in lexicographic order.
-
-    Yields (prefix, product of its levels, its symbol tuples' row sets as a
-    word-major W x tuples array); the empty prefix's one tuple is ``everyone``.
-    """
-    n = len(levels)
-    w = sets.shape[0]
-
-    def extend(prefix, d_prefix, prefix_sets):
-        if len(prefix) == depth:
-            yield prefix, d_prefix, prefix_sets
-            return
-        for c in range(prefix[-1] + 1 if prefix else 0, n - 1 - depth + len(prefix)):
-            tuples = prefix_sets[:, :, None] & sets[:, None, offsets[c] : offsets[c + 1]]
-            yield from extend((*prefix, c), d_prefix * levels[c], tuples.reshape(w, -1))
-
-    return extend((), 1, everyone)
 
 
 def _split_radices(d: int) -> tuple[int, ...]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import inf, prod
+from math import gcd, inf, prod
 from operator import or_
 from typing import Callable, Iterable
 
@@ -48,7 +48,7 @@ from .algebra import DifferenceScheme
 from .arrays import MixedArray, min_distance, verify_strength
 from .constructions import OUTPUT_CELL_CAP, OrthogonalPartition, five_column_feasibility
 from .errors import ParameterError, VerificationError
-from .groups import cyclic_group, decode, encode
+from .groups import _prime_factors, cyclic_group, decode, encode
 
 __all__ = [
     "SearchSpec",
@@ -85,7 +85,18 @@ class SearchSpec:
             raise ParameterError("distance floor and node budget must be >= 0")
 
     def divisibility_obstruction(self) -> tuple[int, ...] | None:
-        """First k-subset whose level product does not divide the run count."""
+        """First k-subset whose level product does not divide the run count.
+
+        Every k-subset's product divides it iff, for each prime p of a level,
+        the product of the k largest p-parts (highest powers of p dividing
+        a level) does; the subsets are walked only when that fails.
+        """
+        for p in {p for d in set(self.levels) for p in _prime_factors(d)}:
+            parts = sorted((gcd(d, p ** d.bit_length()) for d in self.levels), reverse=True)
+            if self.runs % prod(parts[: self.strength]):
+                break
+        else:
+            return None
         for subset in combinations(range(len(self.levels)), self.strength):
             if self.runs % prod(self.levels[j] for j in subset):
                 return subset

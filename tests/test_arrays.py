@@ -40,6 +40,7 @@ from oakit.constructions import (
     two_uniform_prime_power,
 )
 from oakit.errors import ParameterError
+from oakit.search import SearchSpec, search_moa
 
 from oracles import (
     macwilliams_strength,
@@ -220,7 +221,10 @@ class TestStrengthCrossCheck:
         verdicts, witnesses = set(), set()
         for arr, k in _strength_corpus():
             expected = strength_report_loop(arr.cells, arr.levels, k)
-            for path in (verify_strength, _strength_loop, _strength_bitsets):
+            paths = [verify_strength, _strength_loop]
+            if k in (2, 3):  # the row-set path serves these strengths only
+                paths.append(_strength_bitsets)
+            for path in paths:
                 report = path(arr, k)
                 assert report.strength_checked == k
                 assert _as_oracle_report(report) == expected, (path.__name__, arr, k)
@@ -240,6 +244,12 @@ class TestStrengthCrossCheck:
         # and the output of construct cor2 d=4 n=5
         assert _bitsets_cheaper((5,) * 4 + (2,) * 54, 1000, 3)
         assert _bitsets_cheaper((1024,) + (4,) * 1024, 4096, 2)
+        # every other strength takes the loop: the 128 x 8 certificate of
+        # oakit search --runs 128 at k = 1, and trivial_moa((2,) * 12) at k = 4
+        deep = search_moa(SearchSpec(128, (2,) * 8, 1)).array
+        assert not _bitsets_cheaper(deep.levels, deep.runs, 1)
+        full = trivial_moa((2,) * 12)
+        assert not _bitsets_cheaper(full.levels, full.runs, 4)
 
     def test_memory_stays_bounded(self):
         # OA(1024, 256^1 2^256, 2): a in Z_256, b in Z_2, and the 2-level

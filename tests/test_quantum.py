@@ -295,6 +295,17 @@ class TestCosetPath:
             got = (r.holds, r.witness_subset, r.subsets_checked, r.subsets_total)
             assert got == k_uniform_loop(arr.cells, arr.levels, k), k
 
+    def test_full_factorial_reads_its_pairs_off_row_0(self, monkeypatch):
+        # 65536 x 16: every row has 16 neighbours at distance 1, and comparing
+        # the pairs takes seconds where the coset path takes milliseconds
+        def compared(*args):
+            raise AssertionError("_paired_masks was entered")
+
+        monkeypatch.setattr(oakit.quantum, "_paired_masks", compared)
+        report = verify_k_uniform(trivial_moa((2,) * 16), 2)
+        assert not report.holds
+        assert (report.witness_subset, report.subsets_checked) == ((0, 1), 1)
+
     def test_thm7_state_over_gf8(self):
         # `construct thm7 k=4 factors=8 split=7:4,2`: 4096 x 9, minimal distance 5
         arr, _ = k_uniform_product(4, [8], plan=[(7, (4, 2))])

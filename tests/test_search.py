@@ -7,6 +7,7 @@ from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oakit import search
 from oakit.algebra import ds_linear, expand, hadamard01, is_difference_scheme
@@ -64,6 +65,11 @@ class TestSearchMoa:
         result = search_moa(SearchSpec(4, (2, 2, 2), 3))
         assert result.status == "infeasible"
         assert "divisible" in result.reason
+
+    def test_floor_above_the_column_count_is_infeasible(self):
+        result = search_moa(SearchSpec(4, (2, 2), 1, min_distance=3))
+        assert result.status == "infeasible" and result.array is None
+        assert result.reason == "distance floor 3 exceeds 2 columns"
 
     def test_determinism(self):
         spec = SearchSpec(12, (3, 2, 2, 2, 2), 2, min_distance=1)
@@ -252,6 +258,30 @@ class TestSearchParameters:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+    def test_no_obstruction_is_settled_without_walking_the_subsets(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked the column subsets")
+
+        monkeypatch.setattr(search, "combinations", walk)
+        # C(30, 15) = 155,117,520 subsets, each of product 2^15
+        assert SearchSpec(2**15, (2,) * 30, 15).divisibility_obstruction() is None
+        # so an over-wide search meets the candidate cap at once
+        with pytest.raises(ParameterError, match="16777216 candidate rows exceed the cap"):
+            search_moa(SearchSpec(2**12, (2,) * 24, 12))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 10, 11, 12)), min_size=1, max_size=7),
+        st.tuples(*(st.integers(0, e) for e in (7, 4, 2, 1))),
+        st.data(),
+    )
+    def test_obstruction_matches_the_subset_walk(self, levels, exponents, data):
+        runs = prod(p**e for p, e in zip((2, 3, 5, 7), exponents))
+        t = data.draw(st.integers(0, len(levels)))
+        subsets = combinations(range(len(levels)), t)
+        first = next((s for s in subsets if runs % prod(levels[j] for j in s)), None)
+        assert SearchSpec(runs, tuple(levels), t).divisibility_obstruction() == first
 
     def test_partition_above_the_candidate_cap_rejected(self, monkeypatch):
         moa12 = seed_array("moa-12-3x2^4")  # its labels are the candidates
