@@ -194,12 +194,9 @@ class FiniteField:
         self._log[self._exp[: q - 1]] = np.arange(q - 1)
 
     def _smallest_irreducible(self) -> tuple[int, ...]:
-        p, m = self.p, self.m
-        for tail in range(p**m):
-            modulus = [*decode(tail, self.radices)[::-1], 1]
-            if _is_irreducible(modulus, p):
-                return tuple(modulus)
-        raise ConstructionError(f"no irreducible polynomial found for GF({p}^{m})")
+        # every degree has a monic irreducible polynomial over GF(p)
+        moduli = ([*decode(tail, self.radices)[::-1], 1] for tail in range(self.p**self.m))
+        return tuple(next(f for f in moduli if _is_irreducible(f, self.p)))
 
     # -- arithmetic ----------------------------------------------------------
     def add(self, a, b):

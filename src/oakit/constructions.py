@@ -563,14 +563,16 @@ def five_column_feasibility(levels) -> FeasibilityVerdict:
 # family builders
 
 
-def _two_uniform_chain(
-    host: MixedArray,
-    host_two_level: int,
-    n: int,
-    construction: str,
-    seeds: tuple[str, ...],
+def _two_uniform_pipeline(
+    host: MixedArray | None, d: int, m: int, n: int, construction: str
 ) -> tuple[MixedArray, ConstructionCertificate]:
-    """Iterate [A (+) 0_2, H (+) (2)] until n binary columns are reachable.
+    """Shared strength-2 pipeline: pick a host, then [A (+) 0_2, H (+) (2)].
+
+    Built-in hosts over d^m 2^b: the seeds moa-12-3x2^4, moa-36-3^2x2^2 and
+    moa-108-3^3x2^2 for d = 3 and m = 1, 2, 3, and the 8-run array over
+    4^1 2^4 for d = 4, m = 1.  A caller's host keeps its first m d-level
+    columns, must pass the strength-2 precondition and is recorded as
+    "caller-host".
 
     At each stage the host gains r two-level scheme columns.  Deletion first
     spends the guaranteed budget on the trailing columns and otherwise drops
@@ -579,8 +581,30 @@ def _two_uniform_chain(
     whose last stage would exceed ``OUTPUT_CELL_CAP`` cells raise
     ``ParameterError`` before any stage is built.
     """
+    from .catalog import seed_array  # deferred: catalog builds on this module
+
+    if host is not None:
+        seed = "caller-host"
+    elif d == 3 and m in (1, 2, 3):
+        seed = ("moa-12-3x2^4", "moa-36-3^2x2^2", "moa-108-3^3x2^2")[m - 1]
+        host = seed_array(seed)
+    elif d == 4 and m == 1:
+        # the 8-run array over 4^1 2^4 that two_uniform_from_scheme(4, 4, 2)
+        # certifies; the output's certify covers it here
+        seed = "scheme-juxtaposition 4^1x2^4"
+        host = juxtapose_scheme_raw(column_vector(4), hadamard01(4).as_scheme())
+    else:
+        raise ParameterError(f"no built-in host for d = {d}, m = {m}; pass a strength-2 host")
+    d_cols = [j for j, lv in enumerate(host.levels) if lv == d]
+    if len(d_cols) < m or any(lv not in (2, d) for lv in host.levels):
+        raise ParameterError(f"host must be an array over levels {d} and 2")
+    if len(d_cols) > m:
+        host = delete_columns(host, d_cols[m:])
+    if seed == "caller-host":
+        _check_strength(host, 2, "host")
+
     # the last stage's host has r runs and `inherited` binary columns
-    r, inherited, stages = host.runs, host_two_level, 1
+    r, inherited, stages = host.runs, host.ncols - m, 1
     while n > inherited + r:
         r, inherited, stages = 2 * r, inherited + r, stages + 1
     total_two = inherited + r
@@ -594,7 +618,6 @@ def _two_uniform_chain(
     stage = host
     for _ in range(stages):
         stage = juxtapose_scheme_raw(stage, hadamard01(stage.runs).as_scheme())
-    three_part = stage.ncols - total_two  # non-binary host columns, kept
     j = total_two - n
     budget = min_distance(stage) - 3
     if j <= budget:
@@ -602,46 +625,21 @@ def _two_uniform_chain(
         notes = (f"any-within-budget deletion of the last {j} binary columns",)
     elif n >= r:
         # full scheme block kept: cross-row pairs keep scheme distance r/2
-        drop = list(range(three_part + inherited - j, three_part + inherited))
+        drop = list(range(m + inherited - j, m + inherited))
         notes = (f"deleted the last {j} inherited binary columns, scheme intact",)
     else:
         # host-part-first: drop every inherited binary column, then trim
         # the scheme block from the end
         from_scheme = j - inherited
-        drop = list(range(three_part, three_part + inherited))
+        drop = list(range(m, m + inherited))
         drop += list(range(stage.ncols - from_scheme, stage.ncols))
         notes = (
             f"host-part-first deletion: {inherited} inherited binary columns "
             f"plus the last {from_scheme} scheme columns",
         )
     out = delete_columns(stage, drop) if drop else stage
-    cert = ConstructionCertificate(construction=construction, strength=2, seeds=seeds, notes=notes)
+    cert = ConstructionCertificate(construction=construction, strength=2, seeds=(seed,), notes=notes)
     return out, certify(out, cert)
-
-
-def _two_uniform_from_host(
-    host: MixedArray,
-    d: int,
-    m: int,
-    n: int,
-    construction: str,
-    seed_name: str | None,
-) -> tuple[MixedArray, ConstructionCertificate]:
-    """Check a host over levels d and 2, keep its first m d-level columns, chain.
-
-    ``seed_name`` None marks a caller's host: it must also pass the
-    strength-2 precondition and is recorded as "caller-host".  A built-in
-    host is a seed, checked on load, or a certified output.
-    """
-    d_cols = [j for j, lv in enumerate(host.levels) if lv == d]
-    if len(d_cols) < m or any(lv not in (2, d) for lv in host.levels):
-        raise ParameterError(f"host must be an array over levels {d} and 2")
-    if len(d_cols) > m:
-        host = delete_columns(host, d_cols[m:])
-    if seed_name is None:
-        _check_strength(host, 2, "host")
-    seeds = (seed_name or "caller-host",)
-    return _two_uniform_chain(host, host.ncols - m, n, construction, seeds)
 
 
 def two_uniform_3m2n(
@@ -649,36 +647,21 @@ def two_uniform_3m2n(
 ) -> tuple[MixedArray, ConstructionCertificate]:
     """Irredundant strength-2 array over 3^m 2^n.
 
-    m = 1 covers every n >= 8 (n = 8 through the verified scheme-trim route);
-    m in {2, 3} uses a searched 36-run host and covers n >= 21.  A caller-
-    provided strength-2 host MOA(r, 3^m 2^b, 2) overrides the built-ins.
+    The built-in hosts are full factorials for m = 2 (36 runs over 3^2 2^2,
+    n >= 21) and m = 3 (108 runs over 3^3 2^2, n >= 57) and a searched
+    12-run array for m = 1, which covers every n >= 8 (n = 8 through the
+    verified scheme-trim route).  A caller-provided strength-2 host
+    MOA(r, 3^m 2^b, 2) overrides the built-ins.
     """
     from .catalog import seed_array  # deferred: catalog builds on this module
 
     if m < 1:
         raise ParameterError("need m >= 1")
-    seed_name = None
-    if host is None:
-        if m == 1:
-            if n == 8:
-                return two_uniform_from_scheme(
-                    12, 12, 2, replacement=seed_array("moa-12-3x2^4"), scheme_keep=4
-                )
-            seed_name = "moa-12-3x2^4"
-            host = seed_array(seed_name)
-        elif m == 2:
-            seed_name = "moa-36-3^2x2^2"
-            host = seed_array(seed_name)
-        elif m == 3:
-            seed_name = "moa-108-3^3x2^2"
-            host = seed_array(seed_name)
-        else:
-            raise ParameterError(
-                f"no built-in host for m = {m}; pass a strength-2 host array"
-            )
-    return _two_uniform_from_host(
-        host, 3, m, n, f"two_uniform_3m2n(m={m}, n={n})", seed_name
-    )
+    if host is None and m == 1 and n == 8:
+        return two_uniform_from_scheme(
+            12, 12, 2, replacement=seed_array("moa-12-3x2^4"), scheme_keep=4
+        )
+    return _two_uniform_pipeline(host, 3, m, n, f"two_uniform_3m2n(m={m}, n={n})")
 
 
 def two_uniform_dm2n(
@@ -692,20 +675,7 @@ def two_uniform_dm2n(
     """
     if d <= 3:
         raise ParameterError("use the 3^m 2^n builder for d <= 3")
-    seed_name = None
-    if host is None:
-        if d == 4 and m == 1:
-            # the 8-run array over 4^1 2^4 that two_uniform_from_scheme(4, 4, 2)
-            # certifies; the output's certify covers it here
-            host = juxtapose_scheme_raw(column_vector(4), hadamard01(4).as_scheme())
-            seed_name = "scheme-juxtaposition 4^1x2^4"
-        else:
-            raise ParameterError(
-                f"no built-in host for d = {d}, m = {m}; pass a strength-2 host"
-            )
-    return _two_uniform_from_host(
-        host, d, m, n, f"two_uniform_dm2n(d={d}, m={m}, n={n})", seed_name
-    )
+    return _two_uniform_pipeline(host, d, m, n, f"two_uniform_dm2n(d={d}, m={m}, n={n})")
 
 
 def _three_uniform_pipeline(

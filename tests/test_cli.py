@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import oakit.arrays
 import oakit.cli
 from oakit.algebra import ds_linear
-from oakit.arrays import distance_spectrum
+from oakit.arrays import MixedArray, distance_spectrum
 from oakit.cli import main
 from oakit.constructions import trivial_moa
 from oakit.formats import parse_array, serialize_array, serialize_scheme
@@ -48,6 +48,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "--strength", "2")
         assert code == 2
         assert json.loads(out)["strength"]["witness"]["columns"] == [0, 1]
+
+    def test_divisibility_witness_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "six.moa"
+        rows = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0), (1, 1)]
+        path.write_text(serialize_array(MixedArray.from_rows((2, 2), rows)))
+        code, out, _ = run(capsys, "verify", str(path), "--strength", "2")
+        assert code == 2
+        assert json.loads(out)["strength"]["witness"] == {
+            "columns": [0, 1],
+            "reason": "run count not divisible by level product",
+            "expected": "3/2",
+        }
 
     def test_missing_file_exits_4(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent.moa", "--strength", "2")

@@ -309,12 +309,6 @@ class TestFamilies:
         arr, cert = two_uniform_3m2n(2, 21)
         assert arr.profile() == "3^2 2^21" and cert.measured_md >= 3
 
-    def test_out_of_range(self):
-        with pytest.raises(ParameterError):
-            two_uniform_3m2n(1, 7)
-        with pytest.raises(ParameterError):
-            two_uniform_3m2n(4, 30)
-
     def test_caller_host_checked_and_trimmed(self):
         from oakit.catalog import seed_array
 
@@ -331,6 +325,30 @@ class TestFamilies:
         assert arr.profile() == "4^1 2^7" and cert.measured_md >= 3
         arr, cert = two_uniform_dm2n(4, 1, 12)
         assert arr.profile() == "4^1 2^12" and cert.measured_md >= 3
+
+    def test_m3_built_in_host(self):
+        # the 108-run full factorial over 3^3 2^2 doubles once, to 216 runs
+        with pytest.raises(ParameterError, match="needs >= 57"):
+            two_uniform_3m2n(3, 56)
+        arr, cert = two_uniform_3m2n(3, 57)
+        assert arr.runs == 216 and arr.profile() == "3^3 2^57"
+        assert cert.seeds == ("moa-108-3^3x2^2",) and cert.measured_md == 22
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: two_uniform_3m2n(1, 7), "needs >= 9"),
+            (lambda: two_uniform_3m2n(0, 9), "need m >= 1"),
+            (lambda: two_uniform_3m2n(4, 30), "no built-in host for d = 3, m = 4"),
+            (lambda: two_uniform_dm2n(3, 1, 9), "use the 3\\^m 2\\^n builder for d <= 3"),
+            (lambda: two_uniform_dm2n(4, 2, 9), "no built-in host for d = 4, m = 2"),
+            (lambda: two_uniform_dm2n(5, 1, 9), "no built-in host for d = 5, m = 1"),
+        ],
+        ids=["3m2n-1-7", "3m2n-0-9", "3m2n-4-30", "dm2n-3-1-9", "dm2n-4-2-9", "dm2n-5-1-9"],
+    )
+    def test_out_of_range(self, call, message):
+        with pytest.raises(ParameterError, match=message):
+            call()
 
     def test_three_uniform_small(self, thm3_full):
         arr, cert = thm3_full

@@ -9,12 +9,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# 05_search_and_nonexistence.py is left out: its searches take about 8 s.
 DEMOS = [
     "01_verify_and_distances.py",
     "02_schemes_and_juxtaposition.py",
     "03_uniform_states.py",
     "04_catalog_tour.py",
+    "05_search_and_nonexistence.py",  # about 2 s of searches
 ]
 
 
@@ -23,6 +23,6 @@ def test_demo_exits_0(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
