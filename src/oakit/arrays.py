@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from math import comb, prod
 from typing import Iterable, Sequence
 
@@ -282,12 +282,48 @@ def _subset_witness(array: MixedArray, subset: tuple[int, ...]) -> StrengthWitne
 
 
 def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
-    """The subset loop: one ``bincount`` per k-subset, in lexicographic order."""
-    for subset in combinations(range(array.ncols), k):
-        witness = _subset_witness(array, subset)
-        if witness is not None:
-            return _report(array, k, witness)
-    return _report(array, k, None)
+    """The subset loop: one ``bincount`` per k-subset, in lexicographic order.
+
+    The columns are scanned from one column-major copy in the narrowest
+    unsigned dtype.  ``codes[i]`` holds the mixed-radix code of each row's
+    projection onto the first i + 1 columns of the subset; consecutive
+    subsets share a prefix, so a subset costs one multiply-add per position
+    from the first one that changed, most often the last alone.  A subset's
+    level product is checked to divide r before any of its codes are built,
+    so every code is below r.  Its counts, which sum to r over as many bins
+    as the product, are all the index iff their maximum is.  The first
+    failing subset is recounted by ``_subset_witness`` for its witness.
+    """
+    r, n = array.cells.shape
+    levels = array.levels
+    columns = np.ascontiguousarray(array.cells.T, dtype=_narrowest_unsigned(max(levels)))
+    codes = np.empty((k, r), dtype=_narrowest_unsigned(r - 1))
+    dims = [1] * (k + 1)  # dims[i + 1]: the level product of the first i + 1 columns
+    subset = list(range(k))
+    changed = 0  # the first position of subset that differs from the last one scanned
+    while True:
+        for i in range(changed, k):
+            dims[i + 1] = dims[i] * levels[subset[i]]
+        if r % dims[k]:
+            return _report(array, k, _subset_witness(array, tuple(subset)))
+        for i in range(changed, k):
+            if i == 0:
+                codes[0] = columns[subset[0]]
+            else:
+                np.multiply(codes[i - 1], levels[subset[i]], out=codes[i])
+                codes[i] += columns[subset[i]]
+        if np.bincount(codes[k - 1], minlength=dims[k]).max() != r // dims[k]:
+            return _report(array, k, _subset_witness(array, tuple(subset)))
+        # the next subset in lexicographic order: raise the last position
+        # that can still rise and restart the ones after it
+        changed = k - 1
+        while changed >= 0 and subset[changed] == n - k + changed:
+            changed -= 1
+        if changed < 0:
+            return _report(array, k, None)
+        subset[changed] += 1
+        for i in range(changed + 1, k):
+            subset[i] = subset[i - 1] + 1
 
 
 def _row_sets(array: MixedArray) -> tuple[np.ndarray, list[int]]:

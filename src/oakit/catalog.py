@@ -348,7 +348,7 @@ for _n in range(9, 17):
 _register(
     FamilyEntry(
         "thm1/3^2x2^21",
-        "two-uniform family over 3^2 2^21 (72 runs, searched 36-run host)",
+        "two-uniform family over 3^2 2^21 (72 runs, full-factorial 36-run host)",
         72,
         2,
         lambda: two_uniform_3m2n(2, 21),

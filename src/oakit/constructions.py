@@ -571,8 +571,8 @@ def _two_uniform_pipeline(
     Built-in hosts over d^m 2^b: the seeds moa-12-3x2^4, moa-36-3^2x2^2 and
     moa-108-3^3x2^2 for d = 3 and m = 1, 2, 3, and the 8-run array over
     4^1 2^4 for d = 4, m = 1.  A caller's host keeps its first m d-level
-    columns, must pass the strength-2 precondition and is recorded as
-    "caller-host".
+    columns, moved in front of its two-level ones, must pass the strength-2
+    precondition and is recorded as "caller-host".
 
     At each stage the host gains r two-level scheme columns.  Deletion first
     spends the guaranteed budget on the trailing columns and otherwise drops
@@ -598,8 +598,9 @@ def _two_uniform_pipeline(
     d_cols = [j for j, lv in enumerate(host.levels) if lv == d]
     if len(d_cols) < m or any(lv not in (2, d) for lv in host.levels):
         raise ParameterError(f"host must be an array over levels {d} and 2")
-    if len(d_cols) > m:
-        host = delete_columns(host, d_cols[m:])
+    # the stages below take the host's d-level columns to come first
+    two_cols = [j for j, lv in enumerate(host.levels) if lv == 2]
+    host = select_columns(host, d_cols[:m] + two_cols)
     if seed == "caller-host":
         _check_strength(host, 2, "host")
 

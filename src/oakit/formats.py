@@ -52,6 +52,10 @@ __all__ = [
 REPORT_SCHEMA = "oakit-report-v1"
 
 
+# bytes of row text per block when rows are written or read
+_BLOCK = 1 << 15
+
+
 def _write(cells: np.ndarray, levels, kind: str | None = None, strength: int | None = None) -> str:
     """The one moa v1 writer: header lines, ``rows:``, then one line per row."""
     lines = ["moa v1"]
@@ -61,8 +65,34 @@ def _write(cells: np.ndarray, levels, kind: str | None = None, strength: int | N
     if strength is not None:
         lines.append(f"strength {strength}")
     lines.append("rows:")
-    lines.extend(" ".join(map(str, row.tolist())) for row in cells)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _row_text(cells)
+
+
+def _row_text(cells: np.ndarray) -> str:
+    """The row lines of non-negative ``cells``, as ``str(int)`` prints each symbol.
+
+    A block of rows is laid out as bytes, every symbol in as many digit
+    slots as the widest one needs and followed by a space or, at the end of
+    a row, an LF.  The leading zero slots of narrower symbols are dropped
+    before the block is kept; a block lays out at most ``_BLOCK`` slots.
+    """
+    r, n = cells.shape
+    width = len(str(int(cells.max())))
+    places = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    step = max(1, _BLOCK // (n * (width + 1)))
+    text = []
+    for lo in range(0, r, step):
+        block = cells[lo : lo + step, :, None]
+        slots = np.empty((block.shape[0], n, width + 1), dtype=np.uint8)
+        slots[:, :, :width] = block // places % 10 + 48
+        slots[:, :, width] = 32
+        slots[:, -1, width] = 10
+        if width > 1:  # a symbol keeps its slots from its leading digit on
+            keep = np.ones(slots.shape, dtype=bool)
+            keep[:, :, : width - 1] = block >= places[:-1]
+            slots = slots[keep]
+        text.append(slots.tobytes())
+    return b"".join(text).decode("ascii")
 
 
 def serialize_array(array: MixedArray, strength: int | None = None) -> str:
@@ -83,16 +113,16 @@ def serialize_hadamard(h: HadamardMatrix01) -> str:
 _HEADER_KEYS = ("kind", "runs", "levels", "strength")
 
 
-def _parse_header(text: str):
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+def _parse_header(text: str) -> tuple[dict[str, str], int]:
+    """The header fields, and the offset in ``text`` of the line after ``rows:``."""
     pos = 0
     header: dict[str, str] = {}
     seen_version = False
-    while pos < len(lines):
-        line = lines[pos]
-        pos += 1
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end]
+        pos = end + 1
         if line.startswith("#"):
             continue
         if line.strip() == "":
@@ -103,7 +133,7 @@ def _parse_header(text: str):
             seen_version = True
             continue
         if line == "rows:":
-            break
+            return header, pos
         try:
             key, value = line.split(" ", 1)
         except ValueError as exc:
@@ -113,9 +143,7 @@ def _parse_header(text: str):
         if key in header:
             raise FormatError(f"header key {key!r} given twice")
         header[key] = value
-    else:
-        raise FormatError("missing rows: marker")
-    return header, lines[pos:]
+    raise FormatError("missing rows: marker")
 
 
 # tokens with str(int(token)) == token, at most the 19 digits of an int64
@@ -128,31 +156,111 @@ def _ints(text: str, what: str) -> list[int]:
     return [int(x) for x in text.split(" ")]
 
 
+def _read_rows(block: str, width: int) -> tuple[int, np.ndarray, bool]:
+    """The rows after ``rows:``: their count, their cells and whether one overflows.
+
+    Every line of ``block`` (the last needs no LF) must hold ``width``
+    canonical int64 decimals, as ``_INTS`` reads them, separated by single
+    spaces; the first line that does not raises its ``FormatError``.  The
+    cells come back flat.  The lines are read as bytes, ``_BLOCK`` bytes of
+    whole lines at a time; a character that is not ASCII reads as ``?``,
+    which no row may hold, so byte offsets are character offsets.
+    """
+    data = block.encode("ascii", "replace")
+    if data and not data.endswith(b"\n"):
+        data += b"\n"
+    rows = data.count(b"\n")
+    # every valid row takes at least two bytes a cell, so the cells of the
+    # rows read before a bad one fit without allocating rows * width
+    cells = np.empty(min(rows * width, len(data) // 2), dtype=np.int64)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    lo = done = 0
+    overflow = False
+    while lo < len(data):
+        hi = data.find(b"\n", min(lo + _BLOCK, len(data)) - 1) + 1
+        values = _block_values(buf[lo:hi], width)
+        if isinstance(values, int):
+            start = data.rfind(b"\n", 0, lo + values) + 1
+            line = block[start : data.find(b"\n", lo + values)]
+            if line.startswith("#"):
+                raise FormatError("comments are only allowed before rows:")
+            raise FormatError(f"malformed row {line!r}")
+        values, out_of_range = values
+        cells[done : done + values.size] = values
+        done += values.size
+        overflow |= out_of_range
+        lo = hi
+    return rows, cells, overflow
+
+
+def _block_values(c: np.ndarray, width: int) -> int | tuple[np.ndarray, bool]:
+    """The symbols of ``c`` and whether one overflows int64, or a bad line's offset.
+
+    ``c`` holds whole lines, each ended by an LF.  A line is good when it
+    holds ``width`` tokens ``0`` or ``-?[1-9][0-9]{0,18}`` separated by
+    single spaces; if one is not, the offset of a byte of the first such
+    line comes back instead.  Magnitudes are read in uint64, which holds
+    every 19-digit one.
+    """
+    newline = c == 10
+    sep = newline | (c == 32)
+    after_sep = np.empty_like(sep)  # the byte before is a separator, or there is none
+    after_sep[0] = True
+    after_sep[1:] = sep[:-1]
+    digits = c - 48
+    digit = digits < 10
+    minus = c == 45
+    bad = ~(digit | sep | minus) | (sep & after_sep)  # a foreign byte or an empty token
+    # a sign starts a token and precedes 1-9; a leading 0 is the whole token
+    bad[:-1] |= minus[:-1] & ~(after_sep[:-1] & digit[1:] & (c[1:] != 48))
+    bad[:-1] |= (c[:-1] == 48) & after_sep[:-1] & digit[1:]
+    # the runs of digits; the last byte is an LF, so every run ends before it
+    first = np.flatnonzero(digit[1:] & ~digit[:-1]) + 1
+    if digit[0]:
+        first = np.concatenate(([0], first))
+    length = np.flatnonzero(digit[:-1] & ~digit[1:]) + 1 - first
+    ends = np.flatnonzero(newline)
+    # in lines with no bad byte every token holds one run of digits
+    miscounted = np.searchsorted(first, ends) != width * np.arange(1, ends.size + 1)
+    suspects = [np.argmax(bad) if bad.any() else c.size]
+    if length.size and length.max() > 19:
+        suspects.append(first[np.argmax(length > 19)])
+    if miscounted.any():
+        suspects.append(ends[np.argmax(miscounted)])
+    if min(suspects) < c.size:
+        return int(min(suspects))
+    magnitude = np.zeros(first.size, dtype=np.uint64)
+    for t in range(int(length.max())):
+        live = length > t
+        np.multiply(magnitude, 10, out=magnitude, where=live)
+        np.add(magnitude, digits.take(first + t, mode="clip"), out=magnitude, where=live)
+    negative = c.take(first - 1) == 45  # the byte before a run at 0 is the last, an LF
+    # int64 holds magnitudes up to 2^63 - 1, and 2^63 behind a sign
+    overflow = bool(((magnitude - negative) >> 63).any())
+    values = magnitude.view(np.int64)
+    np.negative(values, out=values, where=negative)
+    return values, overflow
+
+
 def parse_any(text: str):
     """Parse a moa v1 document; returns the kind-appropriate object.
 
     Plain arrays come back as a MixedArray; ``kind ds``/``kind hadamard``
     documents come back as DifferenceScheme/HadamardMatrix01.
     """
-    header, row_lines = _parse_header(text)
+    header, start = _parse_header(text)
     if "runs" not in header or "levels" not in header:
         raise FormatError("missing runs or levels header")
     runs = _ints(header["runs"], "runs")
     levels = tuple(_ints(header["levels"], "levels"))
     if "strength" in header and len(_ints(header["strength"], "strength")) != 1:
         raise FormatError(f"strength must be one integer, got {header['strength']!r}")
-    for line in row_lines:
-        if line.startswith("#"):
-            raise FormatError("comments are only allowed before rows:")
-        if not _INTS.fullmatch(line) or line.count(" ") != len(levels) - 1:
-            raise FormatError(f"malformed row {line!r}")
-    if runs != [len(row_lines)]:
-        raise FormatError(f"declared {header['runs']} rows, found {len(row_lines)}")
-    try:
-        cells = np.array(" ".join(row_lines).split(), dtype=np.int64)
-    except OverflowError as exc:
-        raise FormatError("symbol outside the int64 range") from exc
-    cells = cells.reshape(len(row_lines), len(levels))
+    rows, cells, overflow = _read_rows(text[start:], len(levels))
+    if runs != [rows]:
+        raise FormatError(f"declared {header['runs']} rows, found {rows}")
+    if overflow:
+        raise FormatError("symbol outside the int64 range")
+    cells = cells.reshape(rows, len(levels))
     kind = header.get("kind")
     if kind is None:
         return MixedArray(levels, cells)
@@ -160,9 +268,9 @@ def parse_any(text: str):
     if parts[0] == "hadamard":
         if len(parts) != 1:
             raise FormatError(f"malformed kind line {kind!r}")
-        if levels != (2,) * len(row_lines):
+        if levels != (2,) * rows:
             raise FormatError("a hadamard matrix has levels 2 on as many columns as runs")
-        return HadamardMatrix01(len(row_lines), cells)
+        return HadamardMatrix01(rows, cells)
     if parts[0] == "ds":
         if len(parts) not in (3, 4):
             raise FormatError(f"malformed kind line {kind!r}")

@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive counting: pure Python over explicit
 tuples, or, for the per-subset strength report and uniformity test, numpy
-counting one subset at a time.  None of it shares code with the package's
-kernels.
+counting one subset at a time.  The moa v1 reference reader matches one
+row line at a time against a regular expression.  None of it shares code
+with the package's kernels.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import combinations, product
@@ -409,3 +411,95 @@ def naive_canonical_search(levels, runs, counters, floor=None, budget=None, give
     except _BudgetSpent:
         return "budget", nodes, None
     return "exhausted", nodes, None
+
+
+# ---------------------------------------------------------------------------
+# moa v1, one line at a time
+
+_LINE_INTS = re.compile(r"(?:0|-?[1-9][0-9]{0,18})(?: (?:0|-?[1-9][0-9]{0,18}))*")
+
+
+def _line_ints(text, what):
+    from oakit.errors import FormatError
+
+    if not _LINE_INTS.fullmatch(text):
+        raise FormatError(f"{what} must be canonical int64 decimals, got {text!r}")
+    return [int(x) for x in text.split(" ")]
+
+
+def line_parse_any(text):
+    """The moa v1 reader as a per-line loop: every line is split out of the
+    text, each row is matched against a regular expression, and the rows
+    are joined and converted token by token.  It returns what ``parse_any``
+    returns and raises the same exception with the same message.
+    """
+    from oakit.algebra import AdditiveGroup, DifferenceScheme, HadamardMatrix01
+    from oakit.arrays import MixedArray
+    from oakit.errors import FormatError
+
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    pos, header, seen_version = 0, {}, False
+    while pos < len(lines):
+        line = lines[pos]
+        pos += 1
+        if line.startswith("#"):
+            continue
+        if line.strip() == "":
+            raise FormatError("blank line before rows:")
+        if not seen_version:
+            if line != "moa v1":
+                raise FormatError(f"expected 'moa v1' header, got {line!r}")
+            seen_version = True
+            continue
+        if line == "rows:":
+            break
+        try:
+            key, value = line.split(" ", 1)
+        except ValueError as exc:
+            raise FormatError(f"malformed header line {line!r}") from exc
+        if key not in ("kind", "runs", "levels", "strength"):
+            raise FormatError(f"unknown header key {key!r}")
+        if key in header:
+            raise FormatError(f"header key {key!r} given twice")
+        header[key] = value
+    else:
+        raise FormatError("missing rows: marker")
+    row_lines = lines[pos:]
+    if "runs" not in header or "levels" not in header:
+        raise FormatError("missing runs or levels header")
+    runs = _line_ints(header["runs"], "runs")
+    levels = tuple(_line_ints(header["levels"], "levels"))
+    if "strength" in header and len(_line_ints(header["strength"], "strength")) != 1:
+        raise FormatError(f"strength must be one integer, got {header['strength']!r}")
+    for line in row_lines:
+        if line.startswith("#"):
+            raise FormatError("comments are only allowed before rows:")
+        if not _LINE_INTS.fullmatch(line) or line.count(" ") != len(levels) - 1:
+            raise FormatError(f"malformed row {line!r}")
+    if runs != [len(row_lines)]:
+        raise FormatError(f"declared {header['runs']} rows, found {len(row_lines)}")
+    values = [int(x) for x in " ".join(row_lines).split()]
+    if any(not -(1 << 63) <= x < 1 << 63 for x in values):
+        raise FormatError("symbol outside the int64 range")
+    cells = np.array(values, dtype=np.int64).reshape(len(row_lines), len(levels))
+    kind = header.get("kind")
+    if kind is None:
+        return MixedArray(levels, cells)
+    parts = kind.split() or [""]
+    if parts[0] == "hadamard":
+        if len(parts) != 1:
+            raise FormatError(f"malformed kind line {kind!r}")
+        if levels != (2,) * len(row_lines):
+            raise FormatError("a hadamard matrix has levels 2 on as many columns as runs")
+        return HadamardMatrix01(len(row_lines), cells)
+    if parts[0] == "ds":
+        if len(parts) not in (3, 4):
+            raise FormatError(f"malformed kind line {kind!r}")
+        d, t = _line_ints(f"{parts[1]} {parts[2]}", "scheme order and strength")
+        tag = parts[3] if len(parts) == 4 else "mod"
+        if set(levels) != {d}:
+            raise FormatError("difference scheme levels must all equal its order")
+        return DifferenceScheme(cells, d, t, AdditiveGroup(d, tag), verify=True)
+    raise FormatError(f"unknown kind {parts[0]!r}")

@@ -1,6 +1,7 @@
 """Core predicates: strength, distances, irredundancy, column surgery."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oakit.algebra import (
 )
 from oakit.arrays import (
     MixedArray,
+    StrengthWitness,
     _bitsets_cheaper,
     _coset_weights,
     _pair_spectrum,
@@ -37,6 +39,7 @@ from oakit.constructions import (
     k_uniform_product,
     three_uniform_dm2n,
     trivial_moa,
+    two_uniform_3m2n,
     two_uniform_prime_power,
 )
 from oakit.errors import ParameterError
@@ -270,6 +273,47 @@ class TestStrengthCrossCheck:
             tracemalloc.stop()
         assert report.holds and report.index is None
         assert peak < 8 << 20
+
+
+class TestStrengthLoop:
+    """The subset loop's shared prefix codes, against the per-subset oracle at k = 1..5."""
+
+    @staticmethod
+    def _check(arr):
+        for k in range(1, min(arr.ncols, 5) + 1):
+            expected = strength_report_loop(arr.cells, arr.levels, k)
+            assert _as_oracle_report(_strength_loop(arr, k)) == expected, (arr, k)
+
+    def test_divisibility_witness_mid_scan(self):
+        # (0, 1, 2) is balanced; then (0, 1, 3) has level product 8, which
+        # does not divide 12, and (0, 1, 2) leaves codes of its prefix behind
+        full = trivial_moa((2, 2, 3))
+        arr = MixedArray((2, 2, 3, 2, 2), np.hstack([full.cells, full.cells[::-1, :2]]))
+        report = _strength_loop(arr, 3)
+        assert report.witness == StrengthWitness((0, 1, 3), None, None, Fraction(12, 8))
+        self._check(arr)
+
+    def test_one_corrupted_cell_in_each_column(self):
+        rng = np.random.default_rng(23)
+        base = bush_oa(7, 4)  # 2401 x 8, strength 4
+        base = MixedArray(base.levels, base.cells[rng.permutation(base.runs)])
+        self._check(base)
+        for j in range(base.ncols):
+            cells = base.cells.copy()
+            cells[int(rng.integers(base.runs)), j] += 1
+            cells[:, j] %= 7
+            arr = MixedArray(base.levels, cells)
+            self._check(arr)
+            for k in range(1, 5):  # every k-subset through column j is now unbalanced
+                assert j in _strength_loop(arr, k).witness.columns
+
+    def test_mixed_levels(self):
+        rng = np.random.default_rng(29)
+        full = trivial_moa((3, 2, 2, 4, 2, 3))  # 288 runs, strength 6
+        two = two_uniform_3m2n(1, 9)[0]  # 24 x 10 over 3^1 2^9, strength 2
+        for base in (full, two, concat_columns(full, select_columns(full, [4, 0]))):
+            for arr in (base, *_damaged(base, rng, 4, 2)):
+                self._check(arr)
 
 
 class TestDistanceSpectrum:

@@ -446,7 +446,7 @@ class TestFeasibleAndCatalog:
         code, out, _ = run(capsys, "catalog", "list")
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert code == 0
-        assert digest == "0ee6659dea5c77414e9f75501eaac474fcd6ee18954f79eb47e3f82a6910396d"
+        assert digest == "5a37074b9b2c758da1265456d9f2632a93a055a384f0aa10039c3b4b8051e7ab"
 
     def test_catalog_seed_for_an_entry_without_builder_exits_4(self, tmp_path, capsys):
         # no seed can build an entry that has no builder; it used to exit 3

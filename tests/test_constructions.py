@@ -320,6 +320,15 @@ class TestFamilies:
         arr, cert = two_uniform_3m2n(1, 21, host=seed_array("moa-36-3^2x2^2"))
         assert arr.profile() == "3^1 2^21" and cert.seeds == ("caller-host",)
 
+    @pytest.mark.parametrize("n", [9, 21])
+    def test_caller_host_with_its_ternary_column_inside(self, n):
+        # the host's ternary column sits between its binary ones; it used to
+        # be deleted as an inherited binary column, leaving 24 x 10 over 2^10
+        arr, cert = two_uniform_3m2n(1, n, host=trivial_moa((2, 3, 2)))
+        assert arr.profile() == f"3^1 2^{n}" and arr.levels[0] == 3
+        assert cert.verified and cert.seeds == ("caller-host",) and cert.measured_md >= 3
+        assert verify_strength(arr, 2).holds
+
     def test_d4_family(self):
         arr, cert = two_uniform_dm2n(4, 1, 7)
         assert arr.profile() == "4^1 2^7" and cert.measured_md >= 3

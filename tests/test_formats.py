@@ -15,9 +15,10 @@ from oakit.arrays import (
     is_irredundant,
     verify_strength,
 )
-from oakit.constructions import trivial_moa
+from oakit.constructions import bush_oa, trivial_moa
 from oakit.errors import FormatError, OakitError, ParameterError, VerificationError
 from oakit.formats import (
+    _read_rows,
     parse_any,
     parse_array,
     serialize_array,
@@ -25,6 +26,8 @@ from oakit.formats import (
     serialize_scheme,
     verification_report,
 )
+
+from oracles import line_parse_any
 
 
 def test_canonical_layout():
@@ -48,52 +51,52 @@ def test_comments_allowed_before_rows():
     assert parse_array(text) == MixedArray.from_rows((2, 2), [[0, 1]])
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "moa v2\nruns 1\nlevels 2\nrows:\n0\n",
-        "moa v1\nruns 2\nlevels 2\nrows:\n0\n",          # row count mismatch
-        "moa v1\nruns 1\nlevels 2\nrows:\n0 1\n",        # row width mismatch
-        "moa v1\nruns 1\nlevels 2\nrows:\n 0\n",         # leading whitespace
-        "moa v1\nруны 1\nlevels 2\nrows:\n0\n",          # malformed header key
-        "moa v1\nruns 1\nlevels 2\n0\n",                 # missing rows:
-        "moa v1\nruns 1\nlevels 2\nrows:\n+1\n",        # integers must read
-        "moa v1\nruns 1\nlevels 2\nrows:\n0_0\n",       # as str(int(token))
-        "moa v1\nruns 1\nlevels 2\nrows:\n\u0661\n",     # Arabic-Indic one
-        "moa v1\nruns 1\nlevels 2\nrows:\n01\n",
-        "moa v1\nruns 1\nlevels 2\nrows:\n-0\n",
-        "moa v1\nruns +1\nlevels 2\nrows:\n0\n",
-        "moa v1\nruns 1\nlevels 0_2\nrows:\n0\n",
-        "moa v1\nruns 1\nlevels 2  2\nrows:\n0 0\n",
-        "moa v1\nruns 1\nruns 1\nlevels 2\nrows:\n0\n",  # repeated key
-        "moa v1\nruns 1\nfoo bar\nlevels 2\nrows:\n0\n",  # unknown key
-        "moa v1\nruns 1\nlevels 2\nstrength banana\nrows:\n0\n",
-        "moa v1\nruns 1\nlevels 2\nstrength 1 1\nrows:\n0\n",
-    ],
-)
+_MALFORMED = [
+    "moa v2\nruns 1\nlevels 2\nrows:\n0\n",
+    "moa v1\nruns 2\nlevels 2\nrows:\n0\n",          # row count mismatch
+    "moa v1\nruns 1\nlevels 2\nrows:\n0 1\n",        # row width mismatch
+    "moa v1\nruns 1\nlevels 2\nrows:\n 0\n",         # leading whitespace
+    "moa v1\nруны 1\nlevels 2\nrows:\n0\n",          # malformed header key
+    "moa v1\nruns 1\nlevels 2\n0\n",                 # missing rows:
+    "moa v1\nruns 1\nlevels 2\nrows:\n+1\n",        # integers must read
+    "moa v1\nruns 1\nlevels 2\nrows:\n0_0\n",       # as str(int(token))
+    "moa v1\nruns 1\nlevels 2\nrows:\n\u0661\n",     # Arabic-Indic one
+    "moa v1\nruns 1\nlevels 2\nrows:\n01\n",
+    "moa v1\nruns 1\nlevels 2\nrows:\n-0\n",
+    "moa v1\nruns +1\nlevels 2\nrows:\n0\n",
+    "moa v1\nruns 1\nlevels 0_2\nrows:\n0\n",
+    "moa v1\nruns 1\nlevels 2  2\nrows:\n0 0\n",
+    "moa v1\nruns 1\nruns 1\nlevels 2\nrows:\n0\n",  # repeated key
+    "moa v1\nruns 1\nfoo bar\nlevels 2\nrows:\n0\n",  # unknown key
+    "moa v1\nruns 1\nlevels 2\nstrength banana\nrows:\n0\n",
+    "moa v1\nruns 1\nlevels 2\nstrength 1 1\nrows:\n0\n",
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED)
 def test_malformed_documents(text):
     with pytest.raises(FormatError):
         parse_array(text)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "moa v1\nruns 1\nlevels 2\nrows:\n" + "9" * 20 + "\n",  # symbol past int64
-        "moa v1\nruns 1\nlevels 2\nrows:\n-" + "9" * 20 + "\n",  # and below it
-        "moa v1\nkind \nruns 1\nlevels 2\nrows:\n0\n",  # empty kind
-        "moa v1\nkind ds x 2\nruns 1\nlevels 2\nrows:\n0\n",  # non-integer order
-        "moa v1\nkind ds 2 y\nruns 1\nlevels 2\nrows:\n0\n",  # non-integer strength
-        # a valid D(2, 2, 2) scheme but for a non-canonical order or strength
-        "moa v1\nkind ds +2 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
-        "moa v1\nkind ds 2 0_2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
-        "moa v1\nkind ds \u0662 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
-        # a hadamard document declares levels 2 on as many columns as runs
-        "moa v1\nkind hadamard\nruns 2\nlevels 5 7\nrows:\n0 0\n0 1\n",
-        "moa v1\nkind hadamard\nruns 2\nlevels 2\nrows:\n0\n0\n",
-        "moa v1\nkind hadamard 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
-    ],
-)
+_DAMAGED = [
+    "moa v1\nruns 1\nlevels 2\nrows:\n" + "9" * 20 + "\n",  # symbol past int64
+    "moa v1\nruns 1\nlevels 2\nrows:\n-" + "9" * 20 + "\n",  # and below it
+    "moa v1\nkind \nruns 1\nlevels 2\nrows:\n0\n",  # empty kind
+    "moa v1\nkind ds x 2\nruns 1\nlevels 2\nrows:\n0\n",  # non-integer order
+    "moa v1\nkind ds 2 y\nruns 1\nlevels 2\nrows:\n0\n",  # non-integer strength
+    # a valid D(2, 2, 2) scheme but for a non-canonical order or strength
+    "moa v1\nkind ds +2 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+    "moa v1\nkind ds 2 0_2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+    "moa v1\nkind ds \u0662 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+    # a hadamard document declares levels 2 on as many columns as runs
+    "moa v1\nkind hadamard\nruns 2\nlevels 5 7\nrows:\n0 0\n0 1\n",
+    "moa v1\nkind hadamard\nruns 2\nlevels 2\nrows:\n0\n0\n",
+    "moa v1\nkind hadamard 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+]
+
+
+@pytest.mark.parametrize("text", _DAMAGED)
 def test_damaged_documents_raise_format_error(text):
     with pytest.raises(FormatError):
         parse_any(text)
@@ -128,8 +131,112 @@ def test_tiny_scheme_rejected_without_cost_in_its_order(order, tag):
     assert str(exc.value).endswith(f"witness {witness}")
 
 
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the object, or its error's type and message."""
+    try:
+        obj = parse(text)
+    except OakitError as exc:
+        return type(exc), str(exc)
+    return type(obj), obj
+
+
+def _rows_document(rows, levels, runs=None):
+    head = f"moa v1\nruns {len(rows) if runs is None else runs}\nlevels {' '.join(map(str, levels))}\nrows:\n"
+    return head + "".join(row + "\n" for row in rows)
+
+
+_MAX, _MIN = str((1 << 63) - 1), str(-(1 << 63))
+# ten thousand rows of one document span many of the reader's byte blocks
+_TALL = [" ".join(str((i * 7 + j) % 12) for j in range(3)) for i in range(10000)]
+_EDGE_DOCUMENTS = [
+    "moa v1\r\nruns 1\r\nlevels 2\r\nrows:\r\n0\r\n",  # CRLF
+    "moa v1\nruns 2\nlevels 2 2\nrows:\n0 1\r\n1 0\r\n",
+    _rows_document(["0\t1", "1 0"], (2, 2)),  # a tab
+    _rows_document(["0 1 ", "1 0"], (2, 2)),  # a trailing space
+    _rows_document(["0 1", "", "1 0"], (2, 2), runs=2),  # a blank line between rows
+    _rows_document(["0 1", "", "1 0"], (2, 2), runs=3),
+    _rows_document(["0 1", "# late", "1 0"], (2, 2)),  # a comment after rows:
+    _rows_document(["# late", "0 1"], (2, 2)),
+    "moa v1\nruns 1\nlevels 2 2\nrows:\n0 1",  # no final LF
+    "moa v1\nruns 1\nlevels 2 2\nrows:\n0 1\n\n",
+    "moa v1\nruns 0\nlevels 2\nrows:\n",
+    "moa v1\nruns 1\nlevels 2\nrows:",
+    _rows_document(["00"], (2,)),
+    _rows_document(["-00"], (2,)),
+    _rows_document(["1-1"], (2,)),
+    _rows_document(["--1"], (2,)),
+    _rows_document(["1 -"], (2, 2)),
+    _rows_document(["0 0", "0 \ud800"], (2, 2)),  # a lone surrogate
+    # tokens of 18, 19 and 20 digits, at and past the int64 range
+    *(_rows_document([sign + digits], (2,)) for sign in ("", "-") for digits in
+      ("9" * 18, "1" + "0" * 17, "9" * 19, _MAX, str(1 << 63), "9" * 20, "1" + "0" * 19)),
+    _rows_document([_MAX, _MIN], (2,)),
+    _rows_document([_MIN + " " + _MAX], (2, 2)),
+    # the first bad row is reported, whatever follows it
+    _rows_document(["0 1", "0 01", "# late", "9" * 20 + " 0"], (2, 2)),
+    _rows_document(["0 1", "# late", "0 01"], (2, 2)),
+    _rows_document(["9" * 19 + " 0", "0 0 0"], (2, 2)),  # a bad row beats an overflow
+    _rows_document(["9" * 19 + " 0"], (2, 2), runs=2),  # and so does the row count
+    # multi-digit symbols
+    _rows_document(["11 99 999", "10 0 100", "0 10 1", "1 9 10"], (12, 100, 1000)),
+    _rows_document(["12 0 0"], (12, 100, 1000)),
+    _rows_document(["0 100 0"], (12, 100, 1000)),
+    _rows_document(["0 0 1000"], (12, 100, 1000)),
+    serialize_scheme(ds_linear(11, 1)),
+    # tall documents: the same reports from the last of many blocks
+    _rows_document(_TALL, (12, 12, 12)),
+    _rows_document(_TALL, (12, 12, 12), runs=9999),
+    _rows_document(_TALL[:-1] + ["0 1 x"], (12, 12, 12)),
+    _rows_document(_TALL[:-1] + ["0 1"], (12, 12, 12)),
+    _rows_document(_TALL[:-1] + ["# late"], (12, 12, 12)),
+    _rows_document(["9" * 19 + " 0 0", *_TALL[1:-1], "0 1"], (12, 12, 12)),
+    _rows_document(["9" * 19 + " 0 0", *_TALL[1:]], (12, 12, 12)),
+    _rows_document(["9" * 19 + " 0 0", *_TALL[1:]], (12, 12, 12), runs=1),
+    _rows_document([*_TALL[:-1], "-" + "9" * 19 + " 0 0"], (12, 12, 12)),
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED + _DAMAGED + _EDGE_DOCUMENTS, ids=lambda text: text[:40])
+def test_rows_read_as_the_line_reader_reads_them(text):
+    # the same object, or the same exception type and message
+    assert _outcome(parse_any, text) == _outcome(line_parse_any, text)
+
+
+def test_edge_documents_reach_every_outcome():
+    outcomes = {_outcome(line_parse_any, text)[0] for text in _EDGE_DOCUMENTS}
+    assert {MixedArray, DifferenceScheme, FormatError, ParameterError} <= outcomes
+    messages = {str(_outcome(line_parse_any, text)[1]) for text in _EDGE_DOCUMENTS}
+    assert "symbol outside the int64 range" in messages
+    assert "comments are only allowed before rows:" in messages
+    assert any(m.startswith("declared ") for m in messages)
+    # no array holds a negative symbol, so the reader is asked for them directly
+    rows, cells, overflow = _read_rows(f"{_MAX} {_MIN}\n-1 10\n-{_MAX} 0", 2)
+    assert (rows, cells.tolist(), overflow) == (3, [(1 << 63) - 1, -(1 << 63), -1, 10, 1 - (1 << 63), 0], False)
+    top = parse_array(_rows_document([str((1 << 63) - 2), "0"], ((1 << 63) - 1,)))
+    assert top.cells[:, 0].tolist() == [(1 << 63) - 2, 0]
+
+
+def test_tall_document_memory_is_bounded():
+    # bush_oa(11, 4) is 14641 x 12; its int64 cells alone take 1.34 MiB, and
+    # the text is 0.35 MB.  The line reader's list of lines and of tokens
+    # peaked at 4.6 MiB
+    array = bush_oa(11, 4)
+    tracemalloc.start()
+    try:
+        text = serialize_array(array)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert parse_array(text) == array
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert written < 3 << 19 and read < 4 << 20
+
+
 _VALID_DOCUMENTS = [
     serialize_array(trivial_moa((3, 2)), strength=2),
+    serialize_array(trivial_moa((12, 2)), strength=2),
+    _rows_document(["11 99 999", "10 0 100", "0 10 1", "1 9 10"], (12, 100, 1000)),
     serialize_scheme(ds_linear(3, 1)),
     serialize_scheme(ds_linear(4, 1)),
     serialize_hadamard(hadamard01(4)),
