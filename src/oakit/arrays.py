@@ -197,12 +197,15 @@ def verify_strength(array: MixedArray, k: int) -> StrengthReport:
     its lexicographically first bad tuple are reported.  A subset whose level
     product does not divide r fails with a divisibility witness.
 
-    Two exact counting paths give the same report.  The subset loop makes
-    one ``bincount`` of mixed-radix codes per k-subset.  The row-set path,
-    at k = 2 and 3 only, counts from packed r-bit row sets, one per (column,
-    symbol), with popcounts of their ANDs; it pays off on wide arrays with
-    few levels.  ``_bitsets_cheaper`` estimates the full-scan time of both
-    from the shape alone and picks one per call.
+    The row sets vouch and the loop reports.  The subset loop,
+    ``_strength_loop``, makes one ``bincount`` of mixed-radix codes per
+    k-subset and builds every report.  Once its first subset holds, and
+    ``_bitsets_cheaper`` expects a full scan from packed r-bit row sets to
+    cost less than one by the loop (from the shape alone; at k = 2 and 3
+    only), it asks the row sets, ``_strength_bitsets``, for the first subset
+    they cannot vouch for, and resumes there, or holds if there is none.
+    The row sets pay off on wide arrays with few levels; they can only
+    answer "holds", so every report is that of the lexicographic scan.
     """
     n = array.ncols
     if k < 0:
@@ -211,13 +214,6 @@ def verify_strength(array: MixedArray, k: int) -> StrengthReport:
         raise ParameterError(f"strength {k} exceeds column count {n}")
     if k == 0:
         return StrengthReport(0, True, array.runs)
-    # random arrays and too high a k fail on the first subset: one bincount
-    # settles them, where the row sets would be packed first
-    witness = _subset_witness(array, tuple(range(k)))
-    if witness is not None:
-        return _report(array, k, witness)
-    if _bitsets_cheaper(array.levels, array.runs, k):
-        return _strength_bitsets(array, k)
     return _strength_loop(array, k)
 
 
@@ -252,35 +248,6 @@ def _bitsets_cheaper(levels: tuple[int, ...], r: int, k: int) -> bool:
     return bitsets < comb(n, k) * (_SUBSET_NS + _ROW_NS * r)
 
 
-def _report(array: MixedArray, k: int, witness: StrengthWitness | None) -> StrengthReport:
-    """The report of a finished scan; ``witness`` is its first failure, if any."""
-    if witness is not None:
-        return StrengthReport(k, False, None, witness)
-    # every k-subset has the same level product iff all levels are equal or
-    # there is only one subset: otherwise swapping in a column of another
-    # level changes it
-    levels = array.levels
-    if len(set(levels)) > 1 and k < len(levels):
-        return StrengthReport(k, True, None)
-    return StrengthReport(k, True, array.runs // prod(levels[:k]))
-
-
-def _subset_witness(array: MixedArray, subset: tuple[int, ...]) -> StrengthWitness | None:
-    """Why ``subset`` is not balanced (divisibility or first bad tuple), or None."""
-    r = array.runs
-    dims = [array.levels[j] for j in subset]
-    d_prod = prod(dims)
-    if r % d_prod != 0:
-        return StrengthWitness(subset, None, None, Fraction(r, d_prod))
-    lam = r // d_prod
-    counts = np.bincount(subset_codes(array.cells, array.levels, subset), minlength=d_prod)
-    bad = np.flatnonzero(counts != lam)
-    if not bad.size:
-        return None
-    code = int(bad[0])
-    return StrengthWitness(subset, decode(code, dims), int(counts[code]), Fraction(lam))
-
-
 def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
     """The subset loop: one ``bincount`` per k-subset, in lexicographic order.
 
@@ -290,9 +257,12 @@ def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
     subsets share a prefix, so a subset costs one multiply-add per position
     from the first one that changed, most often the last alone.  A subset's
     level product is checked to divide r before any of its codes are built,
-    so every code is below r.  Its counts, which sum to r over as many bins
-    as the product, are all the index iff their maximum is.  The first
-    failing subset is recounted by ``_subset_witness`` for its witness.
+    so every code is below r; the product it fails with is its divisibility
+    witness.  Its counts, which sum to r over as many bins as the product,
+    are all the index iff their maximum is; otherwise the smallest
+    miscounted code is its first bad tuple.  Once the first subset holds,
+    the row sets may vouch for a run of subsets (see ``verify_strength``),
+    and the scan resumes at the first one they do not vouch for.
     """
     r, n = array.cells.shape
     levels = array.levels
@@ -301,29 +271,49 @@ def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
     dims = [1] * (k + 1)  # dims[i + 1]: the level product of the first i + 1 columns
     subset = list(range(k))
     changed = 0  # the first position of subset that differs from the last one scanned
+    vouch = _bitsets_cheaper(levels, r, k)  # whether the row sets still get their turn
     while True:
         for i in range(changed, k):
             dims[i + 1] = dims[i] * levels[subset[i]]
         if r % dims[k]:
-            return _report(array, k, _subset_witness(array, tuple(subset)))
+            witness = StrengthWitness(tuple(subset), None, None, Fraction(r, dims[k]))
+            return StrengthReport(k, False, None, witness)
         for i in range(changed, k):
             if i == 0:
                 codes[0] = columns[subset[0]]
             else:
                 np.multiply(codes[i - 1], levels[subset[i]], out=codes[i])
                 codes[i] += columns[subset[i]]
-        if np.bincount(codes[k - 1], minlength=dims[k]).max() != r // dims[k]:
-            return _report(array, k, _subset_witness(array, tuple(subset)))
+        counts = np.bincount(codes[k - 1], minlength=dims[k])
+        lam = r // dims[k]
+        if counts.max() != lam:
+            code = int(np.argmax(counts != lam))
+            symbols = decode(code, [levels[j] for j in subset])
+            witness = StrengthWitness(tuple(subset), symbols, int(counts[code]), Fraction(lam))
+            return StrengthReport(k, False, None, witness)
+        if vouch:
+            vouch = False
+            start = _strength_bitsets(array, k)
+            if start is None:
+                break
+            subset, changed = list(start), 0
+            continue
         # the next subset in lexicographic order: raise the last position
         # that can still rise and restart the ones after it
         changed = k - 1
         while changed >= 0 and subset[changed] == n - k + changed:
             changed -= 1
         if changed < 0:
-            return _report(array, k, None)
+            break
         subset[changed] += 1
         for i in range(changed + 1, k):
             subset[i] = subset[i - 1] + 1
+    # every k-subset has the same level product iff all levels are equal or
+    # there is only one subset: otherwise swapping in a column of another
+    # level changes it
+    if len(set(levels)) > 1 and k < n:
+        return StrengthReport(k, True, None)
+    return StrengthReport(k, True, r // prod(levels[:k]))
 
 
 def _row_sets(array: MixedArray) -> tuple[np.ndarray, list[int]]:
@@ -351,12 +341,13 @@ def _miscounted(
     left: np.ndarray, right: np.ndarray, left_d: np.ndarray, right_d: np.ndarray, r: int
 ) -> np.ndarray:
     """``out[a, b]``: whether the rows that ``left[:, a]`` and ``right[:, b]``
-    share number other than r // (left_d[a] * right_d[b]).
+    share number other than r / (left_d[a] * right_d[b]).
 
-    Both row-set operands are word-major.  The ANDed words are counted in
-    tiles of at most ``_TILE_CELLS`` words, and each tile's counts are
-    compared with their lambdas before the next tile, so memory stays
-    bounded for any slot counts.
+    A count is right iff it times the level product is r, so a product
+    that does not divide r always miscounts.  Both row-set operands are
+    word-major.  The ANDed words are counted in tiles of at most
+    ``_TILE_CELLS`` words, and each tile's counts are checked before the
+    next tile, so memory stays bounded for any slot counts.
     """
     w, a = left.shape
     b = right.shape[1]
@@ -375,51 +366,52 @@ def _miscounted(
             np.bitwise_and(left[:, lo:hi, None], right[:, None, start:stop], out=t)
             p = np.bitwise_count(t, out=bits[: t.size].reshape(t.shape))
             c = np.add.reduce(p, axis=0, out=counts[: shape[0] * shape[1]].reshape(shape))
-            lam = r // (left_d[lo:hi, None] * right_d[start:stop])
-            np.not_equal(c, lam, out=out[lo:hi, start:stop])
+            product = left_d[lo:hi, None] * right_d[start:stop]
+            np.not_equal(c * product, r, out=out[lo:hi, start:stop])
     return out
 
 
-def _strength_bitsets(array: MixedArray, k: int) -> StrengthReport:
-    """The row-set path, at k = 2 or 3: popcounts of ANDed row sets, in blocks.
+def _strength_bitsets(array: MixedArray, k: int) -> tuple[int, ...] | None:
+    """The row-set voucher, at k = 2 or 3: the first k-subset it cannot vouch for.
 
-    Each (k - 2)-column prefix, in lexicographic order, has the row sets of
-    its symbol tuples: at k = 2 the empty prefix's one tuple, met by every
-    row, and at k = 3 a column's own row sets.  A table of counts over two
-    next columns (a, b) is all lambda iff its two margins are, which are the
-    counts of prefix + (a) and prefix + (b), and so is the box without the
-    last symbol of a and of b.  So each prefix counts its margins once, and
-    then the box of every pair, in blocks of consecutive columns a, each
-    against every column after the block's first.  The blocks cover the
-    subsets prefix + (a, b) in lexicographic order, so the first block with
-    a failing pair holds the first failing subset, and that one subset is
-    recounted by ``_subset_witness`` for its witness.  A block ANDs at most
-    an eighth of a tile of words (or one column's worth), so an early
-    failure costs little more than its margins.
+    Every k-subset before the one returned is balanced; None vouches for
+    all of them.  Each (k - 2)-column prefix, in lexicographic order, has
+    the row sets of its symbol tuples: at k = 2 the empty prefix's one
+    tuple, met by every row, and at k = 3 a column's own row sets.  A table
+    of counts over two next columns (a, b) is all lambda iff its two
+    margins are, which are the counts of prefix + (a) and prefix + (b), and
+    so is the box without the last symbol of a and of b.  So each prefix
+    counts the margins of its later columns once; one that miscounts stops
+    the vouching at the prefix's first subset.  Then it counts the box of
+    every pair, in blocks of consecutive columns a, each against every
+    column after the block's first; a slot pair (a < b) that miscounts,
+    which it does whenever the pair's level product times the prefix's
+    does not divide r, stops it at the block's first subset.  A block ANDs
+    at most an eighth of a tile of words (or one column's worth), so an
+    early failure costs little more than its margins.
     """
     r, n = array.cells.shape
     levels = array.levels
     sets, offsets = _row_sets(array)
     d = np.asarray(levels, dtype=np.int64)
+    slot_levels = np.repeat(d, d)
     # the box's row sets: every column's slots but its last, from starts[c] on
     box = np.ascontiguousarray(np.delete(sets, np.subtract(offsets[1:], 1), axis=1))
     box_levels = np.repeat(d, d - 1)
+    box_column = np.repeat(np.arange(n), d - 1)
     starts = np.subtract(offsets, np.arange(n + 1))
-    ordered = np.arange(n)[:, None] < np.arange(n)  # column pairs (a, b) with a < b
     if k == 2:
         everyone = np.bitwise_or.reduce(sets[:, : levels[0]], axis=1, keepdims=True)
         prefixes = [((), 1, everyone)]
     else:  # the columns that leave two later ones
         prefixes = (((c,), levels[c], sets[:, offsets[c] : offsets[c + 1]]) for c in range(n - 2))
     for prefix, d_prefix, prefix_sets in prefixes:
-        # per column c: whether prefix + (c) fails (meaningless for c in the prefix)
-        left_d = np.full(prefix_sets.shape[1], d_prefix)
-        margin = _miscounted(prefix_sets, sets, left_d, np.repeat(d, d), r).any(axis=0)
-        margin = np.logical_or.reduceat(margin, offsets[:-1]) | (r % (d_prefix * d) != 0)
-        # the column pairs that fail without a count of their box
-        uncounted = (margin[:, None] | margin | (r % (d_prefix * np.outer(d, d)) != 0)) & ordered
-        w, tuples = prefix_sets.shape
         j = prefix[-1] + 1 if prefix else 0
+        later = slice(offsets[j], None)
+        left_d = np.full(prefix_sets.shape[1], d_prefix)
+        if _miscounted(prefix_sets, sets[:, later], left_d, slot_levels[later], r).any():
+            return (*prefix, j, j + 1)
+        w, tuples = prefix_sets.shape
         while j < n - 1:
             right = slice(starts[j + 1], starts[n])
             width = right.stop - right.start
@@ -431,17 +423,10 @@ def _strength_bitsets(array: MixedArray, k: int) -> StrengthReport:
             left_d = np.tile(d_prefix * box_levels[left], tuples)
             bad = _miscounted(left_sets, box[:, right], left_d, box_levels[right], r)
             bad = bad.reshape(tuples, -1, width).any(axis=0)
-            fail = uncounted[j:end, j + 1 :]
-            if bad.any():  # per column pair (a, b), kept where a < b
-                bad = np.logical_or.reduceat(bad, starts[j:end] - left.start, axis=0)
-                bad = np.logical_or.reduceat(bad, starts[j + 1 : -1] - right.start, axis=1)
-                fail = fail | (bad & ordered[j:end, j + 1 :])
-            if fail.any():
-                a = int(np.argmax(fail.any(axis=1)))
-                subset = (*prefix, j + a, j + 1 + int(np.argmax(fail[a])))
-                return _report(array, k, _subset_witness(array, subset))
+            if (bad & (box_column[left, None] < box_column[right])).any():
+                return (*prefix, j, j + 1)
             j = end
-    return _report(array, k, None)
+    return None
 
 
 def _split_radices(d: int) -> tuple[int, ...]:
@@ -470,7 +455,9 @@ def _coset_weights(array: MixedArray) -> np.ndarray | None:
     its prime-power factors as GF(q) digits (``_split_radices``).  For such
     an array the differences between a row and the others run over
     H \\ {0} once, whatever the row, so the distances from row 0 are the
-    distances from every row.
+    distances from every row.  A level above 2^32 returns None before it
+    is factored: trial division up to its square root could take minutes,
+    and no builder makes one.
 
     The check is exact.  A few sums of rows are looked for among the rows
     first, which rejects most other arrays for the cost of a few scans.
@@ -484,6 +471,8 @@ def _coset_weights(array: MixedArray) -> np.ndarray | None:
     levels = array.levels
     r, n = array.cells.shape
     if r == 1 or prod(levels) % r:  # |H| divides the order of the product
+        return None
+    if max(levels) > 1 << 32:  # no level is split by more than 2^16 trial divisions
         return None
     narrow = np.ascontiguousarray(array.cells, dtype=_narrowest_unsigned(2 * max(levels)))
     split_level = {d: _split_radices(d) for d in set(levels)}

@@ -63,8 +63,9 @@ def _ints(text: str, what: str) -> tuple[int, ...]:
 
 
 def _read_text(path: str) -> str:
+    """The file's bytes as UTF-8, with no newline translation: moa v1 is LF-only."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

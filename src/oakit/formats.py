@@ -19,12 +19,13 @@ absent means ``mod``) or ``kind hadamard``, whose levels are 2 on as many
 columns as runs.  Serialization is bit-exact canonical: single spaces, no
 trailing whitespace, LF endings, integers as ``str(int)`` prints them
 (ASCII decimal; no ``+``, ``_`` or leading zeros), and parsing insists on it.
+Header integers and rows are read by one reader, which range-checks every
+integer against int64.
 """
 
 from __future__ import annotations
 
 import json
-import re
 
 import numpy as np
 
@@ -146,25 +147,24 @@ def _parse_header(text: str) -> tuple[dict[str, str], int]:
     raise FormatError("missing rows: marker")
 
 
-# tokens with str(int(token)) == token, at most the 19 digits of an int64
-_INTS = re.compile(r"(?:0|-?[1-9][0-9]{0,18})(?: (?:0|-?[1-9][0-9]{0,18}))*")
-
-
 def _ints(text: str, what: str) -> list[int]:
-    if not _INTS.fullmatch(text):
+    """The integers of a header value, read as ``_block_values`` reads a row."""
+    line = np.frombuffer(f"{text}\n".encode("ascii", "replace"), dtype=np.uint8)
+    values = _block_values(line, text.count(" ") + 1)
+    if isinstance(values, int) or values[1]:
         raise FormatError(f"{what} must be canonical int64 decimals, got {text!r}")
-    return [int(x) for x in text.split(" ")]
+    return values[0].tolist()
 
 
 def _read_rows(block: str, width: int) -> tuple[int, np.ndarray, bool]:
     """The rows after ``rows:``: their count, their cells and whether one overflows.
 
     Every line of ``block`` (the last needs no LF) must hold ``width``
-    canonical int64 decimals, as ``_INTS`` reads them, separated by single
-    spaces; the first line that does not raises its ``FormatError``.  The
-    cells come back flat.  The lines are read as bytes, ``_BLOCK`` bytes of
-    whole lines at a time; a character that is not ASCII reads as ``?``,
-    which no row may hold, so byte offsets are character offsets.
+    canonical int64 decimals separated by single spaces; the first line
+    that does not raises its ``FormatError``.  The cells come back flat.
+    The lines are read as bytes, ``_BLOCK`` bytes of whole lines at a time;
+    a character that is not ASCII reads as ``?``, which no row may hold, so
+    byte offsets are character offsets.
     """
     data = block.encode("ascii", "replace")
     if data and not data.endswith(b"\n"):

@@ -50,7 +50,7 @@ __all__ = [
     "is_ame",
 ]
 
-_DENSITY_DIMENSION_CAP = 1 << 14
+_DENSITY_DIMENSION_CAP = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,14 @@ def render_ket(state: SparseState) -> str:
 
 
 def reduced_density(array: MixedArray, subset) -> DensityMatrix:
-    """Exact reduction to the given parties by complement-projection grouping."""
+    """Exact reduction to the given parties by complement-projection grouping.
+
+    The rows are grouped by their projection off ``subset``, and the
+    ordered row pairs inside each group are counted with one ``bincount``
+    of their pair codes; every distinct count becomes one shared
+    ``Fraction``.  Dimensions above ``_DENSITY_DIMENSION_CAP`` are refused
+    before any counting: the dim x dim entries are Python objects.
+    """
     subset = tuple(int(j) for j in subset)
     n = array.ncols
     if not subset:
@@ -146,17 +153,20 @@ def reduced_density(array: MixedArray, subset) -> DensityMatrix:
             "use verify_k_uniform for the matrix-free check"
         )
     comp = [j for j in range(n) if j not in subset]
-    groups: dict[tuple[int, ...], list[int]] = {}
     codes = subset_codes(array.cells, array.levels, subset)
-    for i, key in enumerate(map(tuple, array.cells[:, comp].tolist())):
-        groups.setdefault(key, []).append(int(codes[i]))
+    group = np.unique(array.cells[:, comp], axis=0, return_inverse=True)[1].ravel()
+    codes = codes[np.argsort(group, kind="stable")]
+    sizes = np.bincount(group)
+    # the sorted rows of a group pair with every row of it, themselves included
+    size = np.repeat(sizes, sizes)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    partner = np.repeat(first - (np.cumsum(size) - size), size) + np.arange(size.sum())
+    counts = np.bincount(np.repeat(codes * dim, size) + codes[partner], minlength=dim * dim)
     r = array.runs
-    rho = [[Fraction(0)] * dim for _ in range(dim)]
-    for members in groups.values():
-        for a in members:
-            for b in members:
-                rho[a][b] += Fraction(1, r)
-    return DensityMatrix(subset, dims, tuple(tuple(row) for row in rho))
+    share = {c: Fraction(c, r) for c in np.unique(counts).tolist()}
+    rows = counts.reshape(dim, dim).tolist()
+    entries = tuple(tuple(map(share.__getitem__, row)) for row in rows)
+    return DensityMatrix(subset, dims, entries)
 
 
 def verify_k_uniform(array: MixedArray, k: int) -> UniformityReport:

@@ -424,7 +424,10 @@ def _line_ints(text, what):
 
     if not _LINE_INTS.fullmatch(text):
         raise FormatError(f"{what} must be canonical int64 decimals, got {text!r}")
-    return [int(x) for x in text.split(" ")]
+    values = [int(x) for x in text.split(" ")]
+    if any(not -(1 << 63) <= x < 1 << 63 for x in values):
+        raise FormatError(f"{what} must be canonical int64 decimals, got {text!r}")
+    return values
 
 
 def line_parse_any(text):

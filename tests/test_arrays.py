@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oakit import arrays
 from oakit.algebra import (
     column_vector,
     ds_linear,
@@ -218,24 +219,48 @@ def _strength_corpus():
 
 
 class TestStrengthCrossCheck:
-    """Both counting paths, and the dispatch, against the per-subset oracle, field by field."""
+    """The subset loop, the dispatch and the row-set voucher against the per-subset oracle."""
+
+    @staticmethod
+    def _check(arr, k):
+        expected = strength_report_loop(arr.cells, arr.levels, k)
+        for path in (verify_strength, _strength_loop):
+            report = path(arr, k)
+            assert report.strength_checked == k
+            assert _as_oracle_report(report) == expected, (path.__name__, arr, k)
+            if report.witness is not None:
+                assert all(type(c) is int for c in report.witness.columns)
+        if k in (2, 3):  # the row sets serve these strengths only
+            start = _strength_bitsets(arr, k)
+            # None exactly when the array holds; else no later than the first failure
+            if expected[0]:
+                assert start is None, (arr, k, start)
+            else:
+                assert start is not None and start <= expected[2][0], (arr, k, start)
+        return expected
 
     def test_both_paths_match_the_oracle(self):
         verdicts, witnesses = set(), set()
         for arr, k in _strength_corpus():
-            expected = strength_report_loop(arr.cells, arr.levels, k)
-            paths = [verify_strength, _strength_loop]
-            if k in (2, 3):  # the row-set path serves these strengths only
-                paths.append(_strength_bitsets)
-            for path in paths:
-                report = path(arr, k)
-                assert report.strength_checked == k
-                assert _as_oracle_report(report) == expected, (path.__name__, arr, k)
-                if report.witness is not None:
-                    assert all(type(c) is int for c in report.witness.columns)
+            expected = self._check(arr, k)
             verdicts.add(expected[0])
             witnesses.add(expected[2] is not None and expected[2][1] is None)
         assert verdicts == {True, False} and witnesses == {True, False}
+
+    @pytest.mark.parametrize(
+        "build, args, k, first",
+        [
+            (three_uniform_dm2n, (5, 5, 100), 3, (0, 104, 105)),  # 1000 x 105
+            (two_uniform_prime_power, (4, 4), 2, (256, 257)),  # 1024 x 257
+        ],
+    )
+    def test_late_witness(self, build, args, k, first):
+        # the last column appended again: only the subsets holding both
+        # copies fail, and the first of them comes late in the scan
+        base = build(*args)[0]
+        arr = concat_columns(base, select_columns(base, [base.ncols - 1]))
+        assert _bitsets_cheaper(arr.levels, arr.runs, k)
+        assert self._check(arr, k)[2][0] == first
 
     def test_dispatch_by_cost(self):
         # tall arrays with many levels keep the subset loop: bush_oa(11, 4),
@@ -257,7 +282,7 @@ class TestStrengthCrossCheck:
     def test_memory_stays_bounded(self):
         # OA(1024, 256^1 2^256, 2): a in Z_256, b in Z_2, and the 2-level
         # columns l(a) + b for every linear form l on the bits of a.  The first
-        # block of _strength_bitsets ANDs the 256-level column's 255 box slots
+        # block of the row-set voucher ANDs the 256-level column's 255 box slots
         # against the 256 slots after it, 255 x 256 pairs of 16-word row sets:
         # 8 MiB, were it not tiled
         a, b = np.divmod(np.arange(512), 2)
@@ -267,11 +292,11 @@ class TestStrengthCrossCheck:
         arr = MixedArray((256,) + (2,) * 256, np.vstack([cells, cells]))
         tracemalloc.start()
         try:
-            report = _strength_bitsets(arr, 2)
+            start = _strength_bitsets(arr, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.holds and report.index is None
+        assert start is None
         assert peak < 8 << 20
 
 
@@ -483,6 +508,19 @@ class TestCosetPath:
         arr, _ = two_uniform_prime_power(4, 4)  # 1024 x 257, its index column over 256 levels
         assert max(arr.levels) == 256
         assert _coset_weights(arr) is not None
+        assert distance_spectrum(arr) == _pair_spectrum(arr)
+
+    def test_level_past_two_to_the_32_is_not_factored(self, monkeypatch):
+        # the largest prime below 2^63: trial division up to its square root
+        # would take minutes, so such a level goes to the pairs unfactored
+        p = 9223372036854775783
+        arr = MixedArray((p, 2), [[0, 0], [p - 1, 1]])
+
+        def refuse(d):
+            raise AssertionError(f"{d} was factored")
+
+        monkeypatch.setattr(arrays, "_prime_factors", refuse)
+        assert _coset_weights(arr) is None
         assert distance_spectrum(arr) == _pair_spectrum(arr)
 
     def test_thm7_state_over_gf8(self):

@@ -116,6 +116,22 @@ class TestUnreadablePaths:
         assert code == 4 and err.startswith("error: ")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "{crlf}", "--strength", "1"),
+            ("catalog", "build", "table5/12^1x6^6", "--seed", "{crlf}"),
+        ],
+        ids=["verify", "catalog-seed"],
+    )
+    def test_crlf_file_is_parsed_as_its_bytes(self, tmp_path, capsys, argv):
+        # moa v1 is LF-only: a file must reach the parser untranslated
+        crlf = tmp_path / "crlf.moa"
+        crlf.write_bytes(serialize_array(trivial_moa((2, 2))).replace("\n", "\r\n").encode())
+        code, _, err = run(capsys, *(a.format(crlf=crlf) for a in argv))
+        assert code == 4 and "expected 'moa v1' header, got 'moa v1\\r'" in err
+
+
 # One command line per subcommand, well-formed when {path} is the 4-run
 # array file and {rep} a 2-run replacement, with the exit code it documents
 # undamaged; the fuzz test below fills in a path and damages the line.

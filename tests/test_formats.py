@@ -102,6 +102,22 @@ def test_damaged_documents_raise_format_error(text):
         parse_any(text)
 
 
+# header integers past the int64 range, each of at most 19 digits
+_HEADER_OVERFLOWS = [
+    "moa v1\nruns 1\nlevels 9999999999999999999 2\nrows:\n0 0\n",
+    "moa v1\nruns 1\nlevels 2 -9223372036854775809\nrows:\n0 0\n",
+    "moa v1\nruns 9223372036854775808\nlevels 2\nrows:\n0\n",
+    "moa v1\nruns 1\nlevels 2\nstrength 9223372036854775808\nrows:\n0\n",
+    "moa v1\nkind ds 2 9223372036854775808\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+]
+
+
+@pytest.mark.parametrize("text", _HEADER_OVERFLOWS)
+def test_header_integers_past_int64_are_refused(text):
+    with pytest.raises(FormatError, match="must be canonical int64 decimals"):
+        parse_any(text)
+
+
 def test_negative_gf_order_is_a_parameter_error():
     # a negative order is no prime power; it must not reach a real root of it
     text = "moa v1\nkind ds -4 2 gf\nruns 1\nlevels -4 -4\nrows:\n0 1\n"
@@ -196,7 +212,9 @@ _EDGE_DOCUMENTS = [
 ]
 
 
-@pytest.mark.parametrize("text", _MALFORMED + _DAMAGED + _EDGE_DOCUMENTS, ids=lambda text: text[:40])
+@pytest.mark.parametrize(
+    "text", _MALFORMED + _DAMAGED + _HEADER_OVERFLOWS + _EDGE_DOCUMENTS, ids=lambda text: text[:40]
+)
 def test_rows_read_as_the_line_reader_reads_them(text):
     # the same object, or the same exception type and message
     assert _outcome(parse_any, text) == _outcome(line_parse_any, text)

@@ -95,6 +95,30 @@ class TestReducedDensity:
             )
             assert [list(row) for row in rho.entries] == naive
 
+    def test_matches_naive_oracle_with_repeated_rows(self):
+        # mixed levels, rows repeated within and across complement groups,
+        # and subsets out of column order
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            levels = tuple(int(d) for d in rng.integers(2, 5, size=n))
+            r = int(rng.integers(1, 30))
+            cells = np.stack([rng.integers(0, d, size=r) for d in levels], axis=1)
+            arr = MixedArray(levels, np.vstack([cells, cells[: r // 2]]))
+            size = int(rng.integers(1, n))
+            subset = tuple(int(j) for j in rng.permutation(n)[:size])
+            rho = reduced_density(arr, subset)
+            naive = naive_reduced_density(arr.row_tuples(), arr.levels, subset)
+            assert [list(row) for row in rho.entries] == naive, (arr, subset)
+
+    def test_dimension_past_the_cap_is_refused_before_counting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("rows were counted")
+
+        monkeypatch.setattr(oakit.quantum, "subset_codes", refuse)
+        with pytest.raises(ParameterError, match="exceeds the materialization cap"):
+            reduced_density(trivial_moa((2,) * 12), range(11))  # dimension 2^11
+
     def test_parameter_errors(self, state_array):
         with pytest.raises(ParameterError):
             reduced_density(state_array, ())
