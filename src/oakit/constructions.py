@@ -845,18 +845,21 @@ def two_uniform_from_scheme(
     an N-row strength-2 array B trades it for B's columns.  ``scheme_keep``
     trims the scheme block to that many columns, choosing the
     lexicographically first subset for which the finished array passes the
-    exact checks.  When the output or the built-in N x N Hadamard matrix would
+    exact checks.  The certificate names the scheme ``hadamard-N`` when it
+    is the built-in one and ``scheme-NxM-over-d`` when the caller passes it.
+    When the output or the built-in N x N Hadamard matrix would
     exceed ``OUTPUT_CELL_CAP`` cells, ``ParameterError`` is raised before
     building.
     """
     n = index_levels
     width = scheme_columns + (1 if replacement is None else replacement.ncols)
     _check_cells(d * n, width, f"N={n}, M={scheme_columns}, d={d}")
+    seeds = (f"scheme-{n}x{scheme_columns}-over-{d}",)
     if scheme is None:
         if d != 2:
             raise ParameterError("built-in schemes exist only for d = 2; pass one")
         _check_cells(n, n, f"N={n} (Hadamard order)")
-        scheme = hadamard01(n).as_scheme()
+        scheme, seeds = hadamard01(n).as_scheme(), (f"hadamard-{n}",)
     elif scheme.rows != n:
         raise ParameterError("scheme row count must equal the index levels")
     elif scheme.order != d:
@@ -873,20 +876,15 @@ def two_uniform_from_scheme(
     # a replacement's rows stand in for the index column's symbols, which is
     # the same as juxtaposing the scheme with the replacement as host
     index = column_vector(n) if replacement is None else replacement
-
-    def build(keep_cols) -> MixedArray:
-        return juxtapose_scheme_raw(index, scheme.select_columns(keep_cols))
-
-    seeds = (f"hadamard-{n}" if d == 2 else f"scheme-{n}x{scheme_columns}-over-{d}",)
     name = f"two_uniform_from_scheme(N={n}, M={scheme_columns}, d={d})"
     if scheme_keep is None or scheme_keep == scheme.cols:
-        out = build(range(scheme.cols))
+        out = juxtapose_scheme_raw(index, scheme)
         cert = ConstructionCertificate(construction=name, strength=2, seeds=seeds)
         return out, certify(out, cert)
     if not 1 <= scheme_keep < scheme.cols:
         raise ParameterError("scheme_keep out of range")
     for keep_cols in combinations(range(scheme.cols), scheme_keep):
-        candidate = build(keep_cols)
+        candidate = juxtapose_scheme_raw(index, scheme.select_columns(keep_cols))
         cert = ConstructionCertificate(
             construction=name,
             strength=2,
@@ -907,27 +905,24 @@ def two_uniform_from_scheme(
 def two_uniform_prime_power(
     d: int, n: int, replacement: MixedArray | None = None
 ) -> tuple[MixedArray, ConstructionCertificate]:
-    """The scheme family at N = d^n for prime powers d, via the linear scheme.
+    """Theorem 8 over the linear scheme D(d^n, d^n, d), for prime powers d.
 
-    Expands D(d^n, d^n, d) behind an index column; the scheme block alone has
-    minimal distance d^n - d^(n-1), so for all but the smallest orders the
-    result is irredundant at 2 outright, and an N-row replacement array with
-    distinct rows may substitute the index column.  The output has
-    d^(n+1) x (d^n + 1) cells; above ``OUTPUT_CELL_CAP`` the call raises
-    ``ParameterError`` before building anything.
+    Expands D(d^n, d^n, d) behind an index column through
+    `two_uniform_from_scheme`; the scheme block alone has minimal distance
+    d^n - d^(n-1), so for all but the smallest orders the result is
+    irredundant at 2 outright.  A d^n-row replacement array of strength 2
+    (strength 1 if it has one column) may substitute the index column.  The
+    output has d^(n+1) x (d^n + 1) cells without a replacement; above
+    ``OUTPUT_CELL_CAP`` the call raises ``ParameterError`` before building
+    anything.
     """
     if d >= 2 and n >= 1:
         e = min(n, _CAP_EXPONENT)
         _check_cells(d ** (e + 1), d**e + 1, f"d={d}, n={n}")
     scheme = _linear_scheme(d, n, verify=False)  # `certify` checks its expansion columns
-    size = d**n
-    if replacement is not None and min_distance(replacement) < 1:
-        raise ParameterError("replacement rows must be distinct")
-    index = column_vector(size) if replacement is None else replacement
-    out = juxtapose_scheme_raw(index, scheme)
-    cert = ConstructionCertificate(
-        construction=f"two_uniform_prime_power(d={d}, n={n})",
-        strength=2,
-        seeds=(f"linear-scheme d={d} n={n}",),
-    )
-    return out, certify(out, cert)
+    name = f"two_uniform_prime_power(d={d}, n={n})"
+    try:
+        out, cert = two_uniform_from_scheme(d**n, d**n, d, replacement, scheme=scheme)
+    except VerificationError as exc:  # it names Theorem 8's call; name this one
+        raise VerificationError(f"{name}:{str(exc).partition(':')[2]}") from None
+    return out, dc_replace(cert, construction=name, seeds=(f"linear-scheme d={d} n={n}",))

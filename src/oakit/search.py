@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import gcd, inf, prod
+from math import inf, lcm, prod
 from operator import or_
 from typing import Callable, Iterable
 
@@ -48,7 +48,7 @@ from .algebra import DifferenceScheme
 from .arrays import MixedArray, min_distance, verify_strength
 from .constructions import OUTPUT_CELL_CAP, OrthogonalPartition, five_column_feasibility
 from .errors import ParameterError, VerificationError
-from .groups import _prime_factors, cyclic_group, decode, encode
+from .groups import cyclic_group, decode, encode
 
 __all__ = [
     "SearchSpec",
@@ -87,19 +87,37 @@ class SearchSpec:
     def divisibility_obstruction(self) -> tuple[int, ...] | None:
         """First k-subset whose level product does not divide the run count.
 
-        Every k-subset's product divides it iff, for each prime p of a level,
-        the product of the k largest p-parts (highest powers of p dividing
-        a level) does; the subsets are walked only when that fails.
+        Every product is at least 2^k, so when that exceeds the run count the
+        first k columns are the answer.  Otherwise ``reach[j][t]`` is the lcm
+        of the level products of the j-subsets of columns t.. (1 when there
+        are none), or 0 once that lcm does not divide the run count, so every
+        such subset's product divides it iff ``reach[j][t]`` is nonzero.  Each
+        column of the obstruction is then the first one that still leaves a
+        failing completion, which makes it the lexicographically first.  The
+        table has n x min(k, log2 runs) entries, none above the run count.
         """
-        for p in {p for d in set(self.levels) for p in _prime_factors(d)}:
-            parts = sorted((gcd(d, p ** d.bit_length()) for d in self.levels), reverse=True)
-            if self.runs % prod(parts[: self.strength]):
-                break
-        else:
+        levels, runs, n, k = self.levels, self.runs, len(self.levels), self.strength
+        if k >= runs.bit_length():
+            return tuple(range(k))
+        reach = [[1] * (n + 1)]
+        for j in range(1, k + 1):
+            row = [0] * (n - j + 1) + [1] * j
+            for t in range(n - j, -1, -1):
+                below = levels[t] * reach[j - 1][t + 1]
+                if not below or runs % below:
+                    break  # so does every lcm further left, which it divides
+                row[t] = lcm(row[t + 1], below)
+            reach.append(row)
+        if reach[k][0]:
             return None
-        # the k columns with the largest p-parts fail, so the walk finds one
-        walk = combinations(range(len(self.levels)), self.strength)
-        return next(s for s in walk if self.runs % prod(self.levels[j] for j in s))
+        subset, product, t = [], 1, 0
+        for j in range(k, 0, -1):
+            while reach[j - 1][t + 1] and runs % (product * levels[t] * reach[j - 1][t + 1]) == 0:
+                t += 1
+            subset.append(t)
+            product *= levels[t]
+            t += 1
+        return tuple(subset)
 
 
 @dataclass(frozen=True)

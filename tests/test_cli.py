@@ -253,6 +253,16 @@ class TestConstructReplaceSearch:
         cert = json.loads((tmp_path / "x.moa.cert.json").read_text())
         assert cert["verified"] and cert["profile"] == "4^1 2^4"
 
+    @pytest.mark.parametrize("columns, code", [(8, 0), (4, 2)])
+    def test_construct_thm8_scheme_prefix(self, tmp_path, capsys, columns, code):
+        # with four scheme columns two runs differ in one column only: not irredundant
+        out_path = tmp_path / "x.moa"
+        assert run(
+            capsys, "construct", "thm8",
+            "--params", "N=12", f"M={columns}", "d=2", "-o", str(out_path),
+        )[0] == code
+        assert out_path.exists() == (code == 0)
+
     def test_construct_unknown_pipeline(self, capsys):
         code, _, _ = run(capsys, "construct", "nope")
         assert code == 4

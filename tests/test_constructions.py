@@ -444,10 +444,54 @@ class TestFamilies:
         arr, _ = two_uniform_from_scheme(12, 12, 2, replacement=trivial_moa((6, 2)))
         assert arr.profile() == "6^1 2^13"
 
+    @pytest.mark.parametrize(
+        "columns, profile, md", [(8, "12^1 2^8", 3), (11, "12^1 2^11", 6)]
+    )
+    def test_scheme_family_keeps_a_prefix_of_the_hadamard_scheme(self, columns, profile, md):
+        arr, cert = two_uniform_from_scheme(12, columns, 2)
+        assert (arr.runs, arr.profile(), cert.measured_md) == (24, profile, md)
+        assert np.array_equal(arr.cells, two_uniform_from_scheme(12, 12, 2)[0].cells[:, : columns + 1])
+
+    def test_scheme_family_prefix_too_short_to_be_irredundant(self):
+        with pytest.raises(VerificationError, match=r"not irredundant at k=2 \(minimal distance 1\)"):
+            two_uniform_from_scheme(12, 4, 2)
+
+    def test_caller_binary_scheme_recorded_as_the_callers(self):
+        # only the Hadamard scheme the builder makes itself is "hadamard-N"
+        arr, cert = two_uniform_from_scheme(8, 8, 2, scheme=ds_linear(2, 3))
+        assert cert.seeds == ("scheme-8x8-over-2",)
+        assert two_uniform_from_scheme(8, 8, 2)[1].seeds == ("hadamard-8",)
+        assert np.array_equal(arr.cells, two_uniform_prime_power(2, 3)[0].cells)
+
     def test_prime_power_family(self):
         arr, cert = two_uniform_prime_power(2, 3, replacement=trivial_moa((4, 2)))
         assert arr.profile() == "4^1 2^9" and cert.measured_md >= 3
         assert verify_k_uniform(arr, 2).holds
+        assert cert.construction == "two_uniform_prime_power(d=2, n=3)"
+        assert cert.seeds == ("linear-scheme d=2 n=3",) and cert.notes == ()
+
+    def test_prime_power_verification_failure_names_cor2(self):
+        # D(2, 2, 2) expands to runs two apart: strength 2 holds, irredundancy does not
+        with pytest.raises(
+            VerificationError,
+            match=r"^two_uniform_prime_power\(d=2, n=1\): output is not irredundant at k=2",
+        ):
+            two_uniform_prime_power(2, 1)
+
+    def test_prime_power_replacement_failing_strength_2_rejected_before_building(
+        self, monkeypatch
+    ):
+        import oakit.constructions
+
+        def refuse(*args):
+            raise AssertionError("built the juxtaposition")
+
+        monkeypatch.setattr(oakit.constructions, "juxtapose_scheme_raw", refuse)
+        # distinct rows, but the second column never takes the symbols 2 and 3
+        rows = [(a, b) for a in range(4) for b in range(2)]
+        replacement = MixedArray.from_rows((4, 4), rows)
+        with pytest.raises(ParameterError, match="replacement fails the strength-2 precondition"):
+            two_uniform_prime_power(2, 3, replacement=replacement)
 
 
 class TestVerifyOnce:

@@ -270,6 +270,38 @@ class TestSearchParameters:
         with pytest.raises(ParameterError, match="16777216 candidate rows exceed the cap"):
             search_moa(SearchSpec(2**12, (2,) * 24, 12))
 
+    def test_obstruction_of_a_huge_prime_level_needs_no_factoring(self, monkeypatch):
+        import oakit.algebra
+        import oakit.arrays
+        import oakit.groups
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        for module in (oakit.algebra, oakit.arrays, oakit.groups, search):
+            monkeypatch.setattr(module, "_prime_factors", refuse, raising=False)
+        # the largest prime below 2^63: trial division would take 3 * 10^9 steps
+        assert SearchSpec(2, (9223372036854775783, 2), 1).divisibility_obstruction() == (0,)
+
+    def test_obstruction_is_found_without_walking_the_subsets(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("walked the column subsets")
+
+        monkeypatch.setattr(search, "combinations", walk)
+        # a 25-subset's product 2^(25 + its 4s) divides 2^34 unless it holds all ten 4s
+        spec = SearchSpec(2**34, (2,) * 40 + (4,) * 10, 25)
+        assert spec.divisibility_obstruction() == tuple(range(15)) + tuple(range(40, 50))
+
+    def test_obstruction_of_a_wide_spec_builds_no_lcm_table(self, monkeypatch):
+        def lcm(*args):
+            raise AssertionError("built the lcm table")
+
+        monkeypatch.setattr(search, "lcm", lcm)
+        # every 2000-subset's product is 2^2000 > 2 runs; a full table would
+        # hold 8 * 10^6 entries of up to 2000 bits
+        spec = SearchSpec(2, (2,) * 4000, 2000)
+        assert spec.divisibility_obstruction() == tuple(range(2000))
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.sampled_from((2, 3, 4, 5, 6, 8, 9, 10, 11, 12)), min_size=1, max_size=7),
