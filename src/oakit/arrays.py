@@ -41,6 +41,7 @@ __all__ = [
     "concat_columns",
     "guaranteed_deletion_budget",
     "subset_codes",
+    "cell_dtype",
 ]
 
 
@@ -49,8 +50,12 @@ class MixedArray:
     """An r x N symbol matrix with a per-column level profile.
 
     ``levels[j]`` is the number of symbols of column j; every cell obeys
-    ``0 <= cells[i, j] < levels[j]``.  Instances are immutable: the cell
-    matrix is stored contiguous, int64 and non-writeable.
+    ``0 <= cells[i, j] < levels[j]``, checked on the caller's values before
+    any cast.  Instances are immutable: the cell matrix is stored
+    contiguous, non-writeable and in ``cell_dtype(levels)``, the narrowest
+    unsigned dtype that holds every symbol (uint8 up to 256 levels), or
+    int64 above 2^32 levels.  Arithmetic on narrow cells keeps their dtype
+    and wraps, so widen them first; ``oakit.groups`` does so itself.
     """
 
     levels: tuple[int, ...]
@@ -61,7 +66,6 @@ class MixedArray:
         cells = np.asarray(self.cells)
         if cells.dtype.kind not in "iu":  # float, bool, complex, ... would be cast silently
             raise ParameterError(f"cells must have an integer dtype, got {cells.dtype}")
-        cells = np.ascontiguousarray(cells, dtype=np.int64)
         if cells.ndim != 2:
             raise ParameterError(f"cells must be 2-D, got shape {cells.shape}")
         r, n = cells.shape
@@ -71,15 +75,17 @@ class MixedArray:
             raise ParameterError(f"{n} columns but {len(levels)} level entries")
         if any(d < 2 for d in levels):
             raise ParameterError(f"levels must all be >= 2, got {levels}")
-        if cells.min() < 0:
+        # the range checks read the caller's values, which no cast has wrapped yet
+        if cells.dtype.kind == "i" and cells.min() < 0:
             raise ParameterError("negative symbol")
-        too_big = cells.max(axis=0) >= np.asarray(levels)
-        if too_big.any():
-            j = int(np.flatnonzero(too_big)[0])
-            raise ParameterError(
-                f"column {j} holds symbol {int(cells[:, j].max())} "
-                f"but has only {levels[j]} levels"
-            )
+        tops = cells.max(axis=0).tolist()
+        for j, (top, d) in enumerate(zip(tops, levels)):
+            if top >= d:
+                raise ParameterError(f"column {j} holds symbol {top} but has only {d} levels")
+        dtype = cell_dtype(levels)
+        if max(tops) > np.iinfo(dtype).max:  # int64, under a level above 2^63
+            raise ParameterError(f"symbol {max(tops)} is outside the int64 range")
+        cells = np.ascontiguousarray(cells, dtype=dtype)
         cells.setflags(write=False)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "cells", cells)
@@ -171,12 +177,19 @@ _PREFIX_NS = 120000  # its fixed cost per prefix
 _WORD_NS = 3  # its cost per ANDed and counted 64-bit word
 
 
-def _narrowest_unsigned(bound: int) -> type:
-    """Smallest unsigned numpy integer type that holds ``bound``."""
+def cell_dtype(levels: Iterable[int]) -> np.dtype:
+    """The dtype that `MixedArray` stores cells over ``levels`` in.
+
+    It is the narrowest of uint8, uint16 and uint32 that holds
+    max(levels) - 1, or int64 when none does.  The kernels size their
+    codes and distance counts by the same rule: a value below v is a
+    symbol of v levels.
+    """
+    top = max(levels) - 1
     for dtype in (np.uint8, np.uint16, np.uint32):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
-    return np.uint64
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def subset_codes(cells: np.ndarray, levels: Sequence[int], subset: Sequence[int]) -> np.ndarray:
@@ -251,9 +264,9 @@ def _bitsets_cheaper(levels: tuple[int, ...], r: int, k: int) -> bool:
 def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
     """The subset loop: one ``bincount`` per k-subset, in lexicographic order.
 
-    The columns are scanned from one column-major copy in the narrowest
-    unsigned dtype.  ``codes[i]`` holds the mixed-radix code of each row's
-    projection onto the first i + 1 columns of the subset; consecutive
+    The columns are scanned from one column-major copy of the cells.
+    ``codes[i]`` holds the mixed-radix code of each row's projection onto
+    the first i + 1 columns of the subset, in ``cell_dtype((r,))``; consecutive
     subsets share a prefix, so a subset costs one multiply-add per position
     from the first one that changed, most often the last alone.  A subset's
     level product is checked to divide r before any of its codes are built,
@@ -266,8 +279,10 @@ def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
     """
     r, n = array.cells.shape
     levels = array.levels
-    columns = np.ascontiguousarray(array.cells.T, dtype=_narrowest_unsigned(max(levels)))
-    codes = np.empty((k, r), dtype=_narrowest_unsigned(r - 1))
+    columns = np.ascontiguousarray(array.cells.T)
+    if columns.dtype.kind == "i":  # int64 cells, never negative: unsigned codes add uint64
+        columns = columns.view(np.uint64)
+    codes = np.empty((k, r), dtype=cell_dtype((r,)))
     dims = [1] * (k + 1)  # dims[i + 1]: the level product of the first i + 1 columns
     subset = list(range(k))
     changed = 0  # the first position of subset that differs from the last one scanned
@@ -321,19 +336,26 @@ def _row_sets(array: MixedArray) -> tuple[np.ndarray, list[int]]:
 
     Slot ``offsets[j] + s`` holds the rows where column j reads s, as bit
     (i mod 64) of word (i div 64).  The result is word-major, W x slots of
-    uint64, so that a column's slots are a slice of every word row.
+    uint64, so that a column's slots are a slice of every word row.  The
+    one-hot bits are set and packed a block of columns at a time, each
+    block's flat one-hot index and bits at most a tile of ``_TILE_CELLS``
+    (or one column's worth).
     """
-    r = array.runs
+    r, n = array.cells.shape
     offsets = [0, *accumulate(array.levels)]
     padded = -(-r // 64) * 64
-    # the flat one-hot index of every cell, built in place
-    index = array.cells.T + np.asarray(offsets[:-1])[:, None]
-    index *= padded
-    index += np.arange(r)
-    onehot = np.zeros((offsets[-1], padded), dtype=bool)
-    onehot.ravel()[index] = True
-    del index
-    packed = np.packbits(onehot, axis=1, bitorder="little")
+    packed = np.empty((offsets[-1], padded // 8), dtype=np.uint8)
+    rows = np.arange(r)
+    step = max(1, _TILE_CELLS // (padded * max(array.levels)))  # columns per block
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        # the flat one-hot index of every cell of the block, built in place
+        index = array.cells[:, lo:hi].T + np.asarray(offsets[lo:hi])[:, None] - offsets[lo]
+        index *= padded
+        index += rows
+        onehot = np.zeros((offsets[hi] - offsets[lo], padded), dtype=bool)
+        onehot.ravel()[index] = True
+        packed[offsets[lo] : offsets[hi]] = np.packbits(onehot, axis=1, bitorder="little")
     return np.ascontiguousarray(packed.view(np.uint64).T), offsets
 
 
@@ -466,20 +488,20 @@ def _coset_weights(array: MixedArray) -> np.ndarray | None:
     Then H is grown from generators, one coset of the part grown so far at
     a time, and every element must be a row; the rows are a coset once the
     part grown reaches r elements.  Rows are looked up by their bytes in
-    the one narrow copy of the cells, in chunks of at most 2^18 cells.
+    the stored cells, in chunks of at most 2^18 cells.
     """
     levels = array.levels
-    r, n = array.cells.shape
+    cells = array.cells
+    r, n = cells.shape
     if r == 1 or prod(levels) % r:  # |H| divides the order of the product
         return None
     if max(levels) > 1 << 32:  # no level is split by more than 2^16 trial divisions
         return None
-    narrow = np.ascontiguousarray(array.cells, dtype=_narrowest_unsigned(2 * max(levels)))
     split_level = {d: _split_radices(d) for d in set(levels)}
-    if not _is_coset(narrow, [split_level[d] for d in levels]):
+    if not _is_coset(cells, [split_level[d] for d in levels]):
         return None
     chunk = max(1, _TILE_CELLS // n)
-    blocks = (narrow[lo : lo + chunk] != narrow[0] for lo in range(0, r, chunk))
+    blocks = (cells[lo : lo + chunk] != cells[0] for lo in range(0, r, chunk))
     return np.concatenate([np.count_nonzero(b, axis=1) for b in blocks])
 
 
@@ -487,8 +509,9 @@ def _is_coset(narrow: np.ndarray, radices: list[tuple[int, ...]]) -> bool:
     """Whether the rows of ``narrow`` are distinct and form a coset of a subgroup.
 
     The group is the product over columns of the digit-wise groups on
-    ``radices[j]``.  ``narrow`` is C-contiguous and its dtype holds twice
-    every level.
+    ``radices[j]``.  ``narrow`` is C-contiguous and unsigned; group sums,
+    which ``groups`` computes in int64, are cast back to its dtype so that
+    their bytes are keys of its rows.
     """
     r, n = narrow.shape
     depth = max(map(len, radices))
@@ -496,18 +519,16 @@ def _is_coset(narrow: np.ndarray, radices: list[tuple[int, ...]]) -> bool:
     # radix 1 padding the columns that have fewer digits: the digit format
     # of ``groups`` taken column-wise
     padded = [(1,) * (depth - len(rs)) + rs for rs in radices]
-    digits = list(np.array(padded, dtype=narrow.dtype).T)
-    wide = list(np.array(padded, dtype=np.int64).T)  # for differences, which go negative
+    digits = list(np.array(padded, dtype=np.int64).T)
     binary = all(d == 2 for rs in radices for d in rs)
 
     def add(x, t):
         """x + t in the group, row-wise: over binary digits, XOR."""
-        return x ^ t if binary else add_digits(x, t, digits)
+        return x ^ t if binary else add_digits(x, t, digits).astype(narrow.dtype)
 
     def minus(i):
         """row i - row 0 in the group."""
-        a, b = narrow[i].astype(np.int64), narrow[0].astype(np.int64)
-        return sub_digits(a, b, wide).astype(narrow.dtype)
+        return sub_digits(narrow[i], narrow[0], digits).astype(narrow.dtype)
 
     def has_row(row):
         hits = np.flatnonzero(narrow[:, 0] == row[0])
@@ -603,16 +624,17 @@ def _pair_spectrum(array: MixedArray) -> DistanceSpectrum:
     """The spectrum of an array of at least two rows, one row pair at a time.
 
     Rows are compared in tiles: a block of b consecutive rows against itself
-    and every later row, with b * r <= 2^18 cells.  Besides one copy of the
-    cells, transposed into the narrowest unsigned dtype, the working memory
-    is one boolean and one distance tile of at most 2^18 cells each, reused
-    across tiles: under 1 MiB at any row count.
+    and every later row, with b * r <= 2^18 cells.  Besides one transposed
+    copy of the cells, the working memory is one boolean and one distance
+    tile of at most 2^18 cells each, reused across tiles: under 1 MiB at
+    any row count.  A boolean tile is added through its uint8 view, which
+    skips the bool-to-integer casting loop.
     """
     r, n = array.cells.shape
-    columns = np.ascontiguousarray(array.cells.T, dtype=_narrowest_unsigned(max(array.levels)))
+    columns = np.ascontiguousarray(array.cells.T)
     b = max(1, min(r, _TILE_CELLS // r))
     unequal = np.empty(b * r, dtype=bool)
-    dist = np.empty(b * r, dtype=_narrowest_unsigned(n))
+    dist = np.empty(b * r, dtype=cell_dtype((n + 1,)))
     later = np.triu(np.ones((b, b), dtype=bool), 1)  # j > i inside the diagonal block
     # bincount copies its input to int64: count 2^15 cells at a time so that
     # the copy is no larger than one tile
@@ -625,7 +647,7 @@ def _pair_spectrum(array: MixedArray) -> DistanceSpectrum:
         acc.fill(0)
         for col in columns:
             np.not_equal(col[lo : lo + h, None], col[None, lo:], out=tile)
-            acc += tile
+            np.add(acc, tile.view(np.uint8), out=acc)
         counts += np.bincount(acc[:, :h][later[:h, :h]], minlength=n + 1)
         for top in range(0, h, count_rows):
             counts += np.bincount(acc[top : top + count_rows, h:].ravel(), minlength=n + 1)

@@ -52,8 +52,10 @@ from .arrays import (
 from .errors import ConstructionError, ParameterError, VerificationError
 from .groups import _require_prime_power, decode, encode, prime_power_decomposition
 
-# Largest output, in cells, that a size-checked builder attempts (2^24 int64
-# cells are 128 MiB); larger parameters raise ParameterError before building.
+# Largest output, in cells, that a size-checked builder attempts; larger
+# parameters raise ParameterError before building.  Builders compute in
+# int64 before `MixedArray` narrows the result, so 2^24 cells pass through
+# 128 MiB of int64 even when they are stored as 16 MiB of uint8.
 OUTPUT_CELL_CAP = 1 << 24
 # an exponent clamped to this keeps q**e finite and, as q >= 2, still above the cap
 _CAP_EXPONENT = OUTPUT_CELL_CAP.bit_length()
@@ -621,13 +623,11 @@ def _two_uniform_pipeline(
         stage = juxtapose_scheme_raw(stage, hadamard01(stage.runs).as_scheme())
     j = total_two - n
     budget = min_distance(stage) - 3
+    # every n >= r is within budget: j <= inherited there, and a strength-2
+    # host over d^m 2^inherited with m*d >= 3 has inherited <= budget
     if j <= budget:
         drop = list(range(stage.ncols - j, stage.ncols))
         notes = (f"any-within-budget deletion of the last {j} binary columns",)
-    elif n >= r:
-        # full scheme block kept: cross-row pairs keep scheme distance r/2
-        drop = list(range(m + inherited - j, m + inherited))
-        notes = (f"deleted the last {j} inherited binary columns, scheme intact",)
     else:
         # host-part-first: drop every inherited binary column, then trim
         # the scheme block from the end
@@ -676,6 +676,8 @@ def two_uniform_dm2n(
     """
     if d <= 3:
         raise ParameterError("use the 3^m 2^n builder for d <= 3")
+    if m < 1:
+        raise ParameterError("need m >= 1")
     return _two_uniform_pipeline(host, d, m, n, f"two_uniform_dm2n(d={d}, m={m}, n={n})")
 
 

@@ -9,8 +9,12 @@ the one radix (d,); the additive group of GF(p^m) on its base-p labels is
 radices.  Each group adds digit by digit, each digit mod its radix.
 
 Every function here works elementwise on Python ints and on numpy integer
-arrays alike.  This module sits below `oakit.arrays` and `oakit.algebra`:
-it imports nothing from oakit but the errors.
+arrays alike.  Numpy integers narrower than 64 bits, digits and radices
+alike, are widened to int64 first: `oakit.arrays.MixedArray` stores its
+cells as narrow as their levels allow, and NumPy keeps that dtype through
+``x * d + y`` and ``a + b``, which would wrap.  This module sits below
+`oakit.arrays` and `oakit.algebra`: it imports nothing from oakit but the
+errors.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -42,8 +48,16 @@ FIELD_ORDER_CAP = 1 << 16
 # mixed-radix digits
 
 
+def _wide(x):
+    """``x`` as int64 if it is a numpy integer narrower than 64 bits, else ``x``."""
+    if isinstance(x, (np.ndarray, np.generic)) and x.dtype.kind in "biu" and x.dtype.itemsize < 8:
+        return x.astype(np.int64)
+    return x
+
+
 def place_values(radices: Sequence[int]) -> tuple[int, ...]:
     """Each digit's place value: the product of the radices after it."""
+    radices = [_wide(d) for d in radices]
     return tuple(prod(radices[i + 1 :]) for i in range(len(radices)))
 
 
@@ -51,17 +65,19 @@ def encode(digits, radices: Sequence[int]):
     """The code of ``digits`` (most significant first) under ``radices``."""
     code = 0
     for x, d in zip(digits, radices, strict=True):
-        code = code * d + x
+        code = code * _wide(d) + _wide(x)
     return code
 
 
 def decode(code, radices: Sequence[int]) -> tuple:
     """The digits of ``code`` under ``radices``, most significant first."""
+    code = _wide(code)
     return tuple(code // m % d for m, d in zip(place_values(radices), radices))
 
 
 def add_digits(a, b, radices: Sequence[int]):
     """a + b digit by digit, each digit mod its radix (no carries)."""
+    a, b = _wide(a), _wide(b)
     if len(radices) == 1:
         return (a + b) % radices[0]
     return sum((a // m + b // m) % d * m for m, d in zip(place_values(radices), radices))
@@ -69,6 +85,7 @@ def add_digits(a, b, radices: Sequence[int]):
 
 def sub_digits(a, b, radices: Sequence[int]):
     """a - b digit by digit, each digit mod its radix (no borrows)."""
+    a, b = _wide(a), _wide(b)
     if len(radices) == 1:
         return (a - b) % radices[0]
     return sum((a // m - b // m) % d * m for m, d in zip(place_values(radices), radices))

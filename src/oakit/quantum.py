@@ -33,7 +33,6 @@ from .arrays import (
     _TILE_CELLS,
     MixedArray,
     _coset_weights,
-    _narrowest_unsigned,
     subset_codes,
     verify_strength,
 )
@@ -294,11 +293,10 @@ def _paired_masks(array: MixedArray, lead: int, k: int):
     """
     cells, levels = array.cells, array.levels
     r, n = cells.shape
-    head = np.ascontiguousarray(cells[:, :lead].T, dtype=_narrowest_unsigned(max(levels)))
+    head = np.ascontiguousarray(cells[:, :lead].T)
     trailing = list(range(lead, n))
     blocks = np.array_split(np.arange(lead), k + 1) if lead > k else [np.arange(0)]
     chunk = max(1, _TILE_CELLS // lead)
-    dist_dtype = _narrowest_unsigned(lead)
     for block in blocks:
         keys = _projection_keys(cells, levels, trailing + block.tolist())
         order = np.argsort(keys, kind="stable")
@@ -309,13 +307,12 @@ def _paired_masks(array: MixedArray, lead: int, k: int):
                 break  # groups are contiguous runs of the sorted keys
             for lo in range(0, same.size, chunk):
                 i = same[lo : lo + chunk]
-                j = i + step
-                dist = np.zeros(i.size, dtype=dist_dtype)
-                for col in columns:
-                    dist += col[i] != col[j]
-                near = dist <= k
+                # one compare of every leading column at once: a tile of at
+                # most 2^18 cells, and no Python loop over the columns
+                differ = columns[:, i] != columns[:, i + step]
+                near = np.count_nonzero(differ, axis=0) <= k
                 if near.any():
-                    yield (columns[:, i[near]] != columns[:, j[near]]).T
+                    yield differ[:, near].T
 
 
 def _projection_keys(cells: np.ndarray, levels, columns: list[int]) -> np.ndarray:

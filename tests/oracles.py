@@ -4,7 +4,8 @@ Everything here is deliberately naive counting: pure Python over explicit
 tuples, or, for the per-subset strength report and uniformity test, numpy
 counting one subset at a time.  The moa v1 reference reader matches one
 row line at a time against a regular expression.  None of it shares code
-with the package's kernels.
+with the package's kernels, and the numpy oracles widen their cells to
+int64 on entry, whatever dtype the package stores them in.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ def strength_report_loop(cells, levels, k):
     not divide the row count, else its first tuple, in lexicographic order,
     whose count is not the expected one.
     """
+    cells = np.asarray(cells, dtype=np.int64)
     r, n = cells.shape
     lambdas = set()
     for subset in combinations(range(n), k):
@@ -143,6 +145,7 @@ def uniform_on_subset(cells, levels, subset) -> bool:
     every value a of the S-projection, the sum over groups with value a of
     |group|^2 equals r / D_S (diagonal uniformity).
     """
+    cells = np.asarray(cells, dtype=np.int64)
     r, n = cells.shape
     comp = [j for j in range(n) if j not in subset]
     d_s = prod(levels[j] for j in subset)
@@ -172,6 +175,7 @@ def uniform_on_subset(cells, levels, subset) -> bool:
 
 def k_uniform_loop(cells, levels, k):
     """(holds, first failing subset, subsets checked, subsets total), one subset at a time."""
+    cells = np.asarray(cells, dtype=np.int64)
     n = cells.shape[1]
     checked = 0
     for subset in combinations(range(n), k):
@@ -183,7 +187,7 @@ def k_uniform_loop(cells, levels, k):
 
 def naive_spectrum(cells) -> dict[int, int]:
     """Pair count of every attained Hamming distance, one row pair at a time."""
-    rows = [tuple(row) for row in cells.tolist()]
+    rows = [tuple(row) for row in np.asarray(cells, dtype=np.int64).tolist()]
     out: dict[int, int] = {}
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):

@@ -381,6 +381,30 @@ class TestKroneckerAndStacking:
         assert np.array_equal(out.cells, np.repeat(a.cells, 2, axis=0))
         assert repeat_rows_each(a, 2) == MixedArray(a.levels, np.repeat(a.cells, 2, 0))
 
+    @pytest.mark.parametrize(
+        "group, add",
+        [
+            (gf_additive_group(256), lambda x, y: naive_gf_add(x, y, 2, 8)),
+            (cyclic_group(200), lambda x, y: (x + y) % 200),
+        ],
+        ids=["gf256", "z200"],
+    )
+    def test_kronecker_sum_of_narrow_cells(self, group, add):
+        # stored as uint8, whose sums wrap at 256; the expected block
+        # (i, j) is computed on Python ints
+        rng = np.random.default_rng(group.order)
+        d = group.order
+        a = MixedArray((d,) * 3, rng.integers(d - 60, d, size=(4, 3)))
+        b = MixedArray((d,) * 2, rng.integers(d - 60, d, size=(5, 2)))
+        assert a.cells.dtype == b.cells.dtype == np.uint8
+        out = kronecker_sum(a, b, group)
+        expected = [
+            [add(x, y) for x in row_a for y in row_b]
+            for row_a in a.row_tuples()
+            for row_b in b.row_tuples()
+        ]
+        assert out.row_tuples() == [tuple(row) for row in expected]
+
     def test_kronecker_sum_level_mismatch(self):
         with pytest.raises(ParameterError):
             kronecker_sum(column_vector(3), column_vector(2), cyclic_group(3))
@@ -417,6 +441,21 @@ class TestProductConstruction:
         # an all-zero single-row factor only relabels symbols (a -> 2a)
         assert np.array_equal(out.cells, a.cells * 2)
         assert distance_spectrum(out).distances == distance_spectrum(a).distances
+
+    def test_codes_above_255_from_narrow_cells(self):
+        # pairs (x, y) under radices (16, 17) and (17, 16) reach codes up to 271
+        rng = np.random.default_rng(5)
+        a = MixedArray((16, 17), np.array([[15, 16], [14, 0], [0, 16]]))
+        b = MixedArray((17, 16, 2), rng.integers(0, 2, size=(4, 3)) + [[15, 14, 0]])
+        out = product_construction(a, b)
+        assert a.cells.dtype == b.cells.dtype == np.uint8
+        assert out.levels == (272, 272) and out.cells.dtype == np.uint16
+        expected = [
+            tuple(x * db + y for x, y, db in zip(row_a, row_b, (17, 16)))
+            for row_a in a.row_tuples()
+            for row_b in b.row_tuples()
+        ]
+        assert out.row_tuples() == expected and max(map(max, expected)) > 255
 
     def test_md_lower_bound_on_fixtures(self):
         pairs = [

@@ -44,6 +44,7 @@ from oakit.constructions import (
     two_uniform_prime_power,
 )
 from oakit.errors import ParameterError
+from oakit.formats import parse_array, serialize_array
 from oakit.search import SearchSpec, search_moa
 
 from oracles import (
@@ -94,7 +95,7 @@ class TestMixedArray:
     @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
     def test_integer_dtypes_and_int_lists_accepted(self, dtype):
         arr = MixedArray((2, 2), np.array([[0, 1], [1, 0]], dtype=dtype))
-        assert arr.cells.dtype == np.int64
+        assert arr.cells.dtype == np.uint8  # the narrowest that holds 2 levels
         assert np.array_equal(arr.cells, MixedArray((2, 2), [[0, 1], [1, 0]]).cells)
 
     def test_profile_uses_descending_levels(self):
@@ -105,6 +106,111 @@ class TestMixedArray:
         arr = trivial_moa((2, 2))
         with pytest.raises(ValueError):
             arr.cells[0, 0] = 1
+
+
+# a level and the dtype its cells are stored in, at each boundary of the rule
+_STORAGE = [
+    (256, np.uint8),
+    (257, np.uint16),
+    (1 << 16, np.uint16),
+    ((1 << 16) + 1, np.uint32),
+    (1 << 32, np.uint32),
+    ((1 << 32) + 1, np.int64),
+]
+_GIVEN = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64, list]
+
+
+def _boundary_array(level: int) -> MixedArray:
+    """Two rows over (2, level), the second reading level - 1."""
+    return MixedArray((2, level), [[0, 0], [1, level - 1]])
+
+
+class TestCellStorage:
+    @pytest.mark.parametrize("level, dtype", _STORAGE)
+    def test_rule_at_its_boundaries(self, level, dtype):
+        assert arrays.cell_dtype((2, level)) == dtype == arrays.cell_dtype((level, 3))
+
+    @pytest.mark.parametrize("given", _GIVEN, ids=lambda g: getattr(g, "__name__", str(g)))
+    @pytest.mark.parametrize("level, dtype", _STORAGE)
+    def test_every_integer_dtype_and_lists(self, level, dtype, given):
+        top = level - 1 if given is list else min(level - 1, int(np.iinfo(given).max))
+        rows = [[0, 0], [1, top]]
+        arr = MixedArray((2, level), rows if given is list else np.array(rows, dtype=given))
+        assert arr.cells.dtype == dtype and arr.cells.tolist() == rows
+        assert arr.cells.flags.c_contiguous and not arr.cells.flags.writeable
+
+    @pytest.mark.parametrize("level, dtype", _STORAGE)
+    def test_parse_array(self, level, dtype):
+        arr = _boundary_array(level)
+        parsed = parse_array(serialize_array(arr))
+        assert parsed.cells.dtype == dtype and parsed == arr
+
+    @pytest.mark.parametrize("level, dtype", _STORAGE)
+    def test_column_surgery(self, level, dtype):
+        arr = _boundary_array(level)
+        assert select_columns(arr, [1]).cells.dtype == dtype
+        assert select_columns(arr, [0]).cells.dtype == np.uint8
+        assert delete_columns(arr, [0]).cells.dtype == dtype
+        assert delete_columns(arr, [1]).cells.dtype == np.uint8
+        joined = concat_columns(arr, arr)
+        assert joined.cells.dtype == dtype and joined.cells.tolist() == [[0, 0] * 2, [1, level - 1] * 2]
+        two = MixedArray((2,), [[0], [1]])
+        assert concat_columns(two, two).cells.dtype == np.uint8
+        assert concat_columns(two, select_columns(arr, [1])).cells.dtype == dtype
+
+    @pytest.mark.parametrize(
+        "build, dtype",
+        [
+            (lambda: bush_oa(256, 1), np.uint8),
+            (lambda: bush_oa(257, 1), np.uint16),
+            (lambda: trivial_moa((1 << 16,)), np.uint16),
+            (lambda: trivial_moa(((1 << 16) + 1,)), np.uint32),
+            (lambda: two_uniform_prime_power(4, 2)[0], np.uint8),
+            (lambda: three_uniform_dm2n(5, 4, 54)[0], np.uint8),
+            (lambda: k_uniform_product(2, [5, 8])[0], np.uint8),
+        ],
+        ids=["bush-256", "bush-257", "trivial-65536", "trivial-65537", "cor2", "thm4", "thm7"],
+    )
+    def test_family_builders(self, build, dtype):
+        assert build().cells.dtype == dtype
+
+    @pytest.mark.parametrize(
+        "levels, cells, message",
+        [
+            # 2^63 wraps to a negative int64
+            ((2,), np.array([[1 << 63]], dtype=np.uint64), "column 0 holds symbol 9223372036854775808 "),
+            ((1 << 64,), np.array([[1 << 63]], dtype=np.uint64), "symbol 9223372036854775808 is outside"),
+            # 300 wraps to 44 in uint8, and -1 to 255
+            ((256,), np.array([[300]], dtype=np.int16), "column 0 holds symbol 300 but has only 256"),
+            ((256,), np.array([[-1]], dtype=np.int8), "negative symbol"),
+            # 2^32 wraps to 0 in uint32
+            ((2, 1 << 32), [[0, 1 << 32]], "column 1 holds symbol 4294967296 "),
+        ],
+        ids=["uint64-2^63-level-2", "uint64-2^63-level-2^64", "int16-300", "int8-negative", "2^32"],
+    )
+    def test_out_of_range_rejected_before_the_cast(self, levels, cells, message):
+        with pytest.raises(ParameterError, match=message):
+            MixedArray(levels, cells)
+
+    def test_kernels_on_int64_cells(self):
+        # a level above 2^32 keeps int64 cells, which the subset loop adds
+        # to its uint8 codes for the columns (0, 1)
+        rows = [[0, 0, 0], [0, 1, 5], [1, 0, 7], [1, 1, (1 << 33) - 1]]
+        arr = MixedArray((2, 2, 1 << 33), rows)
+        assert arr.cells.dtype == np.int64
+        report = verify_strength(arr, 2)
+        assert report.witness.columns == (0, 2) and report.witness.symbols is None
+        assert strength_report_loop(arr.cells, arr.levels, 2)[2][0] == (0, 2)
+        assert distance_spectrum(arr).counts == naive_spectrum(arr.cells)
+
+    def test_codes_of_narrow_cells_do_not_wrap(self):
+        arr = _boundary_array(256)
+        assert arr.cells.dtype == np.uint8
+        assert arrays.subset_codes(arr.cells, arr.levels, (0, 1)).tolist() == [0, 511]
+        assert arrays.subset_codes(arr.cells, arr.levels, (1, 0)).tolist() == [0, 511]
+        full = trivial_moa((256, 3))
+        assert verify_strength(full, 2).index == 1
+        assert distance_spectrum(full).counts == naive_spectrum(full.cells)
 
 
 class TestStrength:

@@ -44,6 +44,7 @@ from oakit.constructions import (
 )
 from oakit.errors import ConstructionError, ParameterError, VerificationError
 from oakit.quantum import verify_k_uniform
+from oracles import naive_min_distance, naive_strength
 
 
 class TestJuxtaposeScheme:
@@ -335,6 +336,29 @@ class TestFamilies:
         arr, cert = two_uniform_dm2n(4, 1, 12)
         assert arr.profile() == "4^1 2^12" and cert.measured_md >= 3
 
+    def test_tight_caller_host_deletes_within_budget(self):
+        # A strength-2 host of r runs over d^m 2^b with minimal distance w
+        # has b <= w + r/2 - 1 - m*d/2.  This 16-run host over 4^1 2^6 meets
+        # it with w = 1: rows (s, z), s the 4-level symbol and z in GF(2)^2,
+        # read f.z + e in binary column c, with (f, e) from the tables by s,
+        # and rows (0, z) and (1, z) differ only in the 4-level column.
+        # Its one stage has distance min(r, w + r/2) = 9, so its budget 6
+        # is every inherited column, and each n >= r deletes within it.
+        f = [(1, 1, 1, 1)] * 2 + [(2, 2, 1, 1)] * 2 + [(3, 3, 2, 2)] * 2
+        e = [(0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 0, 0), (0, 0, 1, 1)]
+        rows = [
+            [s] + [(bin(fc[s] & z).count("1") + ec[s]) % 2 for fc, ec in zip(f, e)]
+            for s in range(4)
+            for z in range(4)
+        ]
+        host = MixedArray.from_rows((4,) + (2,) * 6, rows)
+        assert naive_strength(rows, host.levels, 2) and naive_min_distance(rows, 7) == 1
+        for n in range(16, 23):
+            arr, cert = two_uniform_dm2n(4, 1, n, host=host)
+            assert cert.notes == (f"any-within-budget deletion of the last {22 - n} binary columns",)
+            out = arr.row_tuples()
+            assert naive_strength(out, arr.levels, 2) and naive_min_distance(out, n + 1) >= 3
+
     def test_m3_built_in_host(self):
         # the 108-run full factorial over 3^3 2^2 doubles once, to 216 runs
         with pytest.raises(ParameterError, match="needs >= 57"):
@@ -352,8 +376,12 @@ class TestFamilies:
             (lambda: two_uniform_dm2n(3, 1, 9), "use the 3\\^m 2\\^n builder for d <= 3"),
             (lambda: two_uniform_dm2n(4, 2, 9), "no built-in host for d = 4, m = 2"),
             (lambda: two_uniform_dm2n(5, 1, 9), "no built-in host for d = 5, m = 1"),
+            (lambda: two_uniform_dm2n(4, 0, 9, host=trivial_moa((2, 2))), "need m >= 1"),
         ],
-        ids=["3m2n-1-7", "3m2n-0-9", "3m2n-4-30", "dm2n-3-1-9", "dm2n-4-2-9", "dm2n-5-1-9"],
+        ids=[
+            "3m2n-1-7", "3m2n-0-9", "3m2n-4-30", "dm2n-3-1-9", "dm2n-4-2-9", "dm2n-5-1-9",
+            "dm2n-4-0-9",
+        ],
     )
     def test_out_of_range(self, call, message):
         with pytest.raises(ParameterError, match=message):

@@ -235,9 +235,10 @@ def test_edge_documents_reach_every_outcome():
 
 
 def test_tall_document_memory_is_bounded():
-    # bush_oa(11, 4) is 14641 x 12; its int64 cells alone take 1.34 MiB, and
-    # the text is 0.35 MB.  The line reader's list of lines and of tokens
-    # peaked at 4.6 MiB
+    # bush_oa(11, 4) is 14641 x 12; its cells take 0.17 MiB stored as uint8,
+    # and 1.34 MiB in the int64 buffer the reader fills before MixedArray
+    # narrows it, and the text is 0.35 MB.  The line reader's list of lines
+    # and of tokens peaked at 4.6 MiB
     array = bush_oa(11, 4)
     tracemalloc.start()
     try:

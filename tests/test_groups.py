@@ -74,6 +74,19 @@ class TestMixedRadix:
         assert np.stack(columns, axis=1).tolist() == [list(t) for t in digits]
         assert encode(columns, radices).tolist() == codes
 
+    def test_narrow_digits_widen_before_the_arithmetic(self):
+        # each of these wraps in uint8, whose dtype NumPy keeps through the
+        # arithmetic on two uint8 arrays or one and a Python int
+        high = np.array([255, 200, 0], dtype=np.uint8)
+        low = np.array([255, 3, 1], dtype=np.uint8)
+        assert encode((high, low), (256, 256)).tolist() == [65535, 51203, 1]
+        assert encode((high, low), np.array([256, 256])).tolist() == [65535, 51203, 1]
+        assert decode(np.uint16(51203), (256, 256)) == (200, 3)
+        assert add_digits(high, low, (256,)).tolist() == [254, 203, 1]
+        assert add_digits(high, low, (16, 16)).tolist() == [238, 203, 1]
+        assert sub_digits(low, high, (256,)).tolist() == [0, 59, 1]
+        assert sub_digits(low, high, (2,) * 8).tolist() == [0, 203, 1]
+
     def test_place_values(self):
         assert place_values((4, 3, 2)) == (6, 2, 1)
         assert place_values((5,)) == (1,)
