@@ -24,9 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from .arrays import (
+    _TILE_CELLS,
     MixedArray,
     StrengthReport,
     StrengthWitness,
+    cell_dtype,
     concat_columns,
     distance_spectrum,
     select_columns,
@@ -541,15 +543,20 @@ def kronecker_sum(a: MixedArray, b: MixedArray, group: AdditiveGroup) -> MixedAr
 
     Entry block (i, j) is a(i, j) + B elementwise, so the output has
     r_a * r_b rows and N_a * N_b columns.  Both inputs must be single-level
-    arrays over the group's order.
+    arrays over the group's order.  The sums are taken for a block of a's
+    rows at a time, each block at most 2^18 output cells (or one row of a),
+    and written into the narrow output, so the group's int64 temporaries
+    stay that small.
     """
     d = group.order
     if set(a.levels) != {d} or set(b.levels) != {d}:
         raise ParameterError(f"both operands must be over {d} levels")
-    out = group.add(a.cells[:, None, :, None], b.cells[None, :, None, :]).reshape(
-        a.runs * b.runs, a.ncols * b.ncols
-    )
-    return MixedArray((d,) * (a.ncols * b.ncols), out)
+    out = np.empty((a.runs, b.runs, a.ncols, b.ncols), dtype=cell_dtype((d,)))
+    step = max(1, _TILE_CELLS // out[0].size)
+    for lo in range(0, a.runs, step):
+        rows = a.cells[lo : lo + step, None, :, None]
+        out[lo : lo + step] = group.add(rows, b.cells[None, :, None, :])
+    return MixedArray((d,) * (a.ncols * b.ncols), out.reshape(a.runs * b.runs, -1))
 
 
 def repeat_rows_each(a: MixedArray, times: int) -> MixedArray:

@@ -505,6 +505,23 @@ def _coset_weights(array: MixedArray) -> np.ndarray | None:
     return np.concatenate([np.count_nonzero(b, axis=1) for b in blocks])
 
 
+def _sorted_rows(narrow: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The rows' bytes as void keys, the order that sorts them, and whether a row repeats.
+
+    ``narrow`` is C-contiguous.  A repeated row sorts next to its copy, so
+    neighbours in the order are compared, in chunks of at most 2^18 cells.
+    """
+    r, n = narrow.shape
+    keys = narrow.view(np.dtype((np.void, n * narrow.itemsize))).ravel()
+    order = np.argsort(keys)
+    chunk = max(1, _TILE_CELLS // n)
+    for lo in range(0, r - 1, chunk):
+        near = keys[order[lo : lo + chunk + 1]]
+        if (near[1:] == near[:-1]).any():
+            return keys, order, True
+    return keys, order, False
+
+
 def _is_coset(narrow: np.ndarray, radices: list[tuple[int, ...]]) -> bool:
     """Whether the rows of ``narrow`` are distinct and form a coset of a subgroup.
 
@@ -549,19 +566,15 @@ def _is_coset(narrow: np.ndarray, radices: list[tuple[int, ...]]) -> bool:
     seen = np.where(counts, counts, r)
     if (np.maximum.reduceat(counts, offsets) != np.minimum.reduceat(seen, offsets)).any():
         return False
-    key = np.dtype((np.void, n * narrow.itemsize))
-    keys = narrow.view(key).ravel()
-    order = np.argsort(keys)
-    for lo in range(0, r - 1, chunk):  # a repeated row sorts next to its copy
-        near = keys[order[lo : lo + chunk + 1]]
-        if (near[1:] == near[:-1]).any():
-            return False
+    keys, order, repeated = _sorted_rows(narrow)
+    if repeated:
+        return False
 
     def shift(members, t):
         """The row index of each member's row + t, or None if one is not a row."""
         out = np.empty_like(members)
         for lo in range(0, members.size, chunk):
-            wanted = add(narrow[members[lo : lo + chunk]], t).view(key).ravel()
+            wanted = add(narrow[members[lo : lo + chunk]], t).view(keys.dtype).ravel()
             found = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), r - 1)]
             if (keys[found] != wanted).any():
                 return None
@@ -655,6 +668,13 @@ def _pair_spectrum(array: MixedArray) -> DistanceSpectrum:
 
 
 def min_distance(array: MixedArray) -> int:
+    """The least Hamming distance between two rows (N + 1 for a single row).
+
+    A repeated row makes it 0, which one sort of the rows finds before any
+    pair is compared.
+    """
+    if _sorted_rows(array.cells)[2]:
+        return 0
     return distance_spectrum(array).min_distance
 
 
@@ -663,12 +683,15 @@ def is_irredundant(array: MixedArray, k: int) -> IrredundancyReport:
 
     Two rows that agree on some N-k columns differ in at most k places, so the
     criterion is exactly min_distance >= k + 1; the report carries that
-    measured distance.  The direct subarray enumeration is the test oracle
-    ``naive_irredundant``.
+    measured distance, 0 from a repeated row, which one sort of the rows
+    finds before any pair is compared.  The direct subarray enumeration is
+    the test oracle ``naive_irredundant``.
     """
     n = array.ncols
     if not 1 <= k < n:
         raise ParameterError(f"irredundancy strength must satisfy 1 <= k < {n}, got {k}")
+    if _sorted_rows(array.cells)[2]:
+        return IrredundancyReport(k, False, 0)
     return distance_spectrum(array).irredundancy(k)
 
 

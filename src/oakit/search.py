@@ -12,11 +12,12 @@ every verdict, deterministic.
 
 The engine walks it a row at a time.  A row's candidates are the tuples of
 the searched columns in lexicographic order, at most ``CANDIDATE_CAP`` of
-them, and every rule and counter becomes a Python-int bitset over them, so
-one row costs a few big-int operations per column instead of a Python step
-per node, and the nodes are counted from the bitsets exactly.  The walk is
-one loop with an explicit stack of rows, not recursion, so its stack depth
-does not grow with the array.
+them, and every rule and counter becomes a Python-int bitset over them,
+one per column, all packed into a single int, so one row costs a few
+big-int operations instead of a Python step per node, and the nodes are
+counted from the bitsets exactly.  The walk is one loop with an explicit
+stack of rows, not recursion, so its stack depth does not grow with the
+array.
 
 The engine knows nothing of what it searches for; three tables set it up.
 ``search_moa`` counts the raw tuple on every t-subset of columns.
@@ -175,16 +176,31 @@ def _backtrack(
     The walk places a row at a time.  A row's candidates are the searched
     columns' symbol tuples in lexicographic order, so the candidates sharing
     a j-cell prefix form a block of consecutive indices, and a set of
-    prefixes is a Python-int bitset over the candidates.  When a row opens,
-    T_j, the prefixes the cell order tries in column j, is A_{j-1}, those
-    alive after column j - 1, within the canonical rules: at or after the
-    row above, equal-range columns nondecreasing, labels below the next new
-    one.  A_j is T_j less the prefixes that hit a full tally of a counter
-    ending at j or agree with an earlier row on too many columns.  The
-    j-blocks of T_j up to a candidate are the (cell, symbol) nodes the cell
-    order visits before it, so node counts and budget cuts are exact.
-    Taking a row uses up its tallies, and a tally that fills cuts its
-    candidates from every later row; going back gives them back.
+    prefixes is a bitset over the candidates.  The per-column sets are
+    packed into one Python int, column j's bitset in slot j (from bit
+    j * count), so a rule costs one big-int operation for all the columns
+    at once.  When a row opens, T_j, the prefixes the cell order tries in
+    column j, is R_j, what the canonical rules allow up to column j (at or
+    after the row above, equal-range columns nondecreasing, labels below
+    the next new one), within L_{j-1}, where L_j, the live set, holds the
+    candidates that hit no full tally of a counter ending at or before j
+    and agree with no earlier row on too many of columns 0..j.  R and L
+    only shrink from column to column, so T is R & (L shifted up a slot),
+    with no chain from column to column, and the row's candidates are
+    T_{m-1} & L_{m-1}.  The j-blocks of T_j up to a candidate are the
+    (cell, symbol) nodes the cell order visits before it, so node counts
+    and budget cuts are exact.
+
+    The state a row opens with is immutable ints: the live set; the
+    tallies' free room, one field each; the equal-column flags and the
+    rules R they make.  Taking a row subtracts its packed decrement from
+    the room, and a tally whose field runs out takes its candidates out of
+    its column's slot and every later one.  A counter with given heads
+    tallies a packed index (its given symbols, then the candidate), so the
+    live set keeps its tally ids in a slot of its own past the column
+    slots, which each row reads shifted by its given symbols.  An open row
+    keeps the state it opened with, so going back restores it with nothing
+    to undo.
 
     More than ``OUTPUT_CELL_CAP`` cells (runs x columns) or ``CANDIDATE_CAP``
     candidate rows raise ``ParameterError`` before anything is allocated,
@@ -206,31 +222,52 @@ def _backtrack(
     m = n - g
     full = (1 << count) - 1
     digits = np.stack(decode(np.arange(count), searched), axis=1)
-    rows = [tuple(row) for row in digits.tolist()]
     holds = [[_bits(digits[:, j] == x) for x in range(d)] for j, d in enumerate(searched)]
     block = [prod(searched[j + 1 :]) for j in range(m)]
-    firsts = [_bits(np.arange(count) % size == 0) for size in block]
-    rising = [_bits(digits[:, j] >= digits[:, j - 1]) if j else full for j in range(m)]
+    # the packed layout: slot j holds column j's bitset, from bit j * count
+    last = (m - 1) * count
+    every = full * sum(1 << j * count for j in range(m))
+    # shifts that copy slot j to every later slot, and past the last
+    doubling = [count << k for k in range(max(m - 1, 0).bit_length())]
+
+    def smear(x: int) -> int:
+        """Each slot's bits ORed into every later slot."""
+        for step in doubling:
+            x |= x << step
+        return x & every
+
+    firsts = sum(_bits(np.arange(count) % size == 0) << j * count for j, size in enumerate(block))
     # equal-column flags, bit j for columns j - 1 and j: those of the same
     # range, and per candidate those it fills with the same symbol
     equal = sum(1 << j for j in range(1, m) if searched[j] == searched[j - 1])
     repeats = ((digits[:, 1:] == digits[:, :-1]) << np.arange(1, m)).sum(axis=1).tolist()
+    rising = [_bits(digits[:, j] >= digits[:, j - 1]) if j else full for j in range(m)]
+    # labels: the candidates below each symbol, per column
+    below = [list(accumulate(sets, or_, initial=0)) for sets in holds] if g else []
 
     # All tallies in one list.  A full tally cuts, from every later row, the
-    # candidates that would hit it: a bitset kept in the slot of the counter's
-    # last column.  A counter with given heads tallies a packed index (its
-    # given symbols, then the candidate), so it keeps its own slot, shifted
-    # down by each row's given symbols when the row opens.
+    # candidates that would hit it: its hits leave the slot of the counter's
+    # last column and every later one.  A counter with given heads has a slot
+    # of its own past the column slots, as wide as its packed index space, at
+    # ``place``: the tally ids it has left.
+    #
+    # A tally's free room is a field of ``width`` bits that holds 2^(width-1)
+    # + room - 1, so its top bit is set until the tally is full, and taking a
+    # row never borrows from the next field: a row naming a full tally is cut.
     fronts = np.zeros((runs, 0), dtype=np.int64) if given is None else given.astype(np.int64)
     labelled = any(c < g for columns, _, _ in counters for c in columns)
-    rooms: list[int] = []
+    sizes = [int(table.max()) + 1 for _, table, _ in counters]
+    width = max((lam for _, _, lam in counters), default=0).bit_length() + 1
+    rooms, total = 0, 0  # the fields, and the tallies so far
     hits: list[int] = []
-    slot_of: list[int] = []
+    places: list[int] = []
     bases, tables, offsets = [], [], []  # with given heads: per counter
-    # tally ids stay below 2^25: under the bound a counter has at most 2^12
-    # tallies, and there are at most 2^13 counters
-    name = np.zeros((0 if labelled else count, len(counters)), dtype=np.int32)
+    # tally ids, in the narrowest type that holds them: they stay below 2^25,
+    # since under the bound a counter has at most 2^12 tallies, and there are
+    # at most 2^13 counters
+    name = np.zeros((0 if labelled else count, len(counters)), np.min_scalar_type(sum(sizes)))
     shifted: list[list[tuple[int, list[int]]]] = [[] for _ in range(m)]
+    end = m * count  # where the next given-head slot starts
     for k, (columns, table, lam) in enumerate(counters):
         heads = [c for c in columns if c < g]
         dims = [hi[c] for c in heads]
@@ -240,131 +277,172 @@ def _backtrack(
             for c in columns
         )
         codes = np.broadcast_to(table[index], (combos.shape[1], count)).ravel()
-        sets = [0] * (int(table.max()) + 1)
+        sets = [0] * sizes[k]
         for p, code in enumerate(codes.tolist()):
             sets[code] |= 1 << p
-        slot = columns[-1] - g
+        place = (columns[-1] - g) * count
         if labelled:
             offset = (np.broadcast_to(encode(fronts[:, heads].T, dims), (runs,)) * count).tolist()
             if heads:
-                slot = m + sum(map(len, shifted))
-                shifted[columns[-1] - g].append((slot, offset))
-            bases.append(len(rooms))
+                shifted[columns[-1] - g].append((end, offset))
+                place = end
+                end += len(codes)
+            bases.append(total)
             tables.append(codes.tolist())
             offsets.append(offset)
         else:
-            name[:, k] = codes + len(rooms)
-        rooms += [lam] * len(sets)
+            name[:, k] = codes + total
+        repunit = ((1 << sizes[k] * width) - 1) // ((1 << width) - 1)  # a 1 per field
+        rooms |= ((1 << width - 1) + lam - 1) * repunit << total * width
+        total += sizes[k]
         hits += sets
-        slot_of += [slot] * len(sets)
+        places += [place] * sizes[k]
     offsets = list(zip(*offsets))
+
+    def decrement(codes: Iterable[int]) -> tuple[int, int]:
+        """A row's packed decrement and the top bits of the fields it takes."""
+        step = sum(1 << c * width for c in codes)
+        return step, step << width - 1
+
     # without given heads a candidate names the same tallies in every row, so
-    # they are listed once per candidate (summing them per row took about a
-    # fifth more time on the benchmark's searches)
-    named: list[list[int] | None] = [None] * count
+    # its decrement is packed once
+    steps: list[tuple[int, int] | None] = [None] * count
     linked = [True] + (fronts[1:] == fronts[:-1]).all(axis=1).tolist()
     most = n - (floor or 0)  # agreements allowed with each earlier row
-    planes: list[list[int] | None] = [None] * count
+    planes: list[int | None] = [None] * count
 
-    def agreeing(r: int) -> list[int]:
-        """Per column j: the candidates agreeing with row r on > most of columns 0..j."""
+    def apart(r: int) -> int:
+        """Slot j: the candidates agreeing with row r on at most ``most`` of columns 0..j."""
         atleast = [full] + [0] * (most + 1)
-        out = planes[r] = []
-        for j, x in enumerate(rows[r]):
+        out = 0
+        for j, x in enumerate(digits[r].tolist()):
             hit = holds[j][x]
             for a in range(min(j + 1, most + 1), 0, -1):
                 atleast[a] |= atleast[a - 1] & hit
-            out.append(atleast[most + 1])
+            out |= (full ^ atleast[most + 1]) << j * count
         return out
 
-    # labels: the candidates below each symbol, per column
-    below = [list(accumulate(sets, or_, initial=0)) for sets in holds] if g else []
-
-    def push(i: int, r: int, state: tuple) -> tuple[list[int], tuple]:
-        """Place candidate r as row i; return its tallies and the next row's state."""
-        cut, eq, top = state
-        if floor:
-            cut = [a | b for a, b in zip(cut, planes[r] or agreeing(r))]
-        if g:
-            top = tuple(min(d, max(t, x + 2)) for d, t, x in zip(searched, top, rows[r]))
-        if labelled:
-            codes = [b + t[o + r] for b, t, o in zip(bases, tables, offsets[i])]
-        else:
-            codes = named[r]
-            if codes is None:
-                codes = named[r] = name[r].tolist()
-        for c in codes:
-            rooms[c] -= 1
-            if not rooms[c]:
-                if cut is state[0]:
-                    cut = cut.copy()
-                cut[slot_of[c]] |= hits[c]
-        return codes, (cut, eq & repeats[r], top)
-
-    def open_row(i: int, state: tuple) -> tuple[list[int], int, int]:
-        """The j-blocks each column tries, their count, and the candidates left alive."""
-        cut, eq, top = state
-        above = chosen[i - 1] if linked[i] else 0
-        tried, total, alive = [], 0, full
-        for j, (first, dead) in enumerate(zip(firsts, cut)):
-            start = above - above % block[j]  # at or after the row above
-            alive = alive >> start << start
+    def allowed(eq: int, tops: tuple[int, ...]) -> int:
+        """Slot j: the candidates the equal-column order and the labels allow up to column j."""
+        out, keep = 0, full
+        for j in range(m):
             if eq >> j & 1:  # not below the equal column before
-                alive &= rising[j]
-            if top:  # at most one new label
-                alive &= below[j][top[j]]
-            if not alive:
-                break
-            tried.append(alive & first)
-            total += tried[-1].bit_count()
-            alive &= ~dead
-            if labelled:
-                for s, shift in shifted[j]:
-                    alive &= ~(cut[s] >> shift[i])
-        return tried, total, alive
+                keep &= rising[j]
+            if tops:  # at most one new label
+                keep &= below[j][tops[j]]
+            out |= keep << j * count
+        return out
+
+    # At or after the row above: slot j keeps the candidates from start_j,
+    # where the row above's j-block starts.  The candidates split at a column
+    # boundary h into a prefix index q and a suffix index s, about the square
+    # root of count values each, and the packed set is lows[q] | highs[s] <<
+    # q * B.  lows[q] holds slots < h whole and, in the others, the prefixes
+    # after q; highs[s] holds, in slot j >= h, the block of prefix q from
+    # start_j on.  Both fill in as rows need them.
+    tails = [prod(searched[h:]) for h in range(m + 1)]
+    h = min(range(m + 1), key=lambda h: count // tails[h] + tails[h])
+    B = tails[h]
+    lows: list[int | None] = [None] * (count // B)
+    highs: list[int | None] = [None] * B
+
+    def low_part(q: int) -> int:
+        starts = [q * B // block[j] * block[j] for j in range(h)] + [q * B + B] * (m - h)
+        return sum(full >> start << start + j * count for j, start in enumerate(starts))
+
+    def high_part(s: int) -> int:
+        return sum((1 << B) - (1 << s - s % block[j]) << j * count for j in range(h, m))
+
+    def visited(nodes: int, stack: list, tried: int) -> int:
+        """The nodes the cell order has visited up to the candidates taken now."""
+        tries = [frame[1] for frame in stack] + [tried]
+        return nodes - sum(
+            (t & (every ^ smear((2 << chosen[k]) - 1))).bit_count() for k, t in enumerate(tries)
+        )
 
     limit = inf if node_budget is None else node_budget
     chosen = [0] * runs
-    _, state = push(0, 0, ([0] * (m + sum(map(len, shifted))), equal, (0,) * m if g else ()))
-    if runs == 1:
-        return SearchResult("found", finish(np.hstack([fronts, digits[chosen]])), 0)
-    # nodes counts every node of each row opened so far; while rows are open,
-    # those past their taken candidates are still to come
-    tried, nodes, rest = open_row(1, state)
-    # per open row: its tried blocks, candidates left, the one taken and its
-    # tallies, and the state the row opened with; row i is stack[i - 1]
-    stack = [[tried, rest, -1, None, state]]
-
-    def visited() -> int:
-        """The nodes the cell order has visited up to the candidates taken now."""
-        return nodes - sum((t >> r + 1).bit_count() for tried, _, r, _, _ in stack for t in tried)
-
+    # row i is open: its candidates still to try, the nodes it tried (packed),
+    # and the state it opened with; the rows above it wait on the stack
+    nodes, i, rest, tried = 0, 0, 1, 0  # row 0 takes candidate 0, no node
+    # live: per slot j the candidates no full tally or close row cuts by
+    # column j, then the given-head slots' live tally ids
+    live, eq, tops = (1 << end) - 1, equal, (0,) * m if g else ()
+    rule = allowed(eq, tops)
+    stack: list[tuple] = []
     while True:
-        i, frame = len(stack), stack[-1]
-        tried, rest, _, codes, state = frame
-        if codes is not None:  # back from the row below: give its tallies back
-            for c in codes:
-                rooms[c] += 1
         if not rest:  # row i has no candidate left: back to the row above
-            stack.pop()
             if not stack:
                 if nodes > limit:
                     return SearchResult("budget", nodes=int(limit) + 1)
                 return SearchResult("exhausted", nodes=nodes)
+            i -= 1
+            rest, tried, live, rooms, eq, rule, tops = stack.pop()
             continue
         low = rest & -rest
-        frame[1] = rest ^ low
-        r = frame[2] = chosen[i] = low.bit_length() - 1
-        if nodes > limit and visited() > limit:
+        rest ^= low
+        r = chosen[i] = low.bit_length() - 1
+        if nodes > limit and visited(nodes, stack, tried) > limit:
             return SearchResult("budget", nodes=int(limit) + 1)
         if i == runs - 1:
-            return SearchResult("found", finish(np.hstack([fronts, digits[chosen]])), visited())
-        frame[3], state = push(i, r, state)
-        tried, total, rest = open_row(i + 1, state)
-        nodes += total
-        if rest:
-            stack.append([tried, rest, -1, None, state])
-        elif nodes > limit and visited() > limit:  # a dead end, visited whole
+            cells = np.hstack([fronts, digits[chosen]])
+            return SearchResult("found", finish(cells), visited(nodes, stack, tried))
+        # take candidate r as row i
+        kept = live
+        if floor:
+            plane = planes[r]
+            if plane is None:
+                plane = planes[r] = apart(r)
+            kept &= plane
+        if labelled:
+            step, marks = decrement([b + t[o + r] for b, t, o in zip(bases, tables, offsets[i])])
+        else:
+            pair = steps[r]
+            if pair is None:
+                pair = steps[r] = decrement(name[r].tolist())
+            step, marks = pair
+        left = rooms - step
+        filled = marks ^ marks & left
+        if filled:  # tallies this row fills
+            fresh = 0
+            while filled:
+                bit = filled & -filled
+                filled ^= bit
+                t = bit.bit_length() // width - 1
+                fresh |= hits[t] << places[t]
+            kept ^= kept & (smear(fresh) | fresh)  # smear keeps only the column slots
+        flags = eq & repeats[r]
+        if g:
+            up = tuple(min(d, max(t, x + 2)) for d, t, x in zip(searched, tops, digits[r].tolist()))
+            ahead = allowed(flags, up)
+        else:
+            up = tops
+            ahead = rule if flags == eq else allowed(flags, up)
+        # open row i + 1
+        above = r if linked[i + 1] else 0
+        q, s = divmod(above, B)
+        lo = lows[q]
+        if lo is None:
+            lo = lows[q] = low_part(q)
+        hi_s = highs[s]
+        if hi_s is None:
+            hi_s = highs[s] = high_part(s)
+        alive = kept
+        if labelled:  # full tallies under row i + 1's given symbols
+            extra = 0
+            for j, slots in enumerate(shifted):
+                for at, offset in slots:
+                    extra |= (full ^ kept >> at + offset[i + 1] & full) << j * count
+            alive ^= alive & smear(extra)
+        opened = (lo | hi_s << above - s) & ahead & (alive << count | full)
+        tries = opened & firsts
+        nodes += tries.bit_count()
+        after = (opened & alive) >> last
+        if after:
+            stack.append((rest, tried, live, rooms, eq, rule, tops))
+            i += 1
+            rest, tried, live, rooms, eq, rule, tops = after, tries, kept, left, flags, ahead, up
+        elif nodes > limit and visited(nodes, stack, tried) > limit:  # a dead end, visited whole
             return SearchResult("budget", nodes=int(limit) + 1)
 
 

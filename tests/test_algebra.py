@@ -1,8 +1,11 @@
 """Fields, groups, Hadamard generators, difference schemes, Kronecker sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oakit import algebra
 from oakit.algebra import (
     column_vector,
     DifferenceScheme,
@@ -404,6 +407,32 @@ class TestKroneckerAndStacking:
             for row_b in b.row_tuples()
         ]
         assert out.row_tuples() == [tuple(row) for row in expected]
+
+    @pytest.mark.parametrize("tile", [1, 700, 1 << 18])
+    def test_kronecker_sum_blocks_match_one_broadcast(self, monkeypatch, tile):
+        # a block of a's rows at a time, one row when a row is over the tile
+        monkeypatch.setattr(algebra, "_TILE_CELLS", tile)
+        rng = np.random.default_rng(tile)
+        group = gf_additive_group(4)
+        a = MixedArray((4,) * 5, rng.integers(0, 4, size=(37, 5)))
+        b = MixedArray((4,) * 3, rng.integers(0, 4, size=(6, 3)))
+        whole = group.add(a.cells[:, None, :, None], b.cells[None, :, None, :])
+        out = kronecker_sum(a, b, group)
+        assert out.cells.dtype == np.uint8
+        assert np.array_equal(out.cells, whole.reshape(37 * 6, 15))
+
+    def test_expanding_the_gf4_linear_scheme_stays_small(self):
+        # cor2 d=4 n=5 expands the 1024 x 1024 scheme over GF(4) to 4096 x
+        # 1024 cells, 4 MiB as uint8; one broadcast sum took 104 MiB
+        scheme = algebra._linear_scheme(4, 5, verify=False)
+        tracemalloc.start()
+        try:
+            arr = expand(scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.cells.shape == (4096, 1024) and arr.cells.dtype == np.uint8
+        assert peak < 16 * 2**20
 
     def test_kronecker_sum_level_mismatch(self):
         with pytest.raises(ParameterError):

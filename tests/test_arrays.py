@@ -690,6 +690,50 @@ class TestIrredundancy:
             assert report.holds == naive_irredundant(arr.row_tuples(), arr.ncols, k)
 
 
+class TestRepeatedRows:
+    """A repeated row answers minimal distance 0 before any pair is compared."""
+
+    @staticmethod
+    def _copied_row():
+        base = bush_oa(5, 2, columns=6)
+        cells = np.vstack([base.cells, base.cells[7:8]])
+        return MixedArray(base.levels, cells)
+
+    def test_no_pair_pass_for_a_copied_row(self, monkeypatch):
+        def refuse(array):
+            raise AssertionError("pair pass ran")
+
+        monkeypatch.setattr(arrays, "_pair_spectrum", refuse)
+        arr = self._copied_row()
+        assert min_distance(arr) == 0
+        report = is_irredundant(arr, 2)
+        assert not report.holds and report.min_distance == 0
+        # the full spectrum still counts every pair
+        with pytest.raises(AssertionError, match="pair pass ran"):
+            distance_spectrum(arr)
+
+    def test_matches_the_naive_distance(self):
+        rng = np.random.default_rng(11)
+        cases = [trivial_moa((2, 3)), bush_oa(3, 2, columns=3), self._copied_row()]
+        for _ in range(40):
+            levels = tuple(int(d) for d in rng.integers(2, 5, size=rng.integers(1, 5)))
+            runs = int(rng.integers(1, 12))
+            cells = rng.integers(0, levels, size=(runs, len(levels)))
+            if runs > 2 and rng.random() < 0.5:
+                cells[-1] = cells[int(rng.integers(0, runs - 1))]
+            cases.append(MixedArray(levels, cells))
+        repeated = set()
+        for arr in cases:
+            rows = arr.row_tuples()
+            expected = naive_min_distance(rows, arr.ncols)
+            assert min_distance(arr) == expected
+            for k in range(1, arr.ncols):
+                report = is_irredundant(arr, k)
+                assert (report.holds, report.min_distance) == (expected >= k + 1, expected)
+            repeated.add(len(set(rows)) < len(rows))
+        assert repeated == {True, False}
+
+
 class TestColumnSurgery:
     def test_budget_on_36_column_expansion(self):
         arr = expand(hadamard01(36).as_scheme(3))

@@ -502,6 +502,38 @@ class TestNodeCountOracle:
                 cases += 1
         assert cases == 39
 
+    def test_three_label_columns(self):
+        # no client searches more than one column after given ones; the
+        # engine must still carry a full given-head tally of one label column
+        # into every later one
+        cases = 0
+        for name, arr in TestSearchPartition._corpus():
+            n = arr.ncols
+            for labels in [(2, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 1), (3, 1, 2)]:
+                if arr.runs > 12 or arr.runs % labels[0] or arr.runs % labels[-1]:
+                    continue
+                counters = [
+                    ((j, n + t), np.arange(d * k).reshape(d, k), arr.runs // k // d)
+                    for j, d in enumerate(arr.levels)
+                    for t, k in enumerate(labels)
+                    if arr.runs // k % d == 0
+                ]
+                levels = arr.levels + labels
+                status, nodes, rows = naive_canonical_search(
+                    levels,
+                    arr.runs,
+                    [(columns, tuple, lam) for columns, _, lam in counters],
+                    given=arr.row_tuples(),
+                )
+                result = search._backtrack(
+                    arr.runs, levels, counters, None, None, lambda cells: cells, arr.cells
+                )
+                assert (result.status, result.nodes) == (status, nodes), (name, labels)
+                found = None if result.array is None else list(map(tuple, result.array.tolist()))
+                assert found == rows, (name, labels)
+                cases += 1
+        assert cases > 30
+
 
 class TestSearchDepth:
     """A search's stack depth does not grow with its rows or cells."""
@@ -543,6 +575,12 @@ class TestNonexistence:
         spec = SearchSpec(12, (3, 2, 2, 2, 2), 2, min_distance=2, node_budget=10_000_000)
         verdict = exhaustive_nonexistence(spec)
         assert verdict.status == "proved" and verdict.nodes == 396_980
+
+    def test_budgeted_18_run_search_is_inconclusive(self):
+        # the benchmark's second search: neither found nor ruled out
+        spec = SearchSpec(18, (2, 3, 3, 3, 3), 2, min_distance=3, node_budget=150_000)
+        verdict = exhaustive_nonexistence(spec)
+        assert verdict.status == "inconclusive" and verdict.nodes == 150_001
 
 
 class TestOracleAgreement:
