@@ -405,10 +405,10 @@ def _backtrack(
         filled = marks ^ marks & left
         if filled:  # tallies this row fills
             fresh = 0
-            while filled:
-                bit = filled & -filled
-                filled ^= bit
-                t = bit.bit_length() // width - 1
+            while filled:  # from the top, which shortens ``filled`` as it goes
+                top = filled.bit_length()
+                filled ^= 1 << top - 1
+                t = top // width - 1
                 fresh |= hits[t] << places[t]
             kept ^= kept & (smear(fresh) | fresh)  # smear keeps only the column slots
         flags = eq & repeats[r]
