@@ -572,14 +572,17 @@ def product_construction(a: MixedArray, b: MixedArray) -> MixedArray:
     Rows are indexed by (i, j) with i major; column c carries the pair
     a(i, c), b(j, c) encoded as the two digits under the radices (d_a(c),
     d_b(c)), that is a * d_b(c) + b.  Strength k of both inputs is
-    preserved and MD(product) >= min(MD(a), MD(b)).
+    preserved and MD(product) >= min(MD(a), MD(b)).  Codes are int64: a
+    level product above 2^63 raises ``ParameterError``.
     """
     n = min(a.ncols, b.ncols)
+    levels = tuple(a.levels[c] * b.levels[c] for c in range(n))
+    for c, d in enumerate(levels):
+        if d > 1 << 63:
+            raise ParameterError(f"column {c} pairs to {d} levels, above the int64 range")
     radices = (np.asarray(a.levels[:n]), np.asarray(b.levels[:n]))
     out = encode((a.cells[:, None, :n], b.cells[None, :, :n]), radices)
-    out = out.reshape(a.runs * b.runs, n)
-    levels = tuple(a.levels[c] * b.levels[c] for c in range(n))
-    return MixedArray(levels, out)
+    return MixedArray(levels, out.reshape(a.runs * b.runs, n))
 
 
 def column_vector(d: int) -> MixedArray:

@@ -15,9 +15,10 @@ scanned in lexicographic order and the first offender is reported.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain
 from math import comb, prod
 from typing import Iterable, Sequence
 
@@ -165,16 +166,20 @@ class IrredundancyReport:
     min_distance: int
 
 
-# cells per tile of row pairs (distance_spectrum, verify_k_uniform) or of ANDed row-set words
+# cells per tile: of row pairs compared (the split kernel, verify_k_uniform's
+# close pairs) or of rows read at once
 _TILE_CELLS = 1 << 18
 
+# the split kernel's cap on the distance patterns prod(n_c + 1) of the level
+# classes: every code then fits a uint16 accumulator
+_SPLIT_PATTERNS = 1 << 16
+
 # verify_strength's cost model, in rough nanoseconds on one core
-_SUBSET_NS = 10000  # the subset loop's fixed cost per subset
-_ROW_NS = 6  # the subset loop's cost per row of each subset
-_CALL_NS = 60000  # the row-set path's fixed cost per call
-_PACK_NS = 2  # its cost per row and slot, to pack the row sets
-_PREFIX_NS = 120000  # its fixed cost per prefix
-_WORD_NS = 3  # its cost per ANDed and counted 64-bit word
+_SUBSET_NS = 5000  # the subset loop's fixed cost per subset
+_ROW_NS = 3  # the subset loop's cost per row of each subset
+_PASS_NS = 300000  # the split pass's fixed cost: the coset test, the sums
+_PAIR_CELLS_PER_NS = 3  # row pair cells, one pair in one column, the pass compares
+_COSET_NS = 60  # the pass's cost per cell of a coset's rows
 
 
 def cell_dtype(levels: Iterable[int]) -> np.dtype:
@@ -210,15 +215,12 @@ def verify_strength(array: MixedArray, k: int) -> StrengthReport:
     its lexicographically first bad tuple are reported.  A subset whose level
     product does not divide r fails with a divisibility witness.
 
-    The row sets vouch and the loop reports.  The subset loop,
-    ``_strength_loop``, makes one ``bincount`` of mixed-radix codes per
-    k-subset and builds every report.  Once its first subset holds, and
-    ``_bitsets_cheaper`` expects a full scan from packed r-bit row sets to
-    cost less than one by the loop (from the shape alone; at k = 2 and 3
-    only), it asks the row sets, ``_strength_bitsets``, for the first subset
-    they cannot vouch for, and resumes there, or holds if there is none.
-    The row sets pay off on wide arrays with few levels; they can only
-    answer "holds", so every report is that of the lexicographic scan.
+    The split pass vouches and the loop reports.  The subset loop,
+    ``_strength_loop``, builds every report.  Once its first N - k + 1
+    subsets hold, and ``_split_cheaper`` expects one split pass to cost
+    less than the rest of the loop, it asks ``_voucher``, which can only
+    answer "holds" (``_vanishes``); on any other answer the loop carries on
+    where it stopped, so every report is that of the lexicographic scan.
     """
     n = array.ncols
     if k < 0:
@@ -227,41 +229,25 @@ def verify_strength(array: MixedArray, k: int) -> StrengthReport:
         raise ParameterError(f"strength {k} exceeds column count {n}")
     if k == 0:
         return StrengthReport(0, True, array.runs)
-    return _strength_loop(array, k)
+    return _strength_loop(array, k)[0]
 
 
-def _bitsets_cheaper(levels: tuple[int, ...], r: int, k: int) -> bool:
-    """Whether the row-set path should beat the subset loop on a full scan.
+def _split_cheaper(levels: tuple[int, ...], r: int, k: int, coset: bool) -> bool:
+    """Whether one split pass should cost less than the subset loop after its first run.
 
-    Only k = 2 and k = 3 may take the row sets.  The loop costs
-    C(N, k) * (per-subset overhead + r).  The row-set path costs a packing
-    pass, an overhead per prefix, and the words it counts: per prefix symbol
-    tuple, the margins of every later column and the box of every later
-    column pair.  At k = 2 the one prefix is empty, with one tuple; at k = 3
-    the prefixes are the single columns c <= N - 3, with ``levels[c]`` tuples.
+    That is C(N, k) - (N - k + 1) subsets at an overhead plus r each, against
+    an overhead plus r(r - 1)/2 row pairs in N columns, or r rows of a group
+    coset (``coset``).
     """
-    if k not in (2, 3):
-        return False
     n = len(levels)
-    # slots and box slots of the columns from m on, and box slot pairs of
-    # the column pairs from m on
-    after = [*accumulate(reversed(levels), initial=0)][::-1]
-    box_after = [*accumulate((d - 1 for d in reversed(levels)), initial=0)][::-1]
-    box_pairs = ((levels[j] - 1) * box_after[j + 1] for j in reversed(range(n)))
-    pairs = [*accumulate(box_pairs, initial=0)][::-1]
-    # (symbol tuples, first later column) of each prefix
-    prefixes = [(1, 0)] if k == 2 else [(levels[c], c + 1) for c in range(n - 2)]
-    slot_pairs = sum(t * (pairs[m] + after[m]) for t, m in prefixes)
-    bitsets = (
-        _CALL_NS
-        + _PACK_NS * r * after[0]
-        + _PREFIX_NS * len(prefixes)
-        + _WORD_NS * slot_pairs * -(-r // 64)
-    )
-    return bitsets < comb(n, k) * (_SUBSET_NS + _ROW_NS * r)
+    if k < 2:
+        return False
+    rest = (comb(n, k) - (n - k + 1)) * (_SUBSET_NS + _ROW_NS * r)
+    cost = r * n * _COSET_NS if coset else r * (r - 1) // 2 * n // _PAIR_CELLS_PER_NS
+    return _PASS_NS + cost < rest
 
 
-def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
+def _strength_loop(array: MixedArray, k: int) -> tuple[StrengthReport, np.ndarray | None]:
     """The subset loop: one ``bincount`` per k-subset, in lexicographic order.
 
     The columns are scanned from one column-major copy of the cells.
@@ -273,9 +259,10 @@ def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
     so every code is below r; the product it fails with is its divisibility
     witness.  Its counts, which sum to r over as many bins as the product,
     are all the index iff their maximum is; otherwise the smallest
-    miscounted code is its first bad tuple.  Once the first subset holds,
-    the row sets may vouch for a run of subsets (see ``verify_strength``),
-    and the scan resumes at the first one they do not vouch for.
+    miscounted code is its first bad tuple.  Once the first run of subsets,
+    (0, ..., k - 2, j) for every j, holds, the split pass may vouch for the
+    rest (see ``verify_strength``).  Returns the report and, when the
+    voucher held, its per-distance pair counts (``_distances``), else None.
     """
     r, n = array.cells.shape
     levels = array.levels
@@ -286,13 +273,13 @@ def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
     dims = [1] * (k + 1)  # dims[i + 1]: the level product of the first i + 1 columns
     subset = list(range(k))
     changed = 0  # the first position of subset that differs from the last one scanned
-    vouch = _bitsets_cheaper(levels, r, k)  # whether the row sets still get their turn
+    distances = None
     while True:
         for i in range(changed, k):
             dims[i + 1] = dims[i] * levels[subset[i]]
         if r % dims[k]:
             witness = StrengthWitness(tuple(subset), None, None, Fraction(r, dims[k]))
-            return StrengthReport(k, False, None, witness)
+            return StrengthReport(k, False, None, witness), None
         for i in range(changed, k):
             if i == 0:
                 codes[0] = columns[subset[0]]
@@ -305,14 +292,7 @@ def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
             code = int(np.argmax(counts != lam))
             symbols = decode(code, [levels[j] for j in subset])
             witness = StrengthWitness(tuple(subset), symbols, int(counts[code]), Fraction(lam))
-            return StrengthReport(k, False, None, witness)
-        if vouch:
-            vouch = False
-            start = _strength_bitsets(array, k)
-            if start is None:
-                break
-            subset, changed = list(start), 0
-            continue
+            return StrengthReport(k, False, None, witness), None
         # the next subset in lexicographic order: raise the last position
         # that can still rise and restart the ones after it
         changed = k - 1
@@ -320,135 +300,109 @@ def _strength_loop(array: MixedArray, k: int) -> StrengthReport:
             changed -= 1
         if changed < 0:
             break
+        # only the first run has the prefix 0, ..., k - 2
+        if changed < k - 1 and subset[k - 2] == k - 2:
+            distances = _voucher(array, k)
+            if distances is not None:
+                break
         subset[changed] += 1
         for i in range(changed + 1, k):
             subset[i] = subset[i - 1] + 1
+    return _holds(levels, r, k), distances
+
+
+def _holds(levels: tuple[int, ...], r: int, k: int) -> StrengthReport:
+    """The report of strength k, 1 <= k <= N, found to hold."""
     # every k-subset has the same level product iff all levels are equal or
     # there is only one subset: otherwise swapping in a column of another
     # level changes it
-    if len(set(levels)) > 1 and k < n:
+    if len(set(levels)) > 1 and k < len(levels):
         return StrengthReport(k, True, None)
     return StrengthReport(k, True, r // prod(levels[:k]))
 
 
-def _row_sets(array: MixedArray) -> tuple[np.ndarray, list[int]]:
-    """Packed row sets, one per (column, symbol), and each column's first slot.
+def _voucher(array: MixedArray, k: int) -> np.ndarray | None:
+    """The per-distance pair counts if one split pass vouches for strength k, else None.
 
-    Slot ``offsets[j] + s`` holds the rows where column j reads s, as bit
-    (i mod 64) of word (i div 64).  The result is word-major, W x slots of
-    uint64, so that a column's slots are a slice of every word row.  The
-    one-hot bits are set and packed a block of columns at a time, each
-    block's flat one-hot index and bits at most a tile of ``_TILE_CELLS``
-    (or one column's worth).
+    The pass runs on the pairs if ``_split_cheaper`` says so, else on a
+    coset's rows if it says that and the rows are one; not at all above
+    ``_SPLIT_PATTERNS``.
+    """
+    r, levels = array.runs, array.levels
+    groups = _split_groups(levels)
+    pairs = _split_cheaper(levels, r, k, coset=False)
+    if groups is None or not (pairs or _split_cheaper(levels, r, k, coset=True)):
+        return None
+    counts = _split_counts(array, groups, compare=pairs)
+    if counts is None or not _vanishes(counts, groups, array, k):
+        return None
+    return _distances(counts, groups)
+
+
+def _strength_and_min_distance(array: MixedArray, k: int) -> tuple[StrengthReport, int]:
+    """Strength k and the minimal distance from one split pass (``certify``).
+
+    The loop runs only when the pass does not vouch, to build the report;
+    above ``_SPLIT_PATTERNS`` the pass has unit strides and cannot vouch.
     """
     r, n = array.cells.shape
-    offsets = [0, *accumulate(array.levels)]
-    padded = -(-r // 64) * 64
-    packed = np.empty((offsets[-1], padded // 8), dtype=np.uint8)
-    rows = np.arange(r)
-    step = max(1, _TILE_CELLS // (padded * max(array.levels)))  # columns per block
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        # the flat one-hot index of every cell of the block, built in place
-        index = array.cells[:, lo:hi].T + np.asarray(offsets[lo:hi])[:, None] - offsets[lo]
-        index *= padded
-        index += rows
-        onehot = np.zeros((offsets[hi] - offsets[lo], padded), dtype=bool)
-        onehot.ravel()[index] = True
-        packed[offsets[lo] : offsets[hi]] = np.packbits(onehot, axis=1, bitorder="little")
-    return np.ascontiguousarray(packed.view(np.uint64).T), offsets
+    groups = _split_groups(array.levels)
+    counts = _split_counts(array, groups or _plain(n))
+    attained = np.flatnonzero(_distances(counts, groups or _plain(n)))
+    md = int(attained[0]) if attained.size else n + 1
+    if groups is not None and 1 <= k <= n and _vanishes(counts, groups, array, k):
+        return _holds(array.levels, r, k), md
+    return verify_strength(array, k), md
 
 
-def _miscounted(
-    left: np.ndarray, right: np.ndarray, left_d: np.ndarray, right_d: np.ndarray, r: int
-) -> np.ndarray:
-    """``out[a, b]``: whether the rows that ``left[:, a]`` and ``right[:, b]``
-    share number other than r / (left_d[a] * right_d[b]).
+def _split_groups(levels: tuple[int, ...]) -> list[np.ndarray] | None:
+    """The columns of each level class, by ascending level; None above ``_SPLIT_PATTERNS``."""
+    classes = Counter(levels)
+    if prod(n_c + 1 for n_c in classes.values()) > _SPLIT_PATTERNS:
+        return None
+    return [np.flatnonzero([d == c for d in levels]) for c in sorted(classes)]
 
-    A count is right iff it times the level product is r, so a product
-    that does not divide r always miscounts.  Both row-set operands are
-    word-major.  The ANDed words are counted in tiles of at most
-    ``_TILE_CELLS`` words, and each tile's counts are checked before the
-    next tile, so memory stays bounded for any slot counts.
+
+def _plain(n: int) -> list[np.ndarray]:
+    """One class of every column: unit strides, whose codes are the distances."""
+    return [np.arange(n)]
+
+
+def _krawtchouk(n: int, q: int, top: int) -> list[list[int]]:
+    """K_j(w; n, q) of the Hamming scheme for j = 0..top (rows) and w = 0..n.
+
+    By the three-term recurrence, exact in Python ints, from K_0 = 1, K_-1 = 0:
+    (j + 1) K_{j+1}(w) = ((n - j)(q - 1) + j - q w) K_j(w) - (q - 1)(n - j + 1) K_{j-1}(w).
     """
-    w, a = left.shape
-    b = right.shape[1]
-    b_step = max(1, min(b, _TILE_CELLS // w))
-    a_step = max(1, min(a, _TILE_CELLS // (w * b_step)))
-    tile = np.empty(w * a_step * b_step, dtype=np.uint64)
-    bits = tile.view(np.uint8)  # each popcount byte overwrites a word already counted
-    counts = np.empty(a_step * b_step, dtype=np.min_scalar_type(r))  # a count is at most r
-    out = np.empty((a, b), dtype=bool)
-    for lo in range(0, a, a_step):
-        hi = min(a, lo + a_step)
-        for start in range(0, b, b_step):
-            stop = min(b, start + b_step)
-            shape = (hi - lo, stop - start)
-            t = tile[: w * shape[0] * shape[1]].reshape(w, *shape)
-            np.bitwise_and(left[:, lo:hi, None], right[:, None, start:stop], out=t)
-            p = np.bitwise_count(t, out=bits[: t.size].reshape(t.shape))
-            c = np.add.reduce(p, axis=0, out=counts[: shape[0] * shape[1]].reshape(shape))
-            product = left_d[lo:hi, None] * right_d[start:stop]
-            np.not_equal(c * product, r, out=out[lo:hi, start:stop])
-    return out
+    rows, prev = [[1] * (n + 1)], [0] * (n + 1)
+    for j in range(top):
+        a, b = (n - j) * (q - 1) + j, (q - 1) * (n - j + 1)
+        terms = enumerate(zip(rows[-1], prev))
+        rows.append([((a - q * w) * x - b * y) // (j + 1) for w, (x, y) in terms])
+        prev = rows[-2]
+    return rows
 
 
-def _strength_bitsets(array: MixedArray, k: int) -> tuple[int, ...] | None:
-    """The row-set voucher, at k = 2 or 3: the first k-subset it cannot vouch for.
+def _vanishes(counts: np.ndarray, groups: list[np.ndarray], array: MixedArray, k: int) -> bool:
+    """Whether split pair counts show strength k: B_j = 0 for every type 1 <= |j| <= k.
 
-    Every k-subset before the one returned is balanced; None vouches for
-    all of them.  Each (k - 2)-column prefix, in lexicographic order, has
-    the row sets of its symbol tuples: at k = 2 the empty prefix's one
-    tuple, met by every row, and at k = 3 a column's own row sets.  A table
-    of counts over two next columns (a, b) is all lambda iff its two
-    margins are, which are the counts of prefix + (a) and prefix + (b), and
-    so is the box without the last symbol of a and of b.  So each prefix
-    counts the margins of its later columns once; one that miscounts stops
-    the vouching at the prefix's first subset.  Then it counts the box of
-    every pair, in blocks of consecutive columns a, each against every
-    column after the block's first; a slot pair (a < b) that miscounts,
-    which it does whenever the pair's level product times the prefix's
-    does not divide r, stops it at the block's first subset.  A block ANDs
-    at most an eighth of a tile of words (or one column's worth), so an
-    early failure costs little more than its margins.
+    A_w counts the ordered row pairs (i = j included) whose distance within
+    each level class c is w_c: twice the unordered ``counts``, plus r at
+    w = 0.  B_j = sum_w A_w prod_c K_{j_c}(w_c; n_c, d_c) is the sum of
+    |sum_rows chi(row)|^2 over the characters chi of the column groups Z_d
+    supported on a column set of type j, so it vanishes iff every
+    projection onto such a set is uniform (Delsarte 1973; Sloane & Stufken
+    1996 for mixed levels), for any labels and any multiset of rows.  A is
+    contracted with each class's Krawtchouk table in turn, in Python ints.
     """
-    r, n = array.cells.shape
-    levels = array.levels
-    sets, offsets = _row_sets(array)
-    d = np.asarray(levels, dtype=np.int64)
-    slot_levels = np.repeat(d, d)
-    # the box's row sets: every column's slots but its last, from starts[c] on
-    box = np.ascontiguousarray(np.delete(sets, np.subtract(offsets[1:], 1), axis=1))
-    box_levels = np.repeat(d, d - 1)
-    box_column = np.repeat(np.arange(n), d - 1)
-    starts = np.subtract(offsets, np.arange(n + 1))
-    if k == 2:
-        everyone = np.bitwise_or.reduce(sets[:, : levels[0]], axis=1, keepdims=True)
-        prefixes = [((), 1, everyone)]
-    else:  # the columns that leave two later ones
-        prefixes = (((c,), levels[c], sets[:, offsets[c] : offsets[c + 1]]) for c in range(n - 2))
-    for prefix, d_prefix, prefix_sets in prefixes:
-        j = prefix[-1] + 1 if prefix else 0
-        later = slice(offsets[j], None)
-        left_d = np.full(prefix_sets.shape[1], d_prefix)
-        if _miscounted(prefix_sets, sets[:, later], left_d, slot_levels[later], r).any():
-            return (*prefix, j, j + 1)
-        w, tuples = prefix_sets.shape
-        while j < n - 1:
-            right = slice(starts[j + 1], starts[n])
-            width = right.stop - right.start
-            # the block ends at the last column whose box slots keep its ANDed words in budget
-            reach = starts[j] + (_TILE_CELLS >> 3) // (w * tuples * width)
-            end = min(n - 1, max(j + 1, int(np.searchsorted(starts, reach, "right")) - 1))
-            left = slice(starts[j], starts[end])
-            left_sets = (prefix_sets[:, :, None] & box[:, None, left]).reshape(w, -1)
-            left_d = np.tile(d_prefix * box_levels[left], tuples)
-            bad = _miscounted(left_sets, box[:, right], left_d, box_levels[right], r)
-            bad = bad.reshape(tuples, -1, width).any(axis=0)
-            if (bad & (box_column[left, None] < box_column[right])).any():
-                return (*prefix, j, j + 1)
-            j = end
-    return None
+    b = counts.astype(object) * 2
+    b[0] += array.runs
+    b = b.reshape([len(g) + 1 for g in groups])
+    for g in groups:  # the class's distance axis becomes its type axis, last
+        table = np.array(_krawtchouk(len(g), array.levels[g[0]], min(k, len(g))), dtype=object)
+        b = np.tensordot(b, table, axes=([0], [1]))
+    types = np.indices(b.shape).sum(axis=0)
+    return not b[(types >= 1) & (types <= k)].any()
 
 
 def _split_radices(d: int) -> tuple[int, ...]:
@@ -469,17 +423,17 @@ def _split_radices(d: int) -> tuple[int, ...]:
     return tuple(chain.from_iterable(sorted(factors, key=prod)))
 
 
-def _coset_weights(array: MixedArray) -> np.ndarray | None:
-    """Each row's Hamming distance from row 0, if the rows form a group coset.
+def _coset_weights(array: MixedArray, groups: list[np.ndarray] | None = None) -> np.ndarray | None:
+    """Each row's split code from row 0 (see ``_split_counts``), if the rows form a group coset.
 
-    Returns None unless the rows are distinct and form a coset s0 + H of a
-    subgroup H of the product of the column groups, each level split into
-    its prime-power factors as GF(q) digits (``_split_radices``).  For such
-    an array the differences between a row and the others run over
-    H \\ {0} once, whatever the row, so the distances from row 0 are the
-    distances from every row.  A level above 2^32 returns None before it
-    is factored: trial division up to its square root could take minutes,
-    and no builder makes one.
+    By default (``_plain``) the code is the Hamming distance.  Returns None
+    unless the rows are distinct and form a coset s0 + H of a subgroup H of
+    the product of the column groups, each level split into its prime-power
+    factors as GF(q) digits (``_split_radices``).  For such an array the
+    differences between a row and the others run over H \\ {0} once,
+    whatever the row, so the codes from row 0 are those from every row.  A level above 2^32 returns
+    None before it is factored: trial division up to its square root could
+    take minutes, and no builder makes one.
 
     The check is exact.  A few sums of rows are looked for among the rows
     first, which rejects most other arrays for the cost of a few scans.
@@ -501,8 +455,13 @@ def _coset_weights(array: MixedArray) -> np.ndarray | None:
     if not _is_coset(cells, [split_level[d] for d in levels]):
         return None
     chunk = max(1, _TILE_CELLS // n)
-    blocks = (cells[lo : lo + chunk] != cells[0] for lo in range(0, r, chunk))
-    return np.concatenate([np.count_nonzero(b, axis=1) for b in blocks])
+    codes = np.zeros(r, dtype=np.int64)
+    for lo in range(0, r, chunk):
+        differ = cells[lo : lo + chunk] != cells[0]
+        for g in groups or _plain(n):  # Horner's rule over the classes
+            codes[lo : lo + chunk] *= len(g) + 1
+            codes[lo : lo + chunk] += np.count_nonzero(differ[:, g], axis=1)
+    return codes
 
 
 def _sorted_rows(narrow: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -613,11 +572,12 @@ def _spectrum(counts: np.ndarray) -> DistanceSpectrum:
 def distance_spectrum(array: MixedArray) -> DistanceSpectrum:
     """Exact Hamming distances over all row pairs.
 
-    When the rows are a group coset (``_coset_weights``), the pairs at
-    distance w number r * A_w / 2, where A_w counts the rows at distance w
-    from row 0: one pass over the rows instead of r^2 / 2 pair compares.
-    Every other array, repeated rows included, goes to ``_pair_spectrum``,
-    which compares the pairs; both give the same spectrum.
+    The split kernel, ``_split_counts``, counts the pairs with unit strides,
+    so that a pair's code is its distance.  When the rows are a group coset
+    the pairs at distance w number r * A_w / 2, where A_w counts the rows
+    at distance w from row 0: one pass over the rows instead of r^2 / 2
+    pair compares.  Every other array, repeated rows included, has its
+    pairs compared; both give the same spectrum.
 
     A one-row array has the conventional empty spectrum with minimal
     distance N + 1 so that irredundancy predicates degrade gracefully.
@@ -625,46 +585,77 @@ def distance_spectrum(array: MixedArray) -> DistanceSpectrum:
     r, n = array.cells.shape
     if r == 1:
         return DistanceSpectrum((), n + 1, {})
-    weights = _coset_weights(array)
-    if weights is None:
-        return _pair_spectrum(array)
-    counts = np.bincount(weights, minlength=n + 1) * r // 2
-    counts[0] = 0  # the rows are distinct: row 0 is the only one at distance 0
-    return _spectrum(counts)
+    return _spectrum(_split_counts(array, _plain(n)))
 
 
-def _pair_spectrum(array: MixedArray) -> DistanceSpectrum:
-    """The spectrum of an array of at least two rows, one row pair at a time.
+def _split_counts(
+    array: MixedArray, groups: list[np.ndarray], compare: bool = True
+) -> np.ndarray | None:
+    """The split kernel: unordered row pairs counted by their split distance code.
+
+    ``groups`` lists the columns of each level class, most significant
+    first.  A column's stride is the product of (n_c + 1) over the later
+    classes, and a pair's code is the sum of the strides where its rows
+    differ; with one class (``_plain``) the strides are 1 and the code is
+    the distance.  A group coset has r/2 pairs per row at each code from
+    row 0 (``_coset_weights``); other arrays have their pairs compared
+    (``_pair_counts``), or give None unless ``compare``.
+    """
+    codes = _coset_weights(array, groups)
+    if codes is None:
+        return _pair_counts(array, groups) if compare else None
+    counts = np.bincount(codes, minlength=prod(len(g) + 1 for g in groups)) * array.runs // 2
+    counts[0] = 0
+    return counts
+
+
+def _distances(counts: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
+    """Per-distance pair counts from split counts: each code's digits summed."""
+    out = np.zeros(sum(map(len, groups)) + 1, dtype=np.int64)
+    attained = np.flatnonzero(counts)
+    digits = np.unravel_index(attained, [len(g) + 1 for g in groups])
+    np.add.at(out, sum(digits), counts[attained])
+    return out
+
+
+def _pair_counts(array: MixedArray, groups: list[np.ndarray]) -> np.ndarray:
+    """Split counts of an array of at least two rows, one row pair at a time.
 
     Rows are compared in tiles: a block of b consecutive rows against itself
-    and every later row, with b * r <= 2^18 cells.  Besides one transposed
-    copy of the cells, the working memory is one boolean and one distance
-    tile of at most 2^18 cells each, reused across tiles: under 1 MiB at
-    any row count.  A boolean tile is added through its uint8 view, which
-    skips the bool-to-integer casting loop.
+    and every later row, with b * r <= 2^18 cells.  Codes accumulate by
+    Horner's rule: each class multiplies the tile by n_c + 1, then its
+    columns add 1 where the rows differ.  Besides one transposed copy of
+    the cells, the working memory is one boolean and one code tile of at
+    most 2^18 cells each, reused across tiles: under 1 MiB at any row
+    count.  A boolean tile is added through its uint8 view, which skips
+    the bool-to-integer casting loop.
     """
     r, n = array.cells.shape
+    size = prod(len(g) + 1 for g in groups)
     columns = np.ascontiguousarray(array.cells.T)
     b = max(1, min(r, _TILE_CELLS // r))
     unequal = np.empty(b * r, dtype=bool)
-    dist = np.empty(b * r, dtype=cell_dtype((n + 1,)))
+    code = np.empty(b * r, dtype=cell_dtype((size,)))
     later = np.triu(np.ones((b, b), dtype=bool), 1)  # j > i inside the diagonal block
     # bincount copies its input to int64: count 2^15 cells at a time so that
     # the copy is no larger than one tile
     count_rows = max(1, (_TILE_CELLS >> 3) // r)
-    counts = np.zeros(n + 1, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int64)
     for lo in range(0, r - 1, b):
         h, w = min(b, r - lo), r - lo
         tile = unequal[: h * w].reshape(h, w)
-        acc = dist[: h * w].reshape(h, w)
+        acc = code[: h * w].reshape(h, w)
         acc.fill(0)
-        for col in columns:
-            np.not_equal(col[lo : lo + h, None], col[None, lo:], out=tile)
-            np.add(acc, tile.view(np.uint8), out=acc)
-        counts += np.bincount(acc[:, :h][later[:h, :h]], minlength=n + 1)
+        for c, g in enumerate(groups):
+            if c:
+                acc *= len(g) + 1
+            for j in g:
+                np.not_equal(columns[j, lo : lo + h, None], columns[j, None, lo:], out=tile)
+                np.add(acc, tile.view(np.uint8), out=acc)
+        counts += np.bincount(acc[:, :h][later[:h, :h]], minlength=size)
         for top in range(0, h, count_rows):
-            counts += np.bincount(acc[top : top + count_rows, h:].ravel(), minlength=n + 1)
-    return _spectrum(counts)
+            counts += np.bincount(acc[top : top + count_rows, h:].ravel(), minlength=size)
+    return counts
 
 
 def min_distance(array: MixedArray) -> int:

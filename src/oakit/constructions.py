@@ -44,6 +44,7 @@ from .algebra import (
 )
 from .arrays import (
     MixedArray,
+    _strength_and_min_distance,
     delete_columns,
     min_distance,
     select_columns,
@@ -212,17 +213,18 @@ def certify(
 ) -> ConstructionCertificate:
     """Mandatory oracle re-check: exact strength plus measured distance.
 
+    One split pass gives both (``arrays._strength_and_min_distance``); the
+    subset loop runs only to name the witness of a failed strength.
     Returns the certificate verified, with ``runs``, ``profile`` and
     ``measured_md`` read from ``array``; whatever it carried in those fields
     before is replaced.
     """
-    report = verify_strength(array, certificate.strength)
+    report, md = _strength_and_min_distance(array, certificate.strength)
     if not report.holds:
         raise VerificationError(
             f"{certificate.construction}: strength {certificate.strength} oracle "
             f"failed with witness {report.witness}"
         )
-    md = min_distance(array)
     if certificate.predicted_md is not None:
         if certificate.md_exact and md != certificate.predicted_md:
             raise VerificationError(

@@ -33,8 +33,8 @@ from .arrays import (
     _TILE_CELLS,
     MixedArray,
     _coset_weights,
+    _strength_loop,
     subset_codes,
-    verify_strength,
 )
 from .errors import ParameterError
 
@@ -176,22 +176,25 @@ def verify_k_uniform(array: MixedArray, k: int) -> UniformityReport:
     when the state is k-uniform).  A subset fails when it is unbalanced, or
     when it contains the difference set of a close pair: two rows that agree
     on every column outside it.  The first unbalanced subset comes from
-    ``verify_strength``; close pairs are only searched among the columns
-    whose first k-subset precedes it.
+    ``verify_strength``'s scan; close pairs are only searched among the
+    columns whose first k-subset precedes it.
 
-    Two cases need no search.  At strength k with index 1 every k-column
+    Three cases need no search.  At strength k with index 1 every k-column
     projection is injective, so two rows differ in at least N - k + 1
     columns, and with N >= 2k that is more than k: there are no close
-    pairs, whatever the symbols' labels.  And when the rows are a group
-    coset, ``_close_pairs`` reads them off the rows' differences from row 0;
-    every other array has its row pairs compared.
+    pairs, whatever the symbols' labels.  When the scan's split pass
+    vouched for strength k, it also counted the pairs by distance, and
+    there is a close pair iff the minimal distance is at most k.  And when
+    the rows are a group coset, ``_close_pairs`` reads them off the rows'
+    differences from row 0; every other array has its row pairs compared.
     """
     n = array.ncols
     if not 1 <= k < n:
         raise ParameterError(f"uniformity strength must satisfy 1 <= k < {n}, got {k}")
     total = comb(n, k)
-    strength = verify_strength(array, k)
-    if strength.index == 1 and n >= 2 * k:
+    strength, distances = _strength_loop(array, k)
+    vouched = distances is not None and not distances[: k + 1].any()  # no pair within k
+    if vouched or (strength.index == 1 and n >= 2 * k):
         return UniformityReport(k, True, None, total, total)
     witness = None if strength.holds else strength.witness.columns
     lead = n if witness is None else sum(_first_superset((c,), k) < witness for c in range(n))

@@ -486,6 +486,21 @@ class TestProductConstruction:
         ]
         assert out.row_tuples() == expected and max(map(max, expected)) > 255
 
+    def test_level_product_past_int64_is_refused(self):
+        # column 0 pairs (2^23, 5) over 2^24 x 2^41 levels: its code 2^64 + 5
+        # wraps to the cell 5 in int64
+        a = MixedArray((1 << 24, 2), [[1 << 23, 0], [(1 << 24) - 1, 1]])
+        b = MixedArray((1 << 41, 2), [[5, 0]])
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ParameterError, match="column 0 .* above the int64 range"):
+                product_construction(x, y)
+        # the largest level product that fits
+        fits = MixedArray((1 << 22, 2), [[(1 << 22) - 1, 1]])
+        top = MixedArray((1 << 41, 2), [[(1 << 41) - 1, 1]])
+        out = product_construction(fits, top)
+        assert out.levels == (1 << 63, 4)
+        assert out.row_tuples() == [((1 << 63) - 1, 3)]
+
     def test_md_lower_bound_on_fixtures(self):
         pairs = [
             (bush_oa(3, 2), bush_oa(4, 2, columns=4)),

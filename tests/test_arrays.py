@@ -19,11 +19,17 @@ from oakit.algebra import (
 from oakit.arrays import (
     MixedArray,
     StrengthWitness,
-    _bitsets_cheaper,
     _coset_weights,
-    _pair_spectrum,
-    _strength_bitsets,
+    _distances,
+    _krawtchouk,
+    _pair_counts,
+    _plain,
+    _spectrum,
+    _split_cheaper,
+    _split_counts,
+    _split_groups,
     _strength_loop,
+    _vanishes,
     concat_columns,
     delete_columns,
     distance_spectrum,
@@ -48,6 +54,7 @@ from oakit.formats import parse_array, serialize_array
 from oakit.search import SearchSpec, search_moa
 
 from oracles import (
+    krawtchouk,
     macwilliams_strength,
     naive_distances,
     naive_irredundant,
@@ -324,25 +331,28 @@ def _strength_corpus():
     return cases
 
 
+def _vouches(arr, k):
+    """The split voucher's verdict on strength k, or None above the pattern cap."""
+    groups = _split_groups(arr.levels)
+    if groups is None:
+        return None
+    return _vanishes(_split_counts(arr, groups), groups, arr, k)
+
+
 class TestStrengthCrossCheck:
-    """The subset loop, the dispatch and the row-set voucher against the per-subset oracle."""
+    """The subset loop, the dispatch and the split voucher against the per-subset oracle."""
 
     @staticmethod
     def _check(arr, k):
         expected = strength_report_loop(arr.cells, arr.levels, k)
-        for path in (verify_strength, _strength_loop):
+        for path in (verify_strength, lambda a, k: _strength_loop(a, k)[0]):
             report = path(arr, k)
             assert report.strength_checked == k
-            assert _as_oracle_report(report) == expected, (path.__name__, arr, k)
+            assert _as_oracle_report(report) == expected, (path, arr, k)
             if report.witness is not None:
                 assert all(type(c) is int for c in report.witness.columns)
-        if k in (2, 3):  # the row sets serve these strengths only
-            start = _strength_bitsets(arr, k)
-            # None exactly when the array holds; else no later than the first failure
-            if expected[0]:
-                assert start is None, (arr, k, start)
-            else:
-                assert start is not None and start <= expected[2][0], (arr, k, start)
+        # the voucher holds exactly when the array does, at every strength
+        assert _vouches(arr, k) is expected[0], (arr, k)
         return expected
 
     def test_both_paths_match_the_oracle(self):
@@ -362,35 +372,39 @@ class TestStrengthCrossCheck:
     )
     def test_late_witness(self, build, args, k, first):
         # the last column appended again: only the subsets holding both
-        # copies fail, and the first of them comes late in the scan
+        # copies fail, and the first of them comes late in the scan, after
+        # the voucher has declined
         base = build(*args)[0]
         arr = concat_columns(base, select_columns(base, [base.ncols - 1]))
-        assert _bitsets_cheaper(arr.levels, arr.runs, k)
+        assert _split_cheaper(arr.levels, arr.runs, k, coset=False)
         assert self._check(arr, k)[2][0] == first
 
     def test_dispatch_by_cost(self):
-        # tall arrays with many levels keep the subset loop: bush_oa(11, 4),
-        # bush_oa(16, 3) and bush_oa_even(16)
-        assert not _bitsets_cheaper((11,) * 12, 14641, 4)
-        assert not _bitsets_cheaper((16,) * 17, 4096, 3)
-        assert not _bitsets_cheaper((16,) * 18, 4096, 3)
-        # wide arrays with few levels take the row sets: three_uniform_dm2n(5, 4, 54)
+        # tall arrays with many levels take one pass only as a coset:
+        # bush_oa(11, 4), bush_oa(16, 3) and bush_oa_even(16)
+        for levels, r, k in (((11,) * 12, 14641, 4), ((16,) * 17, 4096, 3), ((16,) * 18, 4096, 3)):
+            assert not _split_cheaper(levels, r, k, coset=False)
+            assert _split_cheaper(levels, r, k, coset=True)
+        # wide arrays with few levels take the pairs: three_uniform_dm2n(5, 4, 54)
         # and the output of construct cor2 d=4 n=5
-        assert _bitsets_cheaper((5,) * 4 + (2,) * 54, 1000, 3)
-        assert _bitsets_cheaper((1024,) + (4,) * 1024, 4096, 2)
-        # every other strength takes the loop: the 128 x 8 certificate of
-        # oakit search --runs 128 at k = 1, and trivial_moa((2,) * 12) at k = 4
+        assert _split_cheaper((5,) * 4 + (2,) * 54, 1000, 3, coset=False)
+        assert _split_cheaper((1024,) + (4,) * 1024, 4096, 2, coset=False)
+        # strength 1 is all one run of the loop: the 128 x 8 certificate of
+        # oakit search --runs 128; trivial_moa((2,) * 12) at k = 4 compares
+        # no pairs
         deep = search_moa(SearchSpec(128, (2,) * 8, 1)).array
-        assert not _bitsets_cheaper(deep.levels, deep.runs, 1)
+        for coset in (False, True):
+            assert not _split_cheaper(deep.levels, deep.runs, 1, coset)
         full = trivial_moa((2,) * 12)
-        assert not _bitsets_cheaper(full.levels, full.runs, 4)
+        assert not _split_cheaper(full.levels, full.runs, 4, coset=False)
+        assert _split_cheaper(full.levels, full.runs, 4, coset=True)
 
     def test_memory_stays_bounded(self):
         # OA(1024, 256^1 2^256, 2): a in Z_256, b in Z_2, and the 2-level
-        # columns l(a) + b for every linear form l on the bits of a.  The first
-        # block of the row-set voucher ANDs the 256-level column's 255 box slots
-        # against the 256 slots after it, 255 x 256 pairs of 16-word row sets:
-        # 8 MiB, were it not tiled
+        # columns l(a) + b for every linear form l on the bits of a, every
+        # row twice, so no coset.  The split pass compares its 523,776 row
+        # pairs in 257 columns, 2^18 cells per tile: 128 MiB of booleans,
+        # were it not tiled
         a, b = np.divmod(np.arange(512), 2)
         forms = np.arange(256)
         parity = np.bitwise_count(a[:, None] & forms[None, :]) % 2
@@ -398,12 +412,88 @@ class TestStrengthCrossCheck:
         arr = MixedArray((256,) + (2,) * 256, np.vstack([cells, cells]))
         tracemalloc.start()
         try:
-            start = _strength_bitsets(arr, 2)
+            report, distances = _strength_loop(arr, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert start is None
+        assert report.holds and distances is not None and distances[0] == 512
         assert peak < 8 << 20
+
+
+class TestSplitVoucher:
+    """Krawtchouk values, split counts and the voucher's verdicts against the oracles."""
+
+    def test_krawtchouk_matches_the_oracle(self):
+        for n in range(9):
+            for q in (2, 3, 4, 5, 7, 256, (1 << 40) + 15):
+                table = _krawtchouk(n, q, n)
+                assert len(table) == n + 1
+                for j, row in enumerate(table):
+                    assert row == [krawtchouk(j, w, n, q) for w in range(n + 1)], (n, q, j)
+        # truncated at a strength below n
+        assert _krawtchouk(484, 2, 3) == [
+            [krawtchouk(j, w, 484, 2) for w in range(485)] for j in range(4)
+        ]
+
+    def test_split_counts_marginalise_to_the_pair_oracle(self):
+        rng = np.random.default_rng(20261020)
+        cases = [*group_arrays().values(), *fallback_arrays().values()]
+        for _ in range(30):
+            levels = tuple(int(d) for d in rng.integers(2, 6, size=rng.integers(1, 7)))
+            runs = int(rng.integers(2, 40))
+            cells = rng.integers(0, levels, size=(runs, len(levels)))
+            if rng.random() < 0.3:
+                cells[-1] = cells[0]
+            cases.append(MixedArray(levels, cells))
+        paths = set()
+        for arr in cases:
+            groups = _split_groups(arr.levels)
+            counts = _split_counts(arr, groups)
+            assert counts.size == np.prod([len(g) + 1 for g in groups])
+            assert sum(counts.tolist()) == arr.runs * (arr.runs - 1) // 2
+            spectrum = _distances(counts, groups)
+            attained = {d: int(c) for d, c in enumerate(spectrum) if c}
+            assert attained == naive_spectrum(arr.cells), arr
+            # both paths give the same counts
+            assert np.array_equal(counts, _pair_counts(arr, groups))
+            paths.add(_coset_weights(arr, groups) is not None)
+        assert paths == {True, False}
+
+    @staticmethod
+    def _agree(arr, ks):
+        for k in ks:
+            expected = strength_report_loop(arr.cells, arr.levels, k)
+            assert _vouches(arr, k) is expected[0], (arr, k)
+            assert _as_oracle_report(verify_strength(arr, k)) == expected, (arr, k)
+
+    def test_repeated_rows(self):
+        # every row twice keeps strength; one row copied over another breaks it
+        for base in (bush_oa(5, 2), trivial_moa((2, 3, 2)), two_uniform_3m2n(1, 9)[0]):
+            twice = MixedArray(base.levels, np.vstack([base.cells, base.cells]))
+            copied = MixedArray(base.levels, np.vstack([base.cells[1:], base.cells[:1]]))
+            cells = copied.cells.copy()
+            cells[0] = cells[-1]
+            for arr in (twice, MixedArray(base.levels, cells)):
+                assert _coset_weights(arr) is None
+                self._agree(arr, range(1, min(arr.ncols, 4) + 1))
+
+    def test_three_level_classes(self):
+        arr = catalog_build("thm7/12^3x4^1x3^1")[0]
+        assert len(_split_groups(arr.levels)) == 3
+        rng = np.random.default_rng(7)
+        for variant in (arr, *_damaged(arr, rng, 4, 2)):
+            self._agree(variant, range(1, arr.ncols + 1))
+
+    def test_one_array_as_a_coset_and_relabelled(self):
+        coset = bush_oa(5, 3)  # 125 x 6, a GF(5) subspace
+        relabelled = _relabelled(coset, np.random.default_rng(3))
+        assert _coset_weights(coset) is not None and _coset_weights(relabelled) is None
+        for arr in (coset, relabelled):
+            self._agree(arr, range(1, 7))
+        # the coset's codes from row 0 and the relabelled array's pairs give
+        # the same distances and the same verdicts
+        groups = _split_groups(coset.levels)
+        assert np.array_equal(_split_counts(coset, groups), _split_counts(relabelled, groups))
 
 
 class TestStrengthLoop:
@@ -413,14 +503,14 @@ class TestStrengthLoop:
     def _check(arr):
         for k in range(1, min(arr.ncols, 5) + 1):
             expected = strength_report_loop(arr.cells, arr.levels, k)
-            assert _as_oracle_report(_strength_loop(arr, k)) == expected, (arr, k)
+            assert _as_oracle_report(_strength_loop(arr, k)[0]) == expected, (arr, k)
 
     def test_divisibility_witness_mid_scan(self):
         # (0, 1, 2) is balanced; then (0, 1, 3) has level product 8, which
         # does not divide 12, and (0, 1, 2) leaves codes of its prefix behind
         full = trivial_moa((2, 2, 3))
         arr = MixedArray((2, 2, 3, 2, 2), np.hstack([full.cells, full.cells[::-1, :2]]))
-        report = _strength_loop(arr, 3)
+        report = _strength_loop(arr, 3)[0]
         assert report.witness == StrengthWitness((0, 1, 3), None, None, Fraction(12, 8))
         self._check(arr)
 
@@ -436,7 +526,7 @@ class TestStrengthLoop:
             arr = MixedArray(base.levels, cells)
             self._check(arr)
             for k in range(1, 5):  # every k-subset through column j is now unbalanced
-                assert j in _strength_loop(arr, k).witness.columns
+                assert j in _strength_loop(arr, k)[0].witness.columns
 
     def test_mixed_levels(self):
         rng = np.random.default_rng(29)
@@ -578,6 +668,11 @@ def fallback_arrays():
     return out
 
 
+def _pair_spectrum(arr):
+    """distance_spectrum with every row pair compared, whatever the rows."""
+    return _spectrum(_pair_counts(arr, _plain(arr.ncols)))
+
+
 class TestCosetPath:
     """distance_spectrum's translation-group path against the pair kernel and oracle."""
 
@@ -700,10 +795,10 @@ class TestRepeatedRows:
         return MixedArray(base.levels, cells)
 
     def test_no_pair_pass_for_a_copied_row(self, monkeypatch):
-        def refuse(array):
+        def refuse(array, groups):
             raise AssertionError("pair pass ran")
 
-        monkeypatch.setattr(arrays, "_pair_spectrum", refuse)
+        monkeypatch.setattr(arrays, "_pair_counts", refuse)
         arr = self._copied_row()
         assert min_distance(arr) == 0
         report = is_irredundant(arr, 2)

@@ -525,6 +525,28 @@ class TestFamilies:
 class TestVerifyOnce:
     """Intermediates are not re-checked; `certify` on the output is the check."""
 
+    @staticmethod
+    def _count_checks(monkeypatch, modules):
+        """(array, k) of every strength check that ``modules`` make: ``verify_strength``
+        calls and `certify`'s split pass, which checks strength too."""
+        import oakit.arrays
+        import oakit.constructions
+
+        calls = []
+
+        def counted(check):
+            def counting(array, k):
+                calls.append((array, k))
+                return check(array, k)
+
+            return counting
+
+        for module in modules:
+            monkeypatch.setattr(module, "verify_strength", counted(verify_strength))
+        split = counted(oakit.arrays._strength_and_min_distance)
+        monkeypatch.setattr(oakit.constructions, "_strength_and_min_distance", split)
+        return calls
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -536,13 +558,7 @@ class TestVerifyOnce:
     def test_one_strength_check_per_build(self, build, monkeypatch):
         import oakit.constructions
 
-        calls = []
-
-        def counting(array, k):
-            calls.append((array, k))
-            return verify_strength(array, k)
-
-        monkeypatch.setattr(oakit.constructions, "verify_strength", counting)
+        calls = self._count_checks(monkeypatch, [oakit.constructions])
         arr, cert = build()
         assert len(calls) == 1
         assert calls[0][0] is arr and calls[0][1] == 3 and cert.verified
@@ -567,32 +583,18 @@ class TestVerifyOnce:
         import oakit.constructions
 
         catalog_build(entry_id)  # warm the seeds: their checks on load are not counted
-        calls = []
-
-        def counting(array, k):
-            calls.append(k)
-            return verify_strength(array, k)
-
-        for module in (oakit.algebra, oakit.constructions):
-            monkeypatch.setattr(module, "verify_strength", counting)
+        calls = self._count_checks(monkeypatch, [oakit.algebra, oakit.constructions])
         _, cert = catalog_build(entry_id)
-        assert calls == [2] and cert.verified
+        assert [k for _, k in calls] == [2] and cert.verified
 
     def test_linear_scheme_build_checks_strength_once(self, monkeypatch):
         # `construct cor2`: the linear scheme is covered by the output's check
         import oakit.algebra
         import oakit.constructions
 
-        calls = []
-
-        def counting(array, k):
-            calls.append(k)
-            return verify_strength(array, k)
-
-        for module in (oakit.algebra, oakit.constructions):
-            monkeypatch.setattr(module, "verify_strength", counting)
+        calls = self._count_checks(monkeypatch, [oakit.algebra, oakit.constructions])
         _, cert = two_uniform_prime_power(4, 2)
-        assert calls == [2] and cert.verified
+        assert [k for _, k in calls] == [2] and cert.verified
 
     def test_group_chain_compares_no_row_pairs(self, monkeypatch):
         # expansive_replace measures its host's distance again after
@@ -601,12 +603,12 @@ class TestVerifyOnce:
 
         calls = []
 
-        def counting(array):
+        def counting(array, groups):
             calls.append(array.cells.shape)
-            return pair_spectrum(array)
+            return pair_counts(array, groups)
 
-        pair_spectrum = oakit.arrays._pair_spectrum
-        monkeypatch.setattr(oakit.arrays, "_pair_spectrum", counting)
+        pair_counts = oakit.arrays._pair_counts
+        monkeypatch.setattr(oakit.arrays, "_pair_counts", counting)
         host = bush_oa_even(4)
         out, cert = expansive_replace(host, {5: trivial_moa((2, 2))}, 3)
         cert = certify(out, cert)

@@ -10,7 +10,15 @@ import pytest
 from oakit import catalog
 from oakit.algebra import ds_linear, expand, hadamard01
 import oakit.quantum
-from oakit.arrays import MixedArray, _coset_weights, min_distance, select_columns, verify_strength
+from oakit.arrays import (
+    MixedArray,
+    _coset_weights,
+    _strength_loop,
+    delete_columns,
+    min_distance,
+    select_columns,
+    verify_strength,
+)
 from oakit.constructions import (
     bush_oa,
     k_uniform_product,
@@ -29,7 +37,7 @@ from oakit.quantum import (
     verify_k_uniform,
 )
 
-from oracles import k_uniform_loop, naive_k_uniform, naive_reduced_density
+from oracles import k_uniform_loop, naive_k_uniform, naive_reduced_density, uniform_on_subset
 from test_arrays import _relabelled, fallback_arrays, group_arrays
 
 
@@ -280,6 +288,16 @@ class TestKernelCrossCheck:
         report = verify_k_uniform(arr, 3)
         assert report.holds and report.witness_subset is None
         assert report.subsets_checked == report.subsets_total == 30856
+
+    def test_vouched_strength_with_a_pair_at_distance_k(self):
+        # three_uniform_dm2n(5, 4, 54) without its first column: the split
+        # pass vouches for strength 3, and its distances show a pair of rows
+        # that differ in 3 columns, so the state is not 3-uniform
+        arr = delete_columns(three_uniform_dm2n(5, 4, 54)[0], [0])
+        assert _strength_loop(arr, 3)[1] is not None and min_distance(arr) == 3
+        report = verify_k_uniform(arr, 3)
+        assert (report.holds, report.witness_subset, report.subsets_checked) == (False, (0, 1, 2), 1)
+        assert not uniform_on_subset(arr.cells, arr.levels, (0, 1, 2))
 
     def test_memory_stays_bounded(self):
         arr = bush_oa(11, 4)  # 14641 x 12, no close pairs at k = 4
