@@ -247,7 +247,9 @@ def _split_cheaper(levels: tuple[int, ...], r: int, k: int, coset: bool) -> bool
     return _PASS_NS + cost < rest
 
 
-def _strength_loop(array: MixedArray, k: int) -> tuple[StrengthReport, np.ndarray | None]:
+def _strength_loop(
+    array: MixedArray, k: int, vouch: bool = True
+) -> tuple[StrengthReport, np.ndarray | None]:
     """The subset loop: one ``bincount`` per k-subset, in lexicographic order.
 
     The columns are scanned from one column-major copy of the cells.
@@ -261,8 +263,8 @@ def _strength_loop(array: MixedArray, k: int) -> tuple[StrengthReport, np.ndarra
     are all the index iff their maximum is; otherwise the smallest
     miscounted code is its first bad tuple.  Once the first run of subsets,
     (0, ..., k - 2, j) for every j, holds, the split pass may vouch for the
-    rest (see ``verify_strength``).  Returns the report and, when the
-    voucher held, its per-distance pair counts (``_distances``), else None.
+    rest (see ``verify_strength``) if ``vouch``.  Returns the report and,
+    when the voucher held, its per-distance pair counts (``_distances``), else None.
     """
     r, n = array.cells.shape
     levels = array.levels
@@ -301,7 +303,7 @@ def _strength_loop(array: MixedArray, k: int) -> tuple[StrengthReport, np.ndarra
         if changed < 0:
             break
         # only the first run has the prefix 0, ..., k - 2
-        if changed < k - 1 and subset[k - 2] == k - 2:
+        if vouch and changed < k - 1 and subset[k - 2] == k - 2:
             distances = _voucher(array, k)
             if distances is not None:
                 break
@@ -339,20 +341,21 @@ def _voucher(array: MixedArray, k: int) -> np.ndarray | None:
     return _distances(counts, groups)
 
 
-def _strength_and_min_distance(array: MixedArray, k: int) -> tuple[StrengthReport, int]:
-    """Strength k and the minimal distance from one split pass (``certify``).
+def _strength_and_spectrum(array: MixedArray, k: int) -> tuple[StrengthReport, DistanceSpectrum]:
+    """``verify_strength`` and ``distance_spectrum`` from one split pass.
 
-    The loop runs only when the pass does not vouch, to build the report;
-    above ``_SPLIT_PATTERNS`` the pass has unit strides and cannot vouch.
+    Its counts give the spectrum and its B_j the verdict.  The loop, without
+    the voucher, names a failure's witness, or decides above ``_SPLIT_PATTERNS``.
     """
     r, n = array.cells.shape
+    if not 1 <= k <= n:  # k = 0 holds with no pass; a k out of range raises
+        return verify_strength(array, k), distance_spectrum(array)
     groups = _split_groups(array.levels)
     counts = _split_counts(array, groups or _plain(n))
-    attained = np.flatnonzero(_distances(counts, groups or _plain(n)))
-    md = int(attained[0]) if attained.size else n + 1
-    if groups is not None and 1 <= k <= n and _vanishes(counts, groups, array, k):
-        return _holds(array.levels, r, k), md
-    return verify_strength(array, k), md
+    spectrum = _spectrum(_distances(counts, groups or _plain(n)))
+    if groups is not None and _vanishes(counts, groups, array, k):
+        return _holds(array.levels, r, k), spectrum
+    return _strength_loop(array, k, vouch=False)[0], spectrum
 
 
 def _split_groups(levels: tuple[int, ...]) -> list[np.ndarray] | None:
@@ -560,11 +563,11 @@ def _is_coset(narrow: np.ndarray, radices: list[tuple[int, ...]]) -> bool:
 
 
 def _spectrum(counts: np.ndarray) -> DistanceSpectrum:
-    """The spectrum of per-distance pair counts."""
+    """The spectrum of the pair counts at distances 0..N; with no pair, minimal distance N + 1."""
     attained = np.flatnonzero(counts)
     return DistanceSpectrum(
         tuple(int(d) for d in attained),
-        int(attained[0]),
+        int(attained[0]) if attained.size else counts.size,
         {int(d): int(counts[d]) for d in attained},
     )
 
@@ -582,10 +585,7 @@ def distance_spectrum(array: MixedArray) -> DistanceSpectrum:
     A one-row array has the conventional empty spectrum with minimal
     distance N + 1 so that irredundancy predicates degrade gracefully.
     """
-    r, n = array.cells.shape
-    if r == 1:
-        return DistanceSpectrum((), n + 1, {})
-    return _spectrum(_split_counts(array, _plain(n)))
+    return _spectrum(_split_counts(array, _plain(array.ncols)))
 
 
 def _split_counts(
@@ -681,9 +681,8 @@ def is_irredundant(array: MixedArray, k: int) -> IrredundancyReport:
     n = array.ncols
     if not 1 <= k < n:
         raise ParameterError(f"irredundancy strength must satisfy 1 <= k < {n}, got {k}")
-    if _sorted_rows(array.cells)[2]:
-        return IrredundancyReport(k, False, 0)
-    return distance_spectrum(array).irredundancy(k)
+    md = min_distance(array)
+    return IrredundancyReport(k, md >= k + 1, md)
 
 
 def delete_columns(array: MixedArray, indices: Iterable[int]) -> MixedArray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import DifferenceScheme
-from .arrays import MixedArray, min_distance, verify_strength
+from .arrays import MixedArray, _strength_and_spectrum
 from .constructions import (
     ConstructionCertificate,
     bush_oa_even,
@@ -66,11 +66,11 @@ class SeedPredicate:
     """What a seed must satisfy before it is cached.
 
     An array seed has ``runs`` rows over ``levels``, strength ``strength``
-    and, if ``min_distance`` is set, at least that minimal distance.  A
-    scheme seed has ``runs`` rows, one ``levels`` entry (its order) per
-    column and the strength tag ``strength``; a DifferenceScheme's tag is
-    checked against its expansion when it is constructed, which
-    ``parse_any`` always does.
+    and, if ``min_distance`` is set, at least that minimal distance; one
+    split pass measures both.  A scheme seed has ``runs`` rows, one
+    ``levels`` entry (its order) per column and the strength tag
+    ``strength``; a DifferenceScheme's tag is checked against its
+    expansion when it is constructed, which ``parse_any`` always does.
     """
 
     kind: str  # "array" | "scheme"
@@ -93,13 +93,11 @@ class SeedPredicate:
             return "not an array seed"
         if (obj.runs, obj.levels) != (self.runs, self.levels):
             return f"shape is {obj.runs} x {obj.levels}, declared {self.runs} x {self.levels}"
-        report = verify_strength(obj, self.strength)
+        report, spectrum = _strength_and_spectrum(obj, self.strength)
         if not report.holds:
             return f"strength {self.strength} fails at columns {report.witness.columns}"
-        if self.min_distance is not None:
-            md = min_distance(obj)
-            if md < self.min_distance:
-                return f"minimal distance {md} is below {self.min_distance}"
+        if self.min_distance is not None and spectrum.min_distance < self.min_distance:
+            return f"minimal distance {spectrum.min_distance} is below {self.min_distance}"
         return None
 
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .arrays import distance_spectrum, verify_strength
+from .arrays import _strength_and_spectrum, distance_spectrum
 from .constructions import (
     certify,
     expansive_replace,
@@ -91,9 +91,9 @@ def _emit(array, cert, out: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    """Strength, spectrum and irredundancy of a moa v1 file, from one split pass."""
     array = _read_array(args.file)
-    strength = verify_strength(array, args.strength)
-    spectrum = distance_spectrum(array)
+    strength, spectrum = _strength_and_spectrum(array, args.strength)
     # the default, --strength, is skipped out of range; an explicit value is not
     k_ir = args.irredundant if args.irredundant is not None else args.strength
     irred = None

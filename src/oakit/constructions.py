@@ -44,7 +44,8 @@ from .algebra import (
 )
 from .arrays import (
     MixedArray,
-    _strength_and_min_distance,
+    StrengthReport,
+    _strength_and_spectrum,
     delete_columns,
     min_distance,
     select_columns,
@@ -90,13 +91,11 @@ def _check_cells(runs: int, cols: int, what: str) -> None:
         raise ParameterError(f"{what} asks for more than the cap of {OUTPUT_CELL_CAP} cells")
 
 
-def _check_strength(array: MixedArray, t: int, what: str) -> None:
-    """The strength-t precondition on an array a caller passes in."""
-    report = verify_strength(array, t)
+def _check_strength(report: StrengthReport, what: str) -> None:
+    """The strength precondition on an array a caller passes in, from its report."""
     if not report.holds:
-        raise ParameterError(
-            f"{what} fails the strength-{t} precondition: witness {report.witness}"
-        )
+        t, witness = report.strength_checked, report.witness
+        raise ParameterError(f"{what} fails the strength-{t} precondition: witness {witness}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +212,13 @@ def certify(
 ) -> ConstructionCertificate:
     """Mandatory oracle re-check: exact strength plus measured distance.
 
-    One split pass gives both (``arrays._strength_and_min_distance``); the
-    subset loop runs only to name the witness of a failed strength.
+    One split pass gives both (``arrays._strength_and_spectrum``).
     Returns the certificate verified, with ``runs``, ``profile`` and
     ``measured_md`` read from ``array``; whatever it carried in those fields
     before is replaced.
     """
-    report, md = _strength_and_min_distance(array, certificate.strength)
+    report, spectrum = _strength_and_spectrum(array, certificate.strength)
+    md = spectrum.min_distance
     if not report.holds:
         raise VerificationError(
             f"{certificate.construction}: strength {certificate.strength} oracle "
@@ -265,10 +264,11 @@ def juxtapose_scheme(
         raise ParameterError(f"host has {r} rows but scheme has {scheme.rows}")
     if scheme.cols != scheme.rows:
         raise ParameterError("scheme must be square")
-    _check_strength(host, 2, "host")
+    report, spectrum = _strength_and_spectrum(host, 2)
+    _check_strength(report, "host")
     d = scheme.order
     out = juxtapose_scheme_raw(host, scheme)
-    md_host = min_distance(host)
+    md_host = spectrum.min_distance
     predicted = min(r, md_host + r - r // d)
     cert = ConstructionCertificate(
         construction="juxtapose_scheme",
@@ -304,8 +304,8 @@ def juxtapose_partitions(
     and min(w1, w2) otherwise.  The certificate returned is unverified and
     carries no runs or profile until `certify` runs on the output.
     """
-    _check_strength(pa.parent, 3, "first array")
-    _check_strength(pb.parent, 3, "second array")
+    _check_strength(verify_strength(pa.parent, 3), "first array")
+    _check_strength(verify_strength(pb.parent, 3), "second array")
     return _juxtapose_partitions(pa, pb)
 
 
@@ -478,17 +478,17 @@ def bush_oa_even(q: int) -> MixedArray:
     Columns evaluate each degree-<3 polynomial at the q field elements and
     append its two top coefficients; over characteristic 2 any three of
     these functionals are independent, giving minimal distance q (= k + 1
-    at q = 4).  Verified by the exact oracles on construction.
+    at q = 4).  One split pass checks both as the array is built.
     """
     pm = prime_power_decomposition(q)
     if pm is None or pm[0] != 2:
         raise ParameterError(f"{q} must be an even prime power")
     values, coeffs = _evaluations(q, 3, q)
     array = MixedArray((q,) * (q + 2), np.hstack([values, coeffs[1], coeffs[2]]))
-    report = verify_strength(array, 3)
+    report, spectrum = _strength_and_spectrum(array, 3)
     if not report.holds:
         raise ConstructionError("even-characteristic strength-3 construction failed")
-    if min_distance(array) != q:
+    if spectrum.min_distance != q:
         raise ConstructionError("even-characteristic construction missed its distance")
     return array
 
@@ -606,7 +606,7 @@ def _two_uniform_pipeline(
     two_cols = [j for j, lv in enumerate(host.levels) if lv == 2]
     host = select_columns(host, d_cols[:m] + two_cols)
     if seed == "caller-host":
-        _check_strength(host, 2, "host")
+        _check_strength(verify_strength(host, 2), "host")
 
     # the last stage's host has r runs and `inherited` binary columns
     r, inherited, stages = host.runs, host.ncols - m, 1
@@ -875,7 +875,7 @@ def two_uniform_from_scheme(
     if replacement is not None:
         if replacement.runs != n:
             raise ParameterError(f"replacement has {replacement.runs} rows, not N = {n}")
-        _check_strength(replacement, min(2, replacement.ncols), "replacement")
+        _check_strength(verify_strength(replacement, min(2, replacement.ncols)), "replacement")
 
     # a replacement's rows stand in for the index column's symbols, which is
     # the same as juxtaposing the scheme with the replacement as host

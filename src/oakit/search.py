@@ -46,7 +46,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .algebra import DifferenceScheme
-from .arrays import MixedArray, min_distance, verify_strength
+from .arrays import MixedArray, _strength_and_spectrum
 from .constructions import OUTPUT_CELL_CAP, OrthogonalPartition, five_column_feasibility
 from .errors import ParameterError, VerificationError
 from .groups import cyclic_group, decode, encode
@@ -478,11 +478,11 @@ def search_moa(spec: SearchSpec) -> SearchResult:
 
 
 def _certify(array: MixedArray, spec: SearchSpec) -> MixedArray:
-    report = verify_strength(array, spec.strength)
+    report, spectrum = _strength_and_spectrum(array, spec.strength)
     if not report.holds:
         raise VerificationError("search produced an array failing the strength oracle")
     if spec.min_distance is not None and array.runs > 1:
-        if min_distance(array) < spec.min_distance:
+        if spectrum.min_distance < spec.min_distance:
             raise VerificationError("search produced an array below the distance floor")
     return array
 

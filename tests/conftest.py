@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import oakit.arrays
 from oakit.algebra import hadamard01
 from oakit.catalog import seed_array, seed_scheme
 
@@ -32,3 +33,20 @@ def thm3_full():
     from oakit.constructions import three_uniform_3m2n
 
     return three_uniform_3m2n(5, 36)
+
+
+@pytest.fixture()
+def split_passes(monkeypatch):
+    """The array of every split pass made during the test: each ``_split_counts``
+    call that returns counts, whether it compared row pairs or read a coset's rows."""
+    passes = []
+    kernel = oakit.arrays._split_counts
+
+    def counted(array, groups, compare=True):
+        counts = kernel(array, groups, compare)
+        if counts is not None:
+            passes.append(array)
+        return counts
+
+    monkeypatch.setattr(oakit.arrays, "_split_counts", counted)
+    return passes

@@ -1,5 +1,6 @@
 """Fields, groups, Hadamard generators, difference schemes, Kronecker sums."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from oakit.algebra import (
     gf_additive_group,
     hadamard01,
     is_difference_scheme,
+    juxtapose_scheme_raw,
     kronecker_sum,
     prime_power_decomposition,
     product_construction,
@@ -369,6 +371,46 @@ class TestDifferenceSchemes:
 def test_non_integer_cells_rejected(make, cells):
     with pytest.raises(ParameterError, match="cells must have an integer dtype"):
         make(cells)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: HadamardMatrix01(2, [[0, 1], [0, 0]]), VerificationError, "matrix is not normalized"),
+        (lambda: HadamardMatrix01(2, [[0, 0, 0], [0, 1, 0]]), ParameterError, "expected 2x2 matrix"),
+        (lambda: hadamard01(0), ParameterError, "order must be >= 1, got 0"),
+        (
+            lambda: DifferenceScheme([[0, 0], [0, 1]], 2, 2, cyclic_group(3)),
+            ParameterError,
+            "group order does not match scheme order",
+        ),
+        (
+            lambda: DifferenceScheme([[0, 0], [0, 1]], 2, 1, cyclic_group(2)),
+            ParameterError,
+            "scheme strength tag must be >= 2",
+        ),
+        (
+            lambda: is_difference_scheme([[0, 1]], 2, 3),
+            ParameterError,
+            "strength 3 exceeds column count 2",
+        ),
+        (lambda: ds_linear(2, 0), ParameterError, "extension count must be >= 1, got 0"),
+        (lambda: repeat_rows_each(bush_oa(2, 1), 0), ParameterError, "repeat count must be >= 1"),
+        (
+            lambda: juxtapose_scheme_raw(bush_oa(3, 2), hadamard01(2).as_scheme()),
+            ParameterError,
+            "host has 9 rows but scheme has 2",
+        ),
+    ],
+    ids=[
+        "hadamard-not-normalized", "hadamard-not-square", "hadamard-order-0",
+        "scheme-group-order", "scheme-strength-1", "scheme-strength-past-columns",
+        "ds_linear-n-0", "repeat-0", "juxtapose-row-mismatch",
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestKroneckerAndStacking:

@@ -1,5 +1,6 @@
 """Core predicates: strength, distances, irredundancy, column surgery."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from oakit.arrays import (
     _split_cheaper,
     _split_counts,
     _split_groups,
+    _strength_and_spectrum,
     _strength_loop,
     _vanishes,
     concat_columns,
@@ -41,15 +43,17 @@ from oakit.arrays import (
 )
 from oakit.catalog import catalog_build
 from oakit.constructions import (
+    ConstructionCertificate,
     bush_oa,
     bush_oa_even,
+    certify,
     k_uniform_product,
     three_uniform_dm2n,
     trivial_moa,
     two_uniform_3m2n,
     two_uniform_prime_power,
 )
-from oakit.errors import ParameterError
+from oakit.errors import ParameterError, VerificationError
 from oakit.formats import parse_array, serialize_array
 from oakit.search import SearchSpec, search_moa
 
@@ -77,6 +81,21 @@ def small_arrays():
         return MixedArray(levels, np.array(cells))
 
     return build()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MixedArray((2,), np.array([0, 1])), "cells must be 2-D, got shape (2,)"),
+        (lambda: MixedArray((2,), np.array([[0, 1]])), "2 columns but 1 level entries"),
+        (lambda: select_columns(trivial_moa((2, 2)), []), "must keep at least one column"),
+        (lambda: guaranteed_deletion_budget(trivial_moa((2, 2)), 0), "strength must be >= 1, got 0"),
+    ],
+    ids=["1-D cells", "level count", "no column selected", "deletion budget at k = 0"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
 
 
 class TestMixedArray:
@@ -262,10 +281,22 @@ class TestStrength:
 
     def test_parameter_errors(self):
         arr = trivial_moa((2, 2))
-        with pytest.raises(ParameterError):
-            verify_strength(arr, 3)
-        with pytest.raises(ParameterError):
-            verify_strength(arr, -1)
+        for check in (verify_strength, _strength_and_spectrum):
+            with pytest.raises(ParameterError, match="strength 3 exceeds column count 2"):
+                check(arr, 3)
+            with pytest.raises(ParameterError, match="strength must be >= 0, got -1"):
+                check(arr, -1)
+
+    @pytest.mark.parametrize(
+        "arr, k",
+        [
+            (trivial_moa((2, 3)), 0),
+            (MixedArray.from_rows((2, 2, 2), [[0, 1, 0]]), 2),  # one row: no pair
+        ],
+        ids=["k=0", "one row"],
+    )
+    def test_one_pass_call_without_a_verdict_from_the_pass(self, arr, k):
+        assert _strength_and_spectrum(arr, k) == (verify_strength(arr, k), distance_spectrum(arr))
 
     def test_lambda_none_for_mixed_subsets(self):
         arr = trivial_moa((2, 3, 2))
@@ -339,13 +370,28 @@ def _vouches(arr, k):
     return _vanishes(_split_counts(arr, groups), groups, arr, k)
 
 
+_LATE_WITNESSES = [
+    (three_uniform_dm2n, (5, 5, 100), 3, (0, 104, 105)),  # 1000 x 105
+    (two_uniform_prime_power, (4, 4), 2, (256, 257)),  # 1024 x 257
+]
+
+
+def _late(build, args):
+    """The built array with its last column appended again."""
+    base = build(*args)[0]
+    return concat_columns(base, select_columns(base, [base.ncols - 1]))
+
+
 class TestStrengthCrossCheck:
-    """The subset loop, the dispatch and the split voucher against the per-subset oracle."""
+    """The subset loop, the dispatch, the split voucher and the one-pass call against the
+    per-subset oracle."""
 
     @staticmethod
     def _check(arr, k):
         expected = strength_report_loop(arr.cells, arr.levels, k)
-        for path in (verify_strength, lambda a, k: _strength_loop(a, k)[0]):
+        both = _strength_and_spectrum(arr, k)  # the one split pass's report and spectrum
+        assert both[1] == distance_spectrum(arr), (arr, k)
+        for path in (verify_strength, lambda a, k: _strength_loop(a, k)[0], lambda *_: both[0]):
             report = path(arr, k)
             assert report.strength_checked == k
             assert _as_oracle_report(report) == expected, (path, arr, k)
@@ -363,21 +409,24 @@ class TestStrengthCrossCheck:
             witnesses.add(expected[2] is not None and expected[2][1] is None)
         assert verdicts == {True, False} and witnesses == {True, False}
 
-    @pytest.mark.parametrize(
-        "build, args, k, first",
-        [
-            (three_uniform_dm2n, (5, 5, 100), 3, (0, 104, 105)),  # 1000 x 105
-            (two_uniform_prime_power, (4, 4), 2, (256, 257)),  # 1024 x 257
-        ],
-    )
+    @pytest.mark.parametrize("build, args, k, first", _LATE_WITNESSES)
     def test_late_witness(self, build, args, k, first):
         # the last column appended again: only the subsets holding both
         # copies fail, and the first of them comes late in the scan, after
         # the voucher has declined
-        base = build(*args)[0]
-        arr = concat_columns(base, select_columns(base, [base.ncols - 1]))
+        arr = _late(build, args)
         assert _split_cheaper(arr.levels, arr.runs, k, coset=False)
         assert self._check(arr, k)[2][0] == first
+
+    @pytest.mark.parametrize("build, args, k, first", _LATE_WITNESSES)
+    def test_certify_makes_one_split_pass(self, build, args, k, first, split_passes):
+        # the pass gives the distance and the verdict; the loop that names
+        # the witness does not ask the voucher for the same pass again
+        arr = _late(build, args)
+        split_passes.clear()
+        with pytest.raises(VerificationError, match=re.escape(f"columns={first}")):
+            certify(arr, ConstructionCertificate("late witness", k))
+        assert split_passes == [arr]
 
     def test_dispatch_by_cost(self):
         # tall arrays with many levels take one pass only as a coset:
@@ -494,6 +543,48 @@ class TestSplitVoucher:
         # the same distances and the same verdicts
         groups = _split_groups(coset.levels)
         assert np.array_equal(_split_counts(coset, groups), _split_counts(relabelled, groups))
+
+
+class TestAboveThePatternCap:
+    """12 rows over 2^16 3^16 4^16 6^16, each column a shuffled i mod d: 17^4 = 83,521
+    split patterns, above ``_SPLIT_PATTERNS``, so the pass has unit strides and the loop
+    gives every verdict."""
+
+    @staticmethod
+    def _array():
+        rng = np.random.default_rng(20261022)  # a seed whose first failure at k = 2 is late
+        levels = tuple(d for d in (2, 3, 4, 6) for _ in range(16))
+        return MixedArray(levels, np.stack([rng.permutation(np.arange(12) % d) for d in levels], 1))
+
+    def test_every_path_matches_the_oracles(self, split_passes):
+        arr = self._array()
+        assert _split_groups(arr.levels) is None
+        spectrum = distance_spectrum(arr)
+        assert spectrum.counts == naive_spectrum(arr.cells)
+        assert spectrum.min_distance == min(spectrum.counts)
+        for k, holds in ((1, True), (2, False)):
+            expected = strength_report_loop(arr.cells, arr.levels, k)
+            assert expected[0] is holds
+            assert _as_oracle_report(verify_strength(arr, k)) == expected
+            split_passes.clear()
+            report, both = _strength_and_spectrum(arr, k)
+            assert _as_oracle_report(report) == expected and both == spectrum
+            assert split_passes == [arr]
+        assert expected[2][0] == (0, 3)
+        cert = certify(arr, ConstructionCertificate("above the cap", 1))
+        assert cert.verified and cert.measured_md == spectrum.min_distance
+        with pytest.raises(VerificationError, match=re.escape("columns=(0, 3)")):
+            certify(arr, ConstructionCertificate("above the cap", 2))
+
+    def test_the_loop_decides(self):
+        # every binary column and the first six ternary ones made constant: a
+        # character sum that treats all 64 columns as binary vanishes at k = 1
+        # here, although strength 1 fails
+        cells = self._array().cells.copy()
+        cells[:, :22] = 0
+        arr = MixedArray(self._array().levels, cells)
+        report, _ = _strength_and_spectrum(arr, 1)
+        assert _as_oracle_report(report) == strength_report_loop(arr.cells, arr.levels, 1)
 
 
 class TestStrengthLoop:

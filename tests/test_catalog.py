@@ -18,6 +18,7 @@ from oakit.catalog import (
     fixture_states,
     seed_array,
     seed_entries,
+    seed_scheme,
     self_test,
 )
 from oakit.constructions import trivial_moa
@@ -56,6 +57,18 @@ class TestSeeds:
     def test_import_required_seed_raises(self):
         with pytest.raises(MissingSeedError, match="scheme-12x6-over-6"):
             seed_array("scheme-12x6-over-6")
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: seed_array("scheme-18x5-over-3"), "seed 'scheme-18x5-over-3' is not an array"),
+            (lambda: seed_scheme("moa-6-6x3x2"), "seed 'moa-6-6x3x2' is not a difference scheme"),
+        ],
+        ids=["array-of-a-scheme-seed", "scheme-of-an-array-seed"],
+    )
+    def test_seed_of_the_other_kind(self, call, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            call()
 
     def test_unknown_seed(self):
         with pytest.raises(ParameterError):
@@ -133,6 +146,18 @@ class TestStoredSeeds:
     def test_missing_file_raises(self, seed_dir):
         with pytest.raises(VerificationError, match="'moa-12-3x2\\^4'.* is missing"):
             catalog_build("table3/3^1x2^8")
+
+    def test_a_distance_predicate_makes_one_split_pass(self, split_passes):
+        # strength and minimal distance from one pass, whichever fails
+        arr = seed_array("moa-6-6x3x2")
+        predicate = catalog._SEEDS["moa-6-6x3x2"].predicate
+        far = dataclasses.replace(predicate, min_distance=3)
+        strong = dataclasses.replace(predicate, strength=2)
+        split_passes.clear()
+        assert predicate.violation(arr) is None
+        assert far.violation(arr) == "minimal distance 2 is below 3"
+        assert strong.violation(arr) == "strength 2 fails at columns (0, 1)"
+        assert split_passes == [arr] * 3
 
     def test_generator_seed_is_checked(self, monkeypatch):
         name = "moa-36-3^2x2^2"

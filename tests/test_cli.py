@@ -6,12 +6,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import oakit.arrays
-import oakit.cli
 from oakit.algebra import ds_linear
-from oakit.arrays import MixedArray, distance_spectrum
+from oakit.arrays import MixedArray
 from oakit.cli import main
-from oakit.constructions import trivial_moa
+from oakit.constructions import three_uniform_dm2n, trivial_moa
 from oakit.formats import parse_array, serialize_array, serialize_scheme
 
 
@@ -395,11 +393,13 @@ class TestParameterParsing:
             (("verify", "{path}", "--strength", "2", "--irredundant", "7"), "in 1..2, got 7"),
             (("verify", "{path}", "--strength", "2", "--irredundant", "0"), "in 1..2, got 0"),
             (("catalog", "build", "thm1/3^1x2^9", "--seed", "{path}"), "takes no seed"),
+            (("construct", "thm1", "--params", "m=1"), "pipeline thm1 needs params ['n']"),
+            (("verify", "{path}", "--strength", "4"), "strength 4 exceeds column count 3"),
         ],
         ids=[
             "unknown-key", "repeated-key", "thm7-unknown-key", "thm8-repeated-key",
             "thm8-unknown-key", "irredundant-past-columns", "irredundant-0",
-            "catalog-build-unused-seed",
+            "catalog-build-unused-seed", "missing-key", "strength-past-columns",
         ],
     )
     def test_rejected_parameters_exit_4(self, tmp_path, capsys, argv, message):
@@ -497,17 +497,20 @@ class TestFeasibleAndCatalog:
 
 
 class TestVerifyOnce:
-    def test_verify_computes_the_distance_spectrum_once(self, fixture_file, capsys, monkeypatch):
-        calls = []
-
-        def counted(array):
-            calls.append(array)
-            return distance_spectrum(array)
-
-        monkeypatch.setattr(oakit.cli, "distance_spectrum", counted)
-        monkeypatch.setattr(oakit.arrays, "distance_spectrum", counted)
+    def test_verify_computes_the_distance_spectrum_once(self, fixture_file, capsys, split_passes):
+        # strength, spectrum and irredundancy of a passing array from one split pass
         code, out, _ = run(
             capsys, "verify", str(fixture_file), "--strength", "2", "--irredundant", "2"
         )
         assert code == 0 and json.loads(out)["irredundant"] == {"k": 2, "holds": True}
-        assert len(calls) == 1
+        assert len(split_passes) == 1
+
+    def test_no_second_pass_where_the_voucher_would_run(self, tmp_path, capsys, split_passes):
+        # 1000 x 58 at k = 3: verify_strength alone would ask the voucher for a pass
+        arr = three_uniform_dm2n(5, 4, 54)[0]
+        path = tmp_path / "dm2n.moa"
+        path.write_text(serialize_array(arr))
+        split_passes.clear()
+        code, out, _ = run(capsys, "verify", str(path), "--strength", "3")
+        assert code == 0 and json.loads(out)["distance"]["min"] == 4
+        assert len(split_passes) == 1

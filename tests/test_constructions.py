@@ -1,5 +1,6 @@
 """Juxtapositions, replacement, polynomial arrays, families, feasibility."""
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +26,7 @@ from oakit.catalog import catalog_build
 from oakit.constructions import (
     ConstructionCertificate,
     OrthogonalPartition,
+    _juxtapose_partitions,
     bush_oa,
     bush_oa_even,
     certify,
@@ -47,6 +49,87 @@ from oakit.quantum import verify_k_uniform
 from oracles import naive_min_distance, naive_strength
 
 
+def _one_block(levels):
+    """The full factorial over ``levels`` as one block of strength 1."""
+    arr = trivial_moa(levels)
+    return OrthogonalPartition(arr, (tuple(range(arr.runs)),))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: juxtapose_scheme(
+                trivial_moa((2, 2)), hadamard01(4).as_scheme().select_columns([0, 1, 2])
+            ),
+            ParameterError,
+            "scheme must be square",
+        ),
+        (
+            lambda: _juxtapose_partitions(
+                partition_from_scheme(ds_linear(3, 2)), partition_from_scheme(ds_linear(3, 1))
+            ),
+            ParameterError,
+            "need u <= v, got u=9 > v=3",
+        ),
+        (
+            lambda: _juxtapose_partitions(_one_block((2, 3)), _one_block((2, 2))),
+            ParameterError,
+            "expected a single-level array",
+        ),
+        (
+            lambda: _juxtapose_partitions(_one_block((2, 2)), _one_block((2, 2))),
+            ParameterError,
+            "block counts must satisfy r = d * blocks",
+        ),
+        (
+            lambda: OrthogonalPartition(trivial_moa((2,)), ((0,),)),
+            ParameterError,
+            "blocks do not partition the row set",
+        ),
+        (lambda: bush_oa(4, 2, columns=6), ParameterError, "columns must be in 1..5"),
+        (lambda: bush_oa(4, 2, columns=0), ParameterError, "columns must be in 1..5"),
+        (lambda: bush_oa(4, 0), ParameterError, "strength must be >= 1"),
+        (lambda: trivial_moa(()), ParameterError, "levels must be a nonempty list of integers >= 2"),
+        (lambda: five_column_feasibility((1, 2, 3, 5, 7)), ParameterError, "levels must all be >= 2"),
+        (lambda: k_uniform_product(2, [3, 3]), ParameterError, "factors must be distinct"),
+        (lambda: k_uniform_product(2, [4, 8]), ParameterError, "factors must be coprime prime powers"),
+        (
+            lambda: two_uniform_from_scheme(9, 4, 3),
+            ParameterError,
+            "built-in schemes exist only for d = 2; pass one",
+        ),
+        (
+            lambda: two_uniform_from_scheme(12, 12, 2, scheme_keep=0),
+            ParameterError,
+            "scheme_keep out of range",
+        ),
+        (
+            lambda: certify(
+                bush_oa(5, 2), ConstructionCertificate("c", 2, predicted_md=4, md_exact=True)
+            ),
+            VerificationError,
+            "c: predicted minimal distance 4 but measured 5",
+        ),
+        (
+            lambda: certify(bush_oa(5, 2), ConstructionCertificate("c", 2, predicted_md=6)),
+            VerificationError,
+            "c: minimal distance bound 6 but measured 5",
+        ),
+    ],
+    ids=[
+        "juxtapose-non-square-scheme", "partitions-u-above-v", "partitions-mixed-levels",
+        "partitions-block-count", "partition-missing-row", "bush-columns-past-q+1",
+        "bush-columns-0", "bush-strength-0", "trivial-no-levels", "feasibility-level-1",
+        "product-repeated-factor", "product-non-coprime", "from-scheme-built-in-d-3",
+        "from-scheme-keep-0", "certify-exact-distance", "certify-distance-bound",
+    ],
+)
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
 class TestJuxtaposeScheme:
     def test_24x17_family_base(self, moa12, h12):
         arr, cert = juxtapose_scheme(moa12, h12.as_scheme())
@@ -66,6 +149,10 @@ class TestJuxtaposeScheme:
             assert min_distance(arr) == cert.predicted_md == min(
                 host.runs, min_distance(host) + host.runs - host.runs // scheme.order
             )
+
+    def test_host_check_and_distance_from_one_split_pass(self, moa12, h12, split_passes):
+        juxtapose_scheme(moa12, h12.as_scheme())
+        assert split_passes == [moa12]
 
     def test_degenerate_host_rejected(self):
         host = MixedArray.from_rows((2,), [[0], [0]])  # strength 2 impossible
@@ -254,6 +341,11 @@ class TestPolynomialArrays:
         arr = bush_oa_even(4)
         assert arr.runs == 64 and arr.ncols == 6
         assert verify_strength(arr, 3).holds and min_distance(arr) == 4
+
+    @pytest.mark.parametrize("q", [4, 16])
+    def test_even_extension_is_checked_in_one_split_pass(self, q, split_passes):
+        arr = bush_oa_even(q)
+        assert split_passes == [arr]
 
     def test_even_extension_rejects_odd(self):
         with pytest.raises(ParameterError):
@@ -528,7 +620,8 @@ class TestVerifyOnce:
     @staticmethod
     def _count_checks(monkeypatch, modules):
         """(array, k) of every strength check that ``modules`` make: ``verify_strength``
-        calls and `certify`'s split pass, which checks strength too."""
+        calls and the split passes of `certify` and the other constructions
+        (``_strength_and_spectrum``), which check strength too."""
         import oakit.arrays
         import oakit.constructions
 
@@ -543,8 +636,8 @@ class TestVerifyOnce:
 
         for module in modules:
             monkeypatch.setattr(module, "verify_strength", counted(verify_strength))
-        split = counted(oakit.arrays._strength_and_min_distance)
-        monkeypatch.setattr(oakit.constructions, "_strength_and_min_distance", split)
+        split = counted(oakit.arrays._strength_and_spectrum)
+        monkeypatch.setattr(oakit.constructions, "_strength_and_spectrum", split)
         return calls
 
     @pytest.mark.parametrize(

@@ -58,6 +58,7 @@ _MALFORMED = [
     "moa v1\nruns 1\nlevels 2\nrows:\n 0\n",         # leading whitespace
     "moa v1\nруны 1\nlevels 2\nrows:\n0\n",          # malformed header key
     "moa v1\nruns 1\nlevels 2\n0\n",                 # missing rows:
+    "moa v1\nruns 1\nlevels 2\n",                    # missing rows: after good headers
     "moa v1\nruns 1\nlevels 2\nrows:\n+1\n",        # integers must read
     "moa v1\nruns 1\nlevels 2\nrows:\n0_0\n",       # as str(int(token))
     "moa v1\nruns 1\nlevels 2\nrows:\n\u0661\n",     # Arabic-Indic one
@@ -93,6 +94,8 @@ _DAMAGED = [
     "moa v1\nkind hadamard\nruns 2\nlevels 5 7\nrows:\n0 0\n0 1\n",
     "moa v1\nkind hadamard\nruns 2\nlevels 2\nrows:\n0\n0\n",
     "moa v1\nkind hadamard 2\nruns 2\nlevels 2 2\nrows:\n0 0\n0 1\n",
+    # a ds document's levels all equal its order
+    "moa v1\nkind ds 2 2\nruns 2\nlevels 3 3\nrows:\n0 0\n0 1\n",
 ]
 
 
@@ -100,6 +103,11 @@ _DAMAGED = [
 def test_damaged_documents_raise_format_error(text):
     with pytest.raises(FormatError):
         parse_any(text)
+
+
+def test_parse_array_refuses_a_scheme():
+    with pytest.raises(FormatError, match="document is not a plain array"):
+        parse_array(serialize_scheme(ds_linear(2, 2)))
 
 
 # header integers past the int64 range, each of at most 19 digits

@@ -132,6 +132,15 @@ class TestDigitGroups:
             assert group.add(3, 4) == group.add(np.int64(3), 4)
 
     @pytest.mark.parametrize(
+        "order, tag, message",
+        [(4, "xor", "unknown group tag 'xor'"), (1, "mod", "group order must be >= 2, got 1")],
+        ids=["tag", "order"],
+    )
+    def test_input_checks(self, order, tag, message):
+        with pytest.raises(ParameterError, match=message):
+            AdditiveGroup(order, tag)
+
+    @pytest.mark.parametrize(
         "make", [FiniteField, gf_additive_group, lambda q: AdditiveGroup(q, "gf")]
     )
     def test_one_field_order_cap(self, make):

@@ -1,5 +1,6 @@
 """States, exact reductions, and uniformity verdicts."""
 
+import re
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -385,6 +386,21 @@ class TestIndexOneBound:
         if arr.runs < 1000:
             got = (expected.holds, expected.witness_subset, expected.subsets_checked)
             assert got == k_uniform_loop(arr.cells, arr.levels, k)[:3]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_k_uniform(trivial_moa((2, 2, 2)), 0), "1 <= k < 3, got 0"),
+        (lambda: verify_k_uniform(trivial_moa((2, 2, 2)), 3), "1 <= k < 3, got 3"),
+        (lambda: is_ame(trivial_moa((2,))), "need at least two parties"),
+        (lambda: reduced_density(trivial_moa((2, 2, 2)), (3,)), "subset out of range 0..2"),
+    ],
+    ids=["k=0", "k=N", "ame-one-party", "subset-past-the-end"],
+)
+def test_input_checks(call, message):
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        call()
 
 
 class TestAme:

@@ -14,7 +14,7 @@ from oakit.algebra import ds_linear, expand, hadamard01, is_difference_scheme
 from oakit.arrays import MixedArray, min_distance, verify_strength
 from oakit.catalog import seed_array
 from oakit.constructions import bush_oa, trivial_moa
-from oakit.errors import ParameterError
+from oakit.errors import ParameterError, VerificationError
 from oakit.search import (
     NonexistenceResult,
     SearchSpec,
@@ -82,6 +82,23 @@ class TestSearchMoa:
         assert not arr.cells[0].any()
         rows = arr.row_tuples()
         assert rows == sorted(rows)
+
+    def test_an_answer_with_a_floor_is_certified_in_one_split_pass(self, split_passes):
+        result = search_moa(SearchSpec(6, (6, 3, 2), 1, min_distance=2))
+        assert result.found and split_passes == [result.array]
+
+    @pytest.mark.parametrize(
+        "rows, spec, message",
+        [
+            ([[0, 0], [0, 0], [1, 1], [1, 1]], SearchSpec(4, (2, 2), 2, 1), "strength oracle"),
+            ([[0, 0], [0, 1], [1, 0], [1, 1]], SearchSpec(4, (2, 2), 1, 2), "distance floor"),
+        ],
+    )
+    def test_certify_refuses_a_wrong_answer(self, rows, spec, message, split_passes):
+        arr = MixedArray.from_rows((2, 2), rows)
+        with pytest.raises(VerificationError, match=message):
+            search._certify(arr, spec)
+        assert split_passes == [arr]
 
     def test_budget_reported_distinctly(self):
         result = search_moa(SearchSpec(18, (2, 3, 3, 3, 3), 2, min_distance=3, node_budget=50))
@@ -201,6 +218,29 @@ class TestSearchParameters:
     def test_negative_spec_values_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             SearchSpec(4, (2, 2), 1, **kwargs)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, (2,), 1), "need at least one run"),
+            ((2, (2, 1), 1), "levels must all be >= 2"),
+            ((2, (2,), 2), "strength out of range"),
+            ((2, (2,), -1), "strength out of range"),
+        ],
+        ids=["runs-0", "level-1", "strength-past-columns", "strength-negative"],
+    )
+    def test_spec_input_checks(self, args, message):
+        with pytest.raises(ParameterError, match=message):
+            SearchSpec(*args)
+
+    def test_scheme_strength_below_2_rejected(self):
+        with pytest.raises(ParameterError, match="scheme strength must be >= 2"):
+            search_scheme(4, 3, 2, 1)
+
+    def test_scheme_with_fewer_columns_than_the_strength_is_infeasible(self):
+        result = search_scheme(4, 2, 2, 3)
+        assert result.status == "infeasible"
+        assert result.reason == "fewer columns than the strength"
 
     def test_negative_scheme_budget_rejected(self):
         with pytest.raises(ParameterError):
