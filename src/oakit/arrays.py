@@ -619,7 +619,7 @@ def _distances(counts: np.ndarray, groups: list[np.ndarray]) -> np.ndarray:
 
 
 def _pair_counts(array: MixedArray, groups: list[np.ndarray]) -> np.ndarray:
-    """Split counts of an array of at least two rows, one row pair at a time.
+    """Split counts of an array, one row pair at a time.
 
     Rows are compared in tiles: a block of b consecutive rows against itself
     and every later row, with b * r <= 2^18 cells.  Codes accumulate by
@@ -628,7 +628,8 @@ def _pair_counts(array: MixedArray, groups: list[np.ndarray]) -> np.ndarray:
     the cells, the working memory is one boolean and one code tile of at
     most 2^18 cells each, reused across tiles: under 1 MiB at any row
     count.  A boolean tile is added through its uint8 view, which skips
-    the bool-to-integer casting loop.
+    the bool-to-integer casting loop.  One row has no pair, which
+    ``_spectrum`` reads as minimal distance N + 1.
     """
     r, n = array.cells.shape
     size = prod(len(g) + 1 for g in groups)

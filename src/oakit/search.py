@@ -46,7 +46,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .algebra import DifferenceScheme
-from .arrays import MixedArray, _strength_and_spectrum
+from .arrays import MixedArray, _strength_and_spectrum, verify_strength
 from .constructions import OUTPUT_CELL_CAP, OrthogonalPartition, five_column_feasibility
 from .errors import ParameterError, VerificationError
 from .groups import cyclic_group, decode, encode
@@ -478,12 +478,14 @@ def search_moa(spec: SearchSpec) -> SearchResult:
 
 
 def _certify(array: MixedArray, spec: SearchSpec) -> MixedArray:
-    report, spectrum = _strength_and_spectrum(array, spec.strength)
+    if spec.min_distance is None or array.runs == 1:  # no floor to check: no pair pass
+        report, spectrum = verify_strength(array, spec.strength), None
+    else:
+        report, spectrum = _strength_and_spectrum(array, spec.strength)
     if not report.holds:
         raise VerificationError("search produced an array failing the strength oracle")
-    if spec.min_distance is not None and array.runs > 1:
-        if spectrum.min_distance < spec.min_distance:
-            raise VerificationError("search produced an array below the distance floor")
+    if spectrum is not None and spectrum.min_distance < spec.min_distance:
+        raise VerificationError("search produced an array below the distance floor")
     return array
 
 

@@ -87,6 +87,12 @@ class TestSearchMoa:
         result = search_moa(SearchSpec(6, (6, 3, 2), 1, min_distance=2))
         assert result.found and split_passes == [result.array]
 
+    @pytest.mark.parametrize("strength", [0, 1, 2])
+    def test_an_answer_without_a_floor_makes_no_split_pass(self, strength, split_passes):
+        # only the strength is checked, by the subset loop alone
+        result = search_moa(SearchSpec(8, (2,) * 4, strength))
+        assert result.found and split_passes == []
+
     @pytest.mark.parametrize(
         "rows, spec, message",
         [
