@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import catalog
-from .arrays import _strength_and_spectrum, distance_spectrum
+from .arrays import _spectrum, _strength_and_spectrum, distance_spectrum
 from .constructions import (
     certify,
     expansive_replace,
@@ -38,7 +38,7 @@ from .formats import (
     uniformity_report,
     verification_report,
 )
-from .quantum import emit_state, render_ket, verify_k_uniform
+from .quantum import _uniformity, emit_state, render_ket
 from .search import SearchSpec, search_moa
 
 EXIT_OK = 0
@@ -214,8 +214,9 @@ def _cmd_state(args) -> int:
 
 def _cmd_uniformity(args) -> int:
     array = _read_array(args.file)
-    report = verify_k_uniform(array, args.k)
-    sys.stdout.write(dump_json(uniformity_report(report, distance_spectrum(array))))
+    report, distances = _uniformity(array, args.k)
+    spectrum = distance_spectrum(array) if distances is None else _spectrum(distances)
+    sys.stdout.write(dump_json(uniformity_report(report, spectrum)))
     _say(
         f"{array!r}: {args.k}-uniform = {report.holds} "
         f"({report.subsets_checked}/{report.subsets_total} subsets checked)"

@@ -301,21 +301,26 @@ def juxtapose_partitions(
     block tiled d') and juxtaposes columns: a strength-3 mixed array on
     d'd''h runs.  Its minimal distance is bounded below by
     min(w1 + w2, N', N'') when u = v, min(N', w2) when u | v with u < v,
-    and min(w1, w2) otherwise.  The certificate returned is unverified and
-    carries no runs or profile until `certify` runs on the output.
+    and min(w1, w2) otherwise.  Each factor's strength and w come from one
+    ``arrays._strength_and_spectrum`` call.  The certificate returned is
+    unverified and carries no runs or profile until `certify` runs on the
+    output.
     """
-    _check_strength(verify_strength(pa.parent, 3), "first array")
-    _check_strength(verify_strength(pb.parent, 3), "second array")
-    return _juxtapose_partitions(pa, pb)
+    report, spectrum_a = _strength_and_spectrum(pa.parent, 3)
+    _check_strength(report, "first array")
+    report, spectrum_b = _strength_and_spectrum(pb.parent, 3)
+    _check_strength(report, "second array")
+    return _juxtapose_partitions(pa, pb, spectrum_a.min_distance, spectrum_b.min_distance)
 
 
 def _juxtapose_partitions(
-    pa: OrthogonalPartition, pb: OrthogonalPartition
+    pa: OrthogonalPartition, pb: OrthogonalPartition, w1: int, w2: int
 ) -> tuple[MixedArray, ConstructionCertificate]:
     """`juxtapose_partitions` without the strength-3 precondition on the factors.
 
-    Pipelines call this on factors they built themselves: the output's left
-    and right column blocks repeat every row of each factor equally often, so
+    ``w1`` and ``w2`` are the factors' minimal distances.  Pipelines call
+    this on factors they built themselves: the output's left and right
+    column blocks repeat every row of each factor equally often, so
     `certify`'s strength-3 check on the output covers every 3-subset of both.
     """
     a, b = pa.parent, pb.parent
@@ -332,7 +337,6 @@ def _juxtapose_partitions(
     left = np.tile(np.repeat(pa.blocks, d2, axis=1).ravel(), h // u)
     right = np.tile(np.tile(pb.blocks, (1, d1)).ravel(), h // v)
     out = MixedArray(a.levels + b.levels, np.hstack([a.cells[left], b.cells[right]]))
-    w1, w2 = min_distance(a), min_distance(b)
     n1, n2 = a.ncols, b.ncols
     if u == v:
         bound, case = min(w1 + w2, n1, n2), "u = v"
@@ -714,7 +718,8 @@ def _three_uniform_pipeline(
 
     pa = partition_from_scheme(left)
     right = hadamard01(order).as_scheme(3).select_columns(range(n_build))
-    out, cert = _juxtapose_partitions(pa, partition_from_scheme(right))
+    pb = partition_from_scheme(right)
+    out, cert = _juxtapose_partitions(pa, pb, min_distance(pa.parent), min_distance(pb.parent))
     notes = [f"binary scheme of order {order} trimmed to {n_build} columns"]
     if extra:
         out = delete_columns(out, range(out.ncols - extra, out.ncols))

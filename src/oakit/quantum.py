@@ -182,20 +182,29 @@ def verify_k_uniform(array: MixedArray, k: int) -> UniformityReport:
     Three cases need no search.  At strength k with index 1 every k-column
     projection is injective, so two rows differ in at least N - k + 1
     columns, and with N >= 2k that is more than k: there are no close
-    pairs, whatever the symbols' labels.  When the scan's split pass
-    vouched for strength k, it also counted the pairs by distance, and
-    there is a close pair iff the minimal distance is at most k.  And when
-    the rows are a group coset, ``_close_pairs`` reads them off the rows'
-    differences from row 0; every other array has its row pairs compared.
+    pairs, whatever the symbols' labels.  When strength k holds and the
+    scan made a split pass, that pass also counted the pairs by distance,
+    and there is a close pair iff the minimal distance is at most k.  And
+    when the rows are a group coset, ``_close_pairs`` reads them off the
+    rows' differences from row 0; every other array has its row pairs
+    compared.
     """
+    return _uniformity(array, k)[0]
+
+
+def _uniformity(array: MixedArray, k: int) -> tuple[UniformityReport, np.ndarray | None]:
+    """``verify_k_uniform``'s report and, whenever its strength scan made a
+    split pass, that pass's per-distance pair counts, else None."""
     n = array.ncols
     if not 1 <= k < n:
         raise ParameterError(f"uniformity strength must satisfy 1 <= k < {n}, got {k}")
     total = comb(n, k)
     strength, distances = _strength_loop(array, k)
-    vouched = distances is not None and not distances[: k + 1].any()  # no pair within k
+    # a pass that declined hands back its counts too, so strength k must hold
+    # as well as no pair lie within distance k
+    vouched = strength.holds and distances is not None and not distances[: k + 1].any()
     if vouched or (strength.index == 1 and n >= 2 * k):
-        return UniformityReport(k, True, None, total, total)
+        return UniformityReport(k, True, None, total, total), distances
     witness = None if strength.holds else strength.witness.columns
     lead = n if witness is None else sum(_first_superset((c,), k) < witness for c in range(n))
     for differ in _close_pairs(array, lead, k):
@@ -205,8 +214,8 @@ def verify_k_uniform(array: MixedArray, k: int) -> UniformityReport:
         if witness == tuple(range(k)):
             break
     if witness is None:
-        return UniformityReport(k, True, None, total, total)
-    return UniformityReport(k, False, witness, _lex_rank(witness, n) + 1, total)
+        return UniformityReport(k, True, None, total, total), distances
+    return UniformityReport(k, False, witness, _lex_rank(witness, n) + 1, total), distances
 
 
 def _first_superset(columns: tuple[int, ...], k: int) -> tuple[int, ...]:

@@ -234,6 +234,9 @@ class TestCellStorage:
         assert arr.cells.dtype == np.uint8
         assert arrays.subset_codes(arr.cells, arr.levels, (0, 1)).tolist() == [0, 511]
         assert arrays.subset_codes(arr.cells, arr.levels, (1, 0)).tolist() == [0, 511]
+        # the projection onto no column is one tuple, code 0 for every row
+        codes = arrays.subset_codes(arr.cells, arr.levels, ())
+        assert codes.dtype == np.int64 and codes.tolist() == [0, 0]
         full = trivial_moa((256, 3))
         assert verify_strength(full, 2).index == 1
         assert distance_spectrum(full).counts == naive_spectrum(full.cells)

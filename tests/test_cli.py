@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +12,7 @@ from oakit.arrays import MixedArray
 from oakit.cli import main
 from oakit.constructions import three_uniform_dm2n, trivial_moa
 from oakit.formats import parse_array, serialize_array, serialize_scheme
+from test_arrays import _relabelled
 
 
 @pytest.fixture()
@@ -513,4 +515,17 @@ class TestVerifyOnce:
         split_passes.clear()
         code, out, _ = run(capsys, "verify", str(path), "--strength", "3")
         assert code == 0 and json.loads(out)["distance"]["min"] == 4
+        assert len(split_passes) == 1
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_uniformity_reads_the_strength_scans_pass(self, k, tmp_path, capsys, split_passes):
+        # relabelled, so no coset: the voucher compares the 1000 x 58 array's
+        # row pairs, and the report's distances come from that pass
+        arr = _relabelled(three_uniform_dm2n(5, 4, 54)[0], np.random.default_rng(k))
+        path = tmp_path / "dm2n.moa"
+        path.write_text(serialize_array(arr))
+        split_passes.clear()
+        code, out, _ = run(capsys, "uniformity", str(path), "--k", str(k))
+        doc = json.loads(out)
+        assert code == 0 and doc["uniformity"]["holds"] and doc["distance"]["min"] == 4
         assert len(split_passes) == 1

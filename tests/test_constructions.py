@@ -9,6 +9,7 @@ import pytest
 from oakit.algebra import (
     column_vector,
     ds_linear,
+    ds_poly3,
     expand,
     hadamard01,
     juxtapose_scheme_raw,
@@ -55,6 +56,11 @@ def _one_block(levels):
     return OrthogonalPartition(arr, (tuple(range(arr.runs)),))
 
 
+def _juxtapose_measured(pa, pb):
+    """``_juxtapose_partitions`` given the factors' measured minimal distances."""
+    return _juxtapose_partitions(pa, pb, min_distance(pa.parent), min_distance(pb.parent))
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -66,19 +72,19 @@ def _one_block(levels):
             "scheme must be square",
         ),
         (
-            lambda: _juxtapose_partitions(
+            lambda: _juxtapose_measured(
                 partition_from_scheme(ds_linear(3, 2)), partition_from_scheme(ds_linear(3, 1))
             ),
             ParameterError,
             "need u <= v, got u=9 > v=3",
         ),
         (
-            lambda: _juxtapose_partitions(_one_block((2, 3)), _one_block((2, 2))),
+            lambda: _juxtapose_measured(_one_block((2, 3)), _one_block((2, 2))),
             ParameterError,
             "expected a single-level array",
         ),
         (
-            lambda: _juxtapose_partitions(_one_block((2, 2)), _one_block((2, 2))),
+            lambda: _juxtapose_measured(_one_block((2, 2)), _one_block((2, 2))),
             ParameterError,
             "block counts must satisfy r = d * blocks",
         ),
@@ -242,6 +248,15 @@ class TestJuxtaposePartitions:
             == distance_spectrum(out1).distances
         )
 
+    def test_one_split_pass_per_factor(self, split_passes):
+        # the 1331 x 11 expansion of ds_poly3(11) at k = 3: the pass the
+        # voucher makes for a factor's strength also gives its distance
+        pa = partition_from_scheme(ds_poly3(11))
+        split_passes.clear()
+        _, cert = juxtapose_partitions(pa, pa)
+        assert split_passes == [pa.parent, pa.parent]
+        assert "w1=9, w2=9" in cert.md_formula
+
     def test_strength_preconditions_enforced(self):
         weak = expand(ds_linear(3, 1))  # strength 2 only
         partition = partition_from_scheme(ds_linear(3, 1))
@@ -254,12 +269,10 @@ class TestJuxtaposePartitions:
         # rows: h = 6, so A's block stack appears 3 times with each row
         # repeated d'' = 3 times, and B's twice with each block tiled d' = 2
         # times; blocks and rows are gathered in the partitions' order
-        from oakit.constructions import _juxtapose_partitions
-
         pa = partition_from_scheme(ds_linear(2, 1))
         b = expand(ds_linear(3, 1))
         pb = OrthogonalPartition(b, ((5, 3, 4), (0, 2, 1), (8, 7, 6)))
-        out, cert = _juxtapose_partitions(pa, pb)
+        out, cert = _juxtapose_measured(pa, pb)
         left = [i for _ in range(3) for blk in pa.blocks for i in blk for _ in range(3)]
         right = [i for _ in range(2) for blk in pb.blocks for _ in range(2) for i in blk]
         assert out.runs == 36 and "incomparable" in cert.md_formula
@@ -300,6 +313,25 @@ class TestExpansiveReplace:
     def test_empty_plan_rejected(self, moa12):
         with pytest.raises(ParameterError):
             expansive_replace(moa12, {}, 2)
+
+    def test_no_distance_bearing_column_is_left_to_certify(self):
+        # every column replaced by some of its symbol's bits: the replacements'
+        # rows repeat, so no column bears the host's distance, the certificate
+        # predicts none and certify measures the output's
+        bits = trivial_moa((2, 2, 2)).cells
+        pairs = [MixedArray((2, 2), bits[:, list(keep)]) for keep in ((0, 1), (0, 2), (1, 2))]
+        out, cert = expansive_replace(bush_oa(8, 2), {j: pairs[j % 3] for j in range(9)}, 2)
+        assert cert.notes == ("no distance-bearing columns; re-verify",)
+        assert cert.predicted_md is None
+        assert certify(out, cert).measured_md == naive_min_distance(out.cells.tolist(), 18) == 5
+        # one bit of each GF(4) symbol leaves rows at distance 1, which certify refuses
+        bits = trivial_moa((2, 2)).cells
+        out, cert = expansive_replace(
+            bush_oa(4, 2), {j: MixedArray((2,), bits[:, [j % 2]]) for j in range(5)}, 2
+        )
+        assert cert.notes == ("no distance-bearing columns; re-verify",)
+        with pytest.raises(VerificationError, match=r"not irredundant at k=2 \(minimal distance 1\)"):
+            certify(out, cert)
 
 
 class TestPolynomialArrays:

@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -39,7 +40,7 @@ from oakit.quantum import (
 )
 
 from oracles import k_uniform_loop, naive_k_uniform, naive_reduced_density, uniform_on_subset
-from test_arrays import _relabelled, fallback_arrays, group_arrays
+from test_arrays import _LATE_WITNESSES, _late, _relabelled, fallback_arrays, group_arrays
 
 
 @pytest.fixture(scope="module")
@@ -299,6 +300,18 @@ class TestKernelCrossCheck:
         report = verify_k_uniform(arr, 3)
         assert (report.holds, report.witness_subset, report.subsets_checked) == (False, (0, 1, 2), 1)
         assert not uniform_on_subset(arr.cells, arr.levels, (0, 1, 2))
+
+    @pytest.mark.parametrize("build, args, k, first", _LATE_WITNESSES)
+    def test_declined_pass_with_no_pair_within_k(self, build, args, k, first):
+        # the strength scan's split pass runs and declines, and its distances
+        # show no pair within k: the loop's late witness is the report's
+        arr = _late(build, args)
+        distances = _strength_loop(arr, k)[1]
+        assert distances is not None and not distances[: k + 1].any()
+        report = verify_k_uniform(arr, k)
+        rank = list(combinations(range(arr.ncols), k)).index(first)
+        assert (report.holds, report.witness_subset, report.subsets_checked) == (False, first, rank + 1)
+        assert not uniform_on_subset(arr.cells, arr.levels, first)
 
     def test_memory_stays_bounded(self):
         arr = bush_oa(11, 4)  # 14641 x 12, no close pairs at k = 4
